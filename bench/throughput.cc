@@ -186,7 +186,7 @@ BENCHMARK(BM_ConcurrentQuery_CacheHitMix)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // Same hit mix with the diagnostics layer on (flight recorder, drift
-// tracker, internal tracer, no capture thresholds): the contrast against
+// tracker, no capture thresholds): the contrast against
 // BM_ConcurrentQuery_CacheHitMix is the whole cost of always-on
 // diagnostics on the hot path.
 Mediator* HitMixRecorderMediator() {

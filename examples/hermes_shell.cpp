@@ -11,6 +11,7 @@
 //   :stats                       DCSM / CIM / network counters
 //   :dump                        print the cost-vector database dump
 //   :mode all | first            all-answers vs interactive execution
+//   :trace on | off              per-call lines after each query
 //   :optimizer on | off          toggle cost-based optimization
 //   :demo                        load the 'rope' demo scenario
 //   :help, :quit
@@ -24,6 +25,7 @@
 #include "common/strings.h"
 #include "dcsm/persistence.h"
 #include "engine/mediator.h"
+#include "obs/trace.h"
 #include "testbed/scenario.h"
 
 using namespace hermes;
@@ -73,8 +75,8 @@ class Shell {
                       ? "interactive (first batch)"
                       : "all answers");
     } else if (StartsWith(line, ":trace")) {
-      options_.collect_trace = line.find("off") == std::string::npos;
-      std::printf("trace: %s\n", options_.collect_trace ? "on" : "off");
+      trace_ = line.find("off") == std::string::npos;
+      std::printf("trace: %s\n", trace_ ? "on" : "off");
     } else if (StartsWith(line, ":optimizer")) {
       options_.use_optimizer = line.find("off") == std::string::npos;
       std::printf("optimizer: %s\n", options_.use_optimizer ? "on" : "off");
@@ -145,9 +147,13 @@ class Shell {
   }
 
   void RunQuery(const std::string& text) {
-    Result<QueryResult> res = med_.Query(text, options_);
+    obs::Tracer tracer;
+    QueryOptions options = options_;
+    if (trace_) options.tracer = &tracer;
+    Result<QueryResult> res = med_.Query(text, options);
     if (!res.ok()) {
       std::printf("error: %s\n", res.status().ToString().c_str());
+      PrintCalls(tracer);
       return;
     }
     const engine::QueryExecution& exec = res->execution;
@@ -180,10 +186,21 @@ class Shell {
       }
     }
     std::printf("\n");
-    if (options_.collect_trace) {
-      for (const engine::CallTrace& t : exec.trace) {
-        std::printf("  %s\n", t.ToString().c_str());
+    PrintCalls(tracer);
+  }
+
+  // One line per domain call, read off the query's derived spans: start
+  // time, call, outcome arguments and simulated duration.
+  static void PrintCalls(const obs::Tracer& tracer) {
+    for (const obs::Span& span : tracer.spans()) {
+      if (span.category != "domain-call") continue;
+      std::string outcome = span.failed ? " FAILED" : "";
+      for (const auto& [key, value] : span.args) {
+        outcome += " " + key + "=" + value;
       }
+      std::printf("  t=%9.1fms  %-44s%s dur=%.1fms\n", span.sim_begin_ms,
+                  span.name.c_str(), outcome.c_str(),
+                  span.sim_end_ms - span.sim_begin_ms);
     }
   }
 
@@ -206,6 +223,7 @@ class Shell {
 
   Mediator med_;
   QueryOptions options_;
+  bool trace_ = false;  ///< Print per-call lines after each query.
 };
 
 }  // namespace

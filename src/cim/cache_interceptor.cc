@@ -1,7 +1,6 @@
 #include "cim/cache_interceptor.h"
 
 #include "obs/flight_recorder.h"
-#include "obs/trace.h"
 
 namespace hermes::cim {
 
@@ -31,7 +30,9 @@ Result<CallOutput> CacheInterceptor::Intercept(CallContext& ctx,
   // CIM's shared counters, which would misattribute concurrent queries'
   // hits and misses to each other.
   CimOutcome outcome = CimOutcome::kMiss;
-  obs::SpanScope lookup(ctx.tracer, "cache-lookup", "cache", ctx.now_ms);
+  const double t_open = ctx.now_ms;
+  const uint32_t lookup =
+      ctx.Emit(obs::FlightEventKind::kCacheLookupBegin, t_open);
   Result<CallOutput> out = cim_->RunWith(
       call,
       [&ctx, &next](const DomainCall& actual) { return next(ctx, actual); },
@@ -42,17 +43,15 @@ Result<CallOutput> CacheInterceptor::Intercept(CallContext& ctx,
   } else {
     ++ctx.metrics.cache_hits;
   }
-  if (ctx.recorder != nullptr) {
+  if (ctx.observed()) {
     obs::FlightEvent ev =
-        obs::FlightEvent::Make(obs::FlightEventKind::kCacheOutcome,
-                               ctx.query_id, ctx.recorder_seq++, ctx.now_ms);
-    ev.set_domain(call.domain);
-    ev.set_detail(OutcomeName(outcome));
+        obs::FlightEvent::At(obs::FlightEventKind::kCacheOutcome, t_open);
+    ev.set_domain(call.domain).set_detail(OutcomeName(outcome));
     if (out.ok()) {
       ev.value = out->all_ms;
       ev.aux = out->answers.size();
     }
-    ctx.recorder->Emit(ev);
+    ctx.Emit(ev);
   }
   if (out.ok() && out->degraded) {
     // Cached answers stood in for an unreachable source: the query still
@@ -83,13 +82,16 @@ Result<CallOutput> CacheInterceptor::Intercept(CallContext& ctx,
       ctx.source_errors.push_back(std::move(err));
     }
   }
-  if (lookup.active()) {
-    lookup.AddArg("outcome", OutcomeName(outcome));
+  if (ctx.observed()) {
+    obs::FlightEvent end = obs::FlightEvent::End(
+        obs::FlightEventKind::kCacheLookupEnd, lookup, t_open);
     if (out.ok()) {
-      lookup.set_sim_end(ctx.now_ms + out->all_ms);
-      if (out->degraded) lookup.AddArg("degraded", "true");
+      end.sim_ms = t_open + out->all_ms;
+      end.aux = out->degraded ? 1 : 0;
+    } else {
+      end.set_failed(ctx.failure_cause(), ctx.last_failure_site);
     }
-    if (!out.ok()) lookup.MarkFailed(out.status().ToString());
+    ctx.Emit(end);
   }
   return out;
 }

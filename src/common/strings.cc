@@ -1,6 +1,7 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <cstdio>
 
 namespace hermes {
 
@@ -50,6 +51,35 @@ std::string ToLower(const std::string& text) {
 bool StartsWith(const std::string& text, const std::string& prefix) {
   return text.size() >= prefix.size() &&
          text.compare(0, prefix.size(), prefix) == 0;
+}
+
+std::string JsonEscape(const std::string& text) {
+  std::string out;
+  out.reserve(text.size() + 8);
+  for (char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string FormatNumber(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.10g", v);
+  return buf;
 }
 
 }  // namespace hermes

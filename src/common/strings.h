@@ -22,6 +22,13 @@ std::string ToLower(const std::string& text);
 /// True when `text` begins with `prefix`.
 bool StartsWith(const std::string& text, const std::string& prefix);
 
+/// `text` escaped for the inside of a JSON string literal.
+std::string JsonEscape(const std::string& text);
+
+/// Compact %g-style rendering with enough precision (10 digits) for byte
+/// counters and simulated milliseconds.
+std::string FormatNumber(double v);
+
 }  // namespace hermes
 
 #endif  // HERMES_COMMON_STRINGS_H_

@@ -51,8 +51,9 @@ std::string DriftReport::ToString() const {
   return out;
 }
 
-DriftTracker::DriftTracker(const Dcsm* dcsm, DriftOptions options)
-    : dcsm_(dcsm), options_(options) {}
+DriftTracker::DriftTracker(const Dcsm* dcsm, DriftOptions options,
+                           obs::FlightRecorder* recorder)
+    : dcsm_(dcsm), options_(options), recorder_(recorder) {}
 
 void DriftTracker::SetSite(const std::string& domain,
                            const std::string& site) {
@@ -78,8 +79,7 @@ void DriftTracker::set_exceeded_hook(ExceededHook hook) {
 
 void DriftTracker::Observe(const lang::DomainCallSpec& pattern,
                            const std::string& adornment,
-                           const CostVector& observed, double sim_ms,
-                           obs::FlightRecorder* recorder) {
+                           const CostVector& observed, double sim_ms) {
   if (dcsm_ == nullptr) return;
   Result<CostEstimate> est = dcsm_->Cost(pattern);
   if (!est.ok()) return;
@@ -177,16 +177,14 @@ void DriftTracker::Observe(const lang::DomainCallSpec& pattern,
     // Outside mu_: the hook takes the plan cache's own locks.
     if (hook != nullptr) hook(site, domain, adornment);
     if (exceeded_counter_ != nullptr) exceeded_counter_->Add(1);
-    if (recorder != nullptr) {
-      // Tagged query_id 0: drift is a cross-query signal, and keeping it
-      // out of per-query streams preserves replay bit-identity.
-      obs::FlightEvent ev = obs::FlightEvent::Make(
-          obs::FlightEventKind::kDriftExceeded, 0, 0, sim_ms);
-      ev.set_site(site);
-      ev.set_domain(domain);
-      ev.set_detail(adornment);
+    if (recorder_ != nullptr) {
+      // Tagged query_id 0 with no seq: drift is a cross-query signal, and
+      // keeping it out of per-query streams preserves replay bit-identity.
+      obs::FlightEvent ev =
+          obs::FlightEvent::At(obs::FlightEventKind::kDriftExceeded, sim_ms);
+      ev.set_site(site).set_domain(domain).set_detail(adornment);
       ev.value = std::max({err_tf, err_ta, err_card});
-      recorder->Emit(ev);
+      recorder_->Emit(ev);
     }
   }
 }

@@ -67,7 +67,9 @@ struct DriftReport {
 /// per-successful-call but the critical section is a few arithmetic ops.
 class DriftTracker {
  public:
-  explicit DriftTracker(const Dcsm* dcsm, DriftOptions options = {});
+  /// `recorder` (may be null) receives the `drift_exceeded` events.
+  explicit DriftTracker(const Dcsm* dcsm, DriftOptions options = {},
+                        obs::FlightRecorder* recorder = nullptr);
 
   /// Wiring-time (not thread-safe vs. Observe): names the site a logical
   /// domain lives on, for the report's / gauges' `site` label.
@@ -89,12 +91,13 @@ class DriftTracker {
   /// (constants kept, runtime-bound variables as `$b`), `adornment` its
   /// arg shape, `observed` the measured [Tf Ta card]. Estimates whose only
   /// source is the DCSM default are skipped — error against a placeholder
-  /// is noise, not drift. Emits a `drift_exceeded` flight event (tagged
-  /// query_id 0, so per-query event streams stay deterministic) when a
-  /// group first crosses the threshold.
+  /// is noise, not drift. Emits a `drift_exceeded` flight event when a
+  /// group first crosses the threshold. The event is a process-level one:
+  /// tagged query_id 0 and taking no seq from any query, so per-query
+  /// event streams stay deterministic.
   void Observe(const lang::DomainCallSpec& pattern,
                const std::string& adornment, const CostVector& observed,
-               double sim_ms, obs::FlightRecorder* recorder);
+               double sim_ms);
 
   DriftReport Report() const;
 
@@ -119,6 +122,7 @@ class DriftTracker {
 
   const Dcsm* dcsm_;
   DriftOptions options_;
+  obs::FlightRecorder* const recorder_;
 
   mutable std::mutex mu_;
   std::map<Key, Cell> cells_;

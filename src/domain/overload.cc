@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "obs/flight_recorder.h"
-#include "obs/trace.h"
 
 namespace hermes::overload {
 
@@ -16,15 +15,12 @@ void RecordOverloadEvent(CallContext& ctx, obs::FlightEventKind kind,
                          const std::string& site, const std::string& domain,
                          const char* detail, double sim_ms, double value,
                          uint64_t aux) {
-  if (ctx.recorder == nullptr) return;
-  obs::FlightEvent ev =
-      obs::FlightEvent::Make(kind, ctx.query_id, ctx.recorder_seq++, sim_ms);
-  ev.set_site(site);
-  ev.set_domain(domain);
-  ev.set_detail(detail);
+  if (!ctx.observed()) return;
+  obs::FlightEvent ev = obs::FlightEvent::At(kind, sim_ms);
+  ev.set_site(site).set_domain(domain).set_detail(detail);
   ev.value = value;
   ev.aux = aux;
-  ctx.recorder->Emit(ev);
+  ctx.Emit(ev);
 }
 
 }  // namespace
@@ -187,8 +183,13 @@ Result<CallOutput> OverloadInterceptor::Intercept(CallContext& ctx,
       if (brownout_ != nullptr) brownout_->RecordOutcome(true);
       RecordOverloadEvent(ctx, obs::FlightEventKind::kLoadShed, site_key,
                           call.domain, "limit", t_open, limit, window.size());
-      obs::SpanScope span(ctx.tracer, "load-shed", "overload", t_open);
-      span.MarkFailed("limit");
+      if (ctx.observed()) {
+        const uint32_t span =
+            ctx.Emit(obs::FlightEventKind::kLoadShedBegin, t_open);
+        ctx.Emit(obs::FlightEvent::End(obs::FlightEventKind::kLoadShedEnd,
+                                       span, t_open)
+                     .set_failed("limit"));
+      }
       ctx.last_failure_site = site_key;
       ctx.last_failure_cause = "load-shed";
       ctx.last_call_penalty_ms = 0.0;
@@ -249,7 +250,8 @@ Result<CallOutput> OverloadInterceptor::Intercept(CallContext& ctx,
         RecordOverloadEvent(ctx, obs::FlightEventKind::kHedge, site_key,
                             call.domain, "issued", t_open + trigger, trigger,
                             st.hedges_issued);
-        obs::SpanScope span(ctx.tracer, "hedge", "overload", t_open + trigger);
+        const uint32_t span =
+            ctx.Emit(obs::FlightEventKind::kHedgeBegin, t_open + trigger);
         ctx.now_ms = t_open + trigger;
         Result<CallOutput> alt = hedge_route_(ctx, call);
         ctx.now_ms = t_open;
@@ -257,7 +259,7 @@ Result<CallOutput> OverloadInterceptor::Intercept(CallContext& ctx,
           CallOutput won = std::move(alt).value();
           won.first_ms += trigger;
           won.all_ms += trigger;
-          span.set_sim_end(t_open + won.all_ms);
+          ctx.Emit(obs::FlightEventKind::kHedgeEnd, t_open + won.all_ms, span);
           ++ctx.metrics.hedge_wins;
           hedge_wins_->Add(1);
           RecordOverloadEvent(ctx, obs::FlightEventKind::kHedge, site_key,
@@ -276,7 +278,12 @@ Result<CallOutput> OverloadInterceptor::Intercept(CallContext& ctx,
           admitted_->Add(1);
           return won;
         }
-        span.MarkFailed(alt.status().ToString());
+        if (ctx.observed()) {
+          ctx.Emit(obs::FlightEvent::End(obs::FlightEventKind::kHedgeEnd, span,
+                                         t_open + trigger)
+                       .set_failed(ctx.failure_cause(),
+                                   ctx.last_failure_site));
+        }
         hedge_cancelled_->Add(1);
         RecordOverloadEvent(ctx, obs::FlightEventKind::kHedge, site_key,
                             call.domain, "cancelled", t_open + trigger, 0.0,
@@ -329,7 +336,8 @@ Result<CallOutput> OverloadInterceptor::Intercept(CallContext& ctx,
       RecordOverloadEvent(ctx, obs::FlightEventKind::kHedge, site_key,
                           call.domain, "issued", t_open + trigger, trigger,
                           st.hedges_issued);
-      obs::SpanScope span(ctx.tracer, "hedge", "overload", t_open + trigger);
+      const uint32_t span =
+          ctx.Emit(obs::FlightEventKind::kHedgeBegin, t_open + trigger);
       // The hedge opens at trigger time on the simulated clock; the route
       // runs the replica's full pipeline under this query's context, so
       // its traffic and latency are charged to this query (the ≤ budget %
@@ -343,7 +351,7 @@ Result<CallOutput> OverloadInterceptor::Intercept(CallContext& ctx,
         CallOutput won = std::move(alt).value();
         won.first_ms = std::min(out.first_ms, trigger + won.first_ms);
         won.all_ms = trigger + won.all_ms;
-        span.set_sim_end(t_open + won.all_ms);
+        ctx.Emit(obs::FlightEventKind::kHedgeEnd, t_open + won.all_ms, span);
         ++ctx.metrics.hedge_wins;
         hedge_wins_->Add(1);
         RecordOverloadEvent(ctx, obs::FlightEventKind::kHedge, site_key,
@@ -353,7 +361,7 @@ Result<CallOutput> OverloadInterceptor::Intercept(CallContext& ctx,
       } else {
         // The primary won (or the hedge failed): the hedge is cancelled at
         // the primary's completion time.
-        span.set_sim_end(t_open + primary_ms);
+        ctx.Emit(obs::FlightEventKind::kHedgeEnd, t_open + primary_ms, span);
         hedge_cancelled_->Add(1);
         RecordOverloadEvent(ctx, obs::FlightEventKind::kHedge, site_key,
                             call.domain, "cancelled", t_open + primary_ms,

@@ -24,9 +24,9 @@ static_assert(sizeof(CallMetricsMirror) == sizeof(CallMetrics),
               "HERMES_CALL_METRICS_UINT64_FIELDS / _DOUBLE_FIELDS; add it "
               "there so Merge and the metrics fold cover it");
 
-/// One physical line per trace entry: embedded newlines in multi-line
-/// error messages are escaped so a trace stays line-sortable by its
-/// leading t= timestamp.
+/// One physical line per record: embedded newlines in multi-line error
+/// messages are escaped so a log stays line-sortable by its leading t=
+/// timestamp.
 std::string FlattenError(const std::string& error) {
   std::string out;
   out.reserve(error.size());
@@ -51,23 +51,6 @@ void CallMetrics::Merge(const CallMetrics& other) {
 #undef HERMES_FIELD
 }
 
-std::string CallTrace::ToString() const {
-  char buf[160];
-  if (failed) {
-    std::snprintf(buf, sizeof(buf), "t=%9.1fms  %-44s FAILED", t_start_ms,
-                  call.ToString().c_str());
-    std::string out = buf;
-    if (!site.empty()) out += " site=" + site;
-    if (!cause.empty()) out += " cause=" + cause;
-    return out + ": " + FlattenError(error);
-  }
-  std::snprintf(buf, sizeof(buf),
-                "t=%9.1fms  %-44s %4zu answer(s) first=%.1fms all=%.1fms",
-                t_start_ms, call.ToString().c_str(), answers, first_ms,
-                all_ms);
-  return buf;
-}
-
 std::string SourceError::ToString() const {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "t=%9.1fms  ", t_ms);
@@ -87,6 +70,16 @@ Status CallContext::ChargeCall() {
   }
   ++metrics.domain_calls;
   return Status::OK();
+}
+
+uint32_t CallContext::Emit(obs::FlightEvent ev) {
+  if (sinks == nullptr) return 0;
+  ev.query_id = query_id;
+  ev.seq = ++event_seq;
+  if (ev.host_ns == 0) ev.host_ns = obs::HostNowNs();
+  if (sinks->tracer != nullptr) sinks->tracer->Append(ev);
+  if (sinks->ring != nullptr) sinks->ring->Emit(ev);
+  return ev.seq;
 }
 
 Result<CallOutput> CallPipeline::Run(CallContext& ctx,
@@ -158,39 +151,6 @@ CallInterceptor* PipelineDomain::FindLayer(const std::string& layer) const {
     if (interceptor->name() == layer) return interceptor.get();
   }
   return nullptr;
-}
-
-const std::string& TraceInterceptor::name() const {
-  static const std::string kName = "trace";
-  return kName;
-}
-
-Result<CallOutput> TraceInterceptor::Intercept(CallContext& ctx,
-                                               const DomainCall& call,
-                                               const Next& next) {
-  // The trace layer sits on top of the stack, so clearing the failure
-  // attribution here scopes whatever the layers below write to this call.
-  ctx.last_failure_site.clear();
-  ctx.last_failure_cause.clear();
-  Result<CallOutput> run = next(ctx, call);
-  if (ctx.trace != nullptr) {
-    CallTrace entry;
-    entry.call = call;
-    entry.t_start_ms = ctx.now_ms;
-    entry.failed = !run.ok();
-    if (run.ok()) {
-      entry.first_ms = run->first_ms;
-      entry.all_ms = run->all_ms;
-      entry.answers = run->answers.size();
-    } else {
-      entry.error = run.status().ToString();
-      entry.site = ctx.last_failure_site;
-      entry.cause = ctx.last_failure_cause;
-    }
-    ctx.trace->push_back(std::move(entry));
-    ++ctx.metrics.traced_calls;
-  }
-  return run;
 }
 
 std::string SingleFlightRegistry::KeyFor(const std::string& site,

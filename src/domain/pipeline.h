@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -23,11 +24,8 @@
 
 namespace hermes {
 
-// CallContext holds only pointers to these; the emitting .cc files include
-// the real headers. Keeps the domain layer free of dcsm header cycles.
-namespace obs {
-class FlightRecorder;
-}  // namespace obs
+// CallContext holds only a pointer to this; DomainCallOp includes the real
+// header. Keeps the domain layer free of dcsm header cycles.
 namespace dcsm {
 class DriftTracker;
 }  // namespace dcsm
@@ -40,7 +38,6 @@ class DriftTracker;
 /// static_assert in pipeline.cc).
 #define HERMES_CALL_METRICS_UINT64_FIELDS(X) \
   X(domain_calls)                            \
-  X(traced_calls)                            \
   X(stats_records)                           \
   X(cache_hits)                              \
   X(cache_misses)                            \
@@ -63,18 +60,16 @@ class DriftTracker;
   X(retry_backoff_ms)
 
 /// Per-layer counters accumulated along one query's call path. Each
-/// interceptor owns a slice: the trace layer counts traced calls, the cache
-/// layer hit/miss outcomes, the network layer traffic and charges. The
-/// engine counts dispatched calls. Metrics are additive, so a caller can
-/// attribute exactly what one query consumed without diffing any global
-/// statistics (the old QueryTraffic-by-NetworkStats-delta bug).
+/// interceptor owns a slice: the cache layer counts hit/miss outcomes, the
+/// network layer traffic and charges. The engine counts dispatched calls.
+/// Metrics are additive, so a caller can attribute exactly what one query
+/// consumed without diffing any global statistics (the old
+/// QueryTraffic-by-NetworkStats-delta bug).
 ///
 /// Every field must be listed in HERMES_CALL_METRICS_*_FIELDS above.
 struct CallMetrics {
   // Dispatch layer (the executor charging calls against the budget).
   uint64_t domain_calls = 0;
-  // Trace layer.
-  uint64_t traced_calls = 0;
   // Statistics layer (cost vectors recorded into the DCSM).
   uint64_t stats_records = 0;
   // Cache layer (exact + equality + partial hits vs. actual-call misses).
@@ -102,24 +97,6 @@ struct CallMetrics {
 
   /// Adds `other`'s counters into this one.
   void Merge(const CallMetrics& other);
-};
-
-/// One domain call as the trace layer saw it — the execution trace element.
-struct CallTrace {
-  DomainCall call;
-  double t_start_ms = 0.0;  ///< Pipeline time when the call was opened.
-  double first_ms = 0.0;    ///< The call's own first-answer latency.
-  double all_ms = 0.0;      ///< The call's own completion latency.
-  size_t answers = 0;
-  bool failed = false;
-  std::string error;
-  /// Failure attribution (empty on success or when the failing layer did
-  /// not identify itself): the site the call was lost at and the proximate
-  /// cause ("outage", "flaky", "breaker-open", "deadline", ...).
-  std::string site;
-  std::string cause;
-
-  std::string ToString() const;
 };
 
 /// Structured record of one source the query lost — who failed, why, and
@@ -163,8 +140,6 @@ struct CallContext {
   uint64_t call_budget = std::numeric_limits<uint64_t>::max();
   /// Counters accumulated by every layer the call path crossed.
   CallMetrics metrics;
-  /// Trace sink; the trace layer records into it when non-null.
-  std::vector<CallTrace>* trace = nullptr;
   /// When true the statistics layer appends observations to
   /// `pending_stats` instead of writing the shared DCSM per call; whoever
   /// set the flag owns flushing the buffer (Executor::Execute does both).
@@ -179,20 +154,14 @@ struct CallContext {
   /// seed and query id), so simulated latencies replay identically at any
   /// thread count. Null selects the simulator's shared legacy stream.
   Rng* net_rng = nullptr;
-  /// Per-query span recorder. When non-null, each layer the call path
-  /// crosses opens a span (domain-call, cache-lookup, network-hop), giving
-  /// the query an exportable execution timeline. The tracer belongs to
-  /// this query alone and is not thread-safe.
-  obs::Tracer* tracer = nullptr;
-  /// Flight recorder for structured diagnostic events. When non-null every
-  /// layer appends its milestone events (call issued/completed, retry,
-  /// breaker transition, cache outcome, ...) stamped with this query's id
-  /// and `recorder_seq`. Null (the default) costs one branch per site.
-  obs::FlightRecorder* recorder = nullptr;
-  /// Per-query flight-event sequence number. The query runs on one thread,
-  /// so `recorder_seq++` orders its events deterministically regardless of
-  /// QueryPool thread count or ring layout.
-  uint32_t recorder_seq = 0;
+  /// Where Emit() delivers this query's events: the caller's tracer and/or
+  /// the diagnostics flight recorder. Null (the default) means nobody is
+  /// listening; emission sites test observed() and build no event.
+  const obs::EventSinks* sinks = nullptr;
+  /// Sequence number of the last event emitted. The query runs on one
+  /// thread, so the numbering is deterministic regardless of QueryPool
+  /// thread count or ring layout.
+  uint32_t event_seq = 0;
   /// DCSM drift tracker. When non-null DomainCallOp feeds every successful
   /// call's observed [Tf Ta card] vs. the DCSM estimate into it.
   dcsm::DriftTracker* drift = nullptr;
@@ -213,6 +182,13 @@ struct CallContext {
   /// lost source.
   std::string last_failure_site;
   std::string last_failure_cause;
+  /// The cause events report for the current call's failure: the failing
+  /// layer's `last_failure_cause`, or "error" when none named one (the
+  /// domain itself failed).
+  std::string_view failure_cause() const {
+    return last_failure_cause.empty() ? std::string_view("error")
+                                      : std::string_view(last_failure_cause);
+  }
   /// Simulated time the most recent failed attempt cost (the retry
   /// timeout); the resilience layer charges it into the retry schedule.
   double last_call_penalty_ms = 0.0;
@@ -264,14 +240,31 @@ struct CallContext {
 
   /// Charges one domain call against the budget; fails once exhausted.
   Status ChargeCall();
+
+  /// True when Emit() has somewhere to deliver events.
+  bool observed() const { return sinks != nullptr; }
+
+  /// The one way a layer records anything about this query: stamps `ev`
+  /// with the query id, the next sequence number and (unless preset) the
+  /// host time, then appends it to every sink. Returns the stamped seq —
+  /// the `begin_seq` a span's end event quotes — or 0, emitting nothing,
+  /// when the context is not observed.
+  uint32_t Emit(obs::FlightEvent ev);
+  /// Emit() of a bare `kind` event at `sim_ms` — a span end when
+  /// `begin_seq` names its opener — built only when observed.
+  uint32_t Emit(obs::FlightEventKind kind, double sim_ms,
+                uint32_t begin_seq = 0) {
+    if (!observed()) return 0;
+    return Emit(obs::FlightEvent::End(kind, begin_seq, sim_ms));
+  }
 };
 
 /// One composable stage of the domain-call path.
 ///
 /// An interceptor wraps the call on its way down to the domain (and the
 /// answers on their way back up): it may serve the call itself (cache hit),
-/// decorate latencies (network link), or observe the outcome (trace,
-/// statistics). `next` continues with the remainder of the stack; not
+/// decorate latencies (network link), or observe the outcome (statistics).
+/// `next` continues with the remainder of the stack; not
 /// invoking it short-circuits the call.
 class CallInterceptor {
  public:
@@ -282,7 +275,7 @@ class CallInterceptor {
 
   virtual ~CallInterceptor() = default;
 
-  /// Layer name for diagnostics ("trace", "stats", "cache", "network").
+  /// Layer name for diagnostics ("stats", "cache", "network").
   virtual const std::string& name() const = 0;
 
   virtual Result<CallOutput> Intercept(CallContext& ctx,
@@ -366,15 +359,6 @@ class PipelineDomain : public Domain {
   std::string name_;
   std::shared_ptr<Domain> terminal_;
   CallPipeline pipeline_;
-};
-
-/// The trace layer: records every call it sees (including ones a cache
-/// layer below serves without contacting the source) into `ctx.trace`.
-class TraceInterceptor : public CallInterceptor {
- public:
-  const std::string& name() const override;
-  Result<CallOutput> Intercept(CallContext& ctx, const DomainCall& call,
-                               const Next& next) override;
 };
 
 /// Knobs of the cross-query single-flight layer. Disabled by default, in

@@ -4,7 +4,6 @@
 
 #include "common/rng.h"
 #include "obs/flight_recorder.h"
-#include "obs/trace.h"
 
 namespace hermes::resilience {
 
@@ -14,14 +13,12 @@ namespace {
 void RecordBreakerEvent(CallContext& ctx, const std::string& site,
                         const char* to_state, double sim_ms,
                         uint64_t consecutive_failures) {
-  if (ctx.recorder == nullptr) return;
+  if (!ctx.observed()) return;
   obs::FlightEvent ev =
-      obs::FlightEvent::Make(obs::FlightEventKind::kBreakerTransition,
-                             ctx.query_id, ctx.recorder_seq++, sim_ms);
-  ev.set_site(site);
-  ev.set_detail(to_state);
+      obs::FlightEvent::At(obs::FlightEventKind::kBreakerTransition, sim_ms);
+  ev.set_site(site).set_detail(to_state);
   ev.aux = consecutive_failures;
-  ctx.recorder->Emit(ev);
+  ctx.Emit(ev);
 }
 
 /// Salt separating the backoff-jitter streams from the network-jitter and
@@ -153,26 +150,27 @@ Result<CallOutput> ResilienceInterceptor::AttemptWithRetries(
         backoff *=
             1.0 + policy_.retry.backoff_jitter * (2.0 * jitter.NextDouble() - 1.0);
       }
-      obs::SpanScope wait(ctx.tracer, "retry-wait", "resilience",
-                          t_call + waited);
-      wait.AddArg("attempt", std::to_string(attempt + 1));
-      wait.set_sim_end(t_call + waited + backoff);
+      if (ctx.observed()) {
+        obs::FlightEvent wait = obs::FlightEvent::At(
+            obs::FlightEventKind::kRetryWaitBegin, t_call + waited);
+        wait.aux = static_cast<uint64_t>(attempt) + 1;
+        const uint32_t span = ctx.Emit(wait);
+        ctx.Emit(obs::FlightEventKind::kRetryWaitEnd,
+                 t_call + waited + backoff, span);
+        obs::FlightEvent retry = obs::FlightEvent::At(
+            obs::FlightEventKind::kRetry, t_call + (waited + backoff));
+        retry.set_site(site_name_)
+            .set_domain(call.domain)
+            .set_detail(ctx.last_failure_cause);
+        retry.value = backoff;
+        retry.aux = wait.aux;
+        ctx.Emit(retry);
+      }
       waited += backoff;
       ++ctx.metrics.retries;
       ctx.metrics.retry_backoff_ms += backoff;
       retries_->Add(1);
       backoff_ms_->Add(backoff);
-      if (ctx.recorder != nullptr) {
-        obs::FlightEvent ev =
-            obs::FlightEvent::Make(obs::FlightEventKind::kRetry, ctx.query_id,
-                                   ctx.recorder_seq++, t_call + waited);
-        ev.set_site(site_name_);
-        ev.set_domain(call.domain);
-        ev.set_detail(ctx.last_failure_cause);
-        ev.value = backoff;
-        ev.aux = static_cast<uint64_t>(attempt) + 1;
-        ctx.recorder->Emit(ev);
-      }
     }
   }
   ctx.last_call_penalty_ms = waited;
@@ -188,17 +186,26 @@ Result<CallOutput> ResilienceInterceptor::GiveUp(CallContext& ctx,
   if (policy_.enable_failover && failover_ != nullptr) {
     ++ctx.metrics.failovers;
     failovers_->Add(1);
-    obs::SpanScope span(ctx.tracer, "failover", "resilience", ctx.now_ms);
-    span.AddArg("from", site_name_);
+    const double t_open = ctx.now_ms;
+    uint32_t span = 0;
+    if (ctx.observed()) {
+      span = ctx.Emit(
+          obs::FlightEvent::At(obs::FlightEventKind::kFailoverBegin, t_open)
+              .set_site(site_name_));
+    }
     Result<CallOutput> alternate = failover_(ctx, call);
     if (alternate.ok()) {
       CallOutput out = std::move(alternate).value();
       out.first_ms += lost_ms;  // the time lost before failing over
       out.all_ms += lost_ms;
-      span.set_sim_end(ctx.now_ms + out.all_ms);
+      ctx.Emit(obs::FlightEventKind::kFailoverEnd, t_open + out.all_ms, span);
       return out;
     }
-    span.MarkFailed(alternate.status().ToString());
+    if (ctx.observed()) {
+      ctx.Emit(obs::FlightEvent::End(obs::FlightEventKind::kFailoverEnd, span,
+                                     t_open)
+                   .set_failed(ctx.failure_cause(), ctx.last_failure_site));
+    }
   }
 
   SourceError err;
@@ -238,9 +245,13 @@ Result<CallOutput> ResilienceInterceptor::Intercept(CallContext& ctx,
         // the breaker takes off a struggling site).
         ++ctx.metrics.breaker_shed;
         shed_->Add(1);
-        obs::SpanScope span(ctx.tracer, "breaker-shed", "resilience",
-                            ctx.now_ms);
-        span.MarkFailed("breaker-open");
+        if (ctx.observed()) {
+          const uint32_t span =
+              ctx.Emit(obs::FlightEventKind::kBreakerShedBegin, ctx.now_ms);
+          ctx.Emit(obs::FlightEvent::End(obs::FlightEventKind::kBreakerShedEnd,
+                                         span, ctx.now_ms)
+                       .set_failed("breaker-open"));
+        }
         ctx.last_failure_site = site_name_;
         ctx.last_failure_cause = "breaker-open";
         ctx.last_call_penalty_ms = 0.0;

@@ -7,41 +7,13 @@
 #include <utility>
 
 #include "common/io.h"
+#include "common/strings.h"
 #include "domain/overload.h"
 #include "engine/op/domain_call_op.h"
 
 namespace hermes {
 
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string Num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
 
 std::string EventsJson(const std::vector<obs::FlightEvent>& events) {
   std::string out = "{\"events\":[";
@@ -58,11 +30,12 @@ std::string EventsJson(const std::vector<obs::FlightEvent>& events) {
 std::string SlowQueryRow::ToString() const {
   std::string out(depth * 2, ' ');
   out += label + "  actual=[rows=" + std::to_string(rows) +
-         " opens=" + std::to_string(opens) + " sim=" + Num(sim_total_ms) +
-         "ms]";
+         " opens=" + std::to_string(opens) +
+         " sim=" + FormatNumber(sim_total_ms) + "ms]";
   if (has_estimate) {
-    out += " est=[Tf=" + Num(est_tf_ms) + " Ta=" + Num(est_ta_ms) +
-           " card=" + Num(est_card) + " src=" + est_source + "]";
+    out += " est=[Tf=" + FormatNumber(est_tf_ms) +
+           " Ta=" + FormatNumber(est_ta_ms) +
+           " card=" + FormatNumber(est_card) + " src=" + est_source + "]";
   }
   return out;
 }
@@ -72,11 +45,12 @@ std::string SlowQueryRow::ToJson() const {
                     JsonEscape(op) + "\",\"label\":\"" + JsonEscape(label) +
                     "\",\"opens\":" + std::to_string(opens) +
                     ",\"rows\":" + std::to_string(rows) +
-                    ",\"sim_total_ms\":" + Num(sim_total_ms);
+                    ",\"sim_total_ms\":" + FormatNumber(sim_total_ms);
   if (has_estimate) {
-    out += ",\"est\":{\"tf_ms\":" + Num(est_tf_ms) +
-           ",\"ta_ms\":" + Num(est_ta_ms) + ",\"card\":" + Num(est_card) +
-           ",\"source\":\"" + JsonEscape(est_source) + "\"}";
+    out += ",\"est\":{\"tf_ms\":" + FormatNumber(est_tf_ms) +
+           ",\"ta_ms\":" + FormatNumber(est_ta_ms) +
+           ",\"card\":" + FormatNumber(est_card) + ",\"source\":\"" +
+           JsonEscape(est_source) + "\"}";
   }
   out += "}";
   return out;
@@ -86,7 +60,7 @@ std::string DebugBundle::ManifestJson() const {
   std::string out = "{\"query_id\":" + std::to_string(query_id) +
                     ",\"reason\":\"" + JsonEscape(reason) + "\",\"query\":\"" +
                     JsonEscape(query_text) +
-                    "\",\"t_all_sim_ms\":" + Num(t_all_ms) +
+                    "\",\"t_all_sim_ms\":" + FormatNumber(t_all_ms) +
                     ",\"completeness\":\"" + JsonEscape(completeness) +
                     "\",\"event_count\":" + std::to_string(events.size()) +
                     ",\"components\":{\"events\":\"events.json\","
@@ -104,7 +78,7 @@ std::string DebugBundle::ManifestJson() const {
 
 std::string DebugBundle::SlowQueryRecord() const {
   std::string out = "slow-query q" + std::to_string(query_id) +
-                    " reason=" + reason + " t_all=" + Num(t_all_ms) +
+                    " reason=" + reason + " t_all=" + FormatNumber(t_all_ms) +
                     "ms completeness=" + completeness + " query=" + query_text +
                     "\n";
   for (const SlowQueryRow& row : rows) out += "  " + row.ToString() + "\n";
@@ -259,7 +233,7 @@ void DiagnosticsCenter::CaptureBrownoutTransition(int from_level, int to_level,
       std::string("brownout ") +
       overload::BrownoutController::LevelName(from_level) + " -> " +
       overload::BrownoutController::LevelName(to_level) +
-      " shed_rate=" + Num(shed_rate);
+      " shed_rate=" + FormatNumber(shed_rate);
   bundle.completeness = overload::BrownoutController::LevelName(to_level);
   // No single query owns a ladder transition: snapshot the recorder's
   // resident events across queries plus the metrics at this instant.
@@ -289,10 +263,15 @@ std::string DiagnosticsCenter::MaybeCapture(
   bundle.query_text = input.query_text;
   bundle.t_all_ms = input.t_all_ms;
   bundle.completeness = input.completeness;
+  // The trace is a view of the same slice as events.json; a query that
+  // outran its ring shows only the resident suffix in both.
+  obs::Tracer trace;
+  trace.set_query_text(input.query_text);
   if (recorder_ != nullptr) {
     bundle.events = recorder_->SnapshotQuery(input.query_id);
+    for (const obs::FlightEvent& ev : bundle.events) trace.Append(ev);
   }
-  bundle.chrome_trace = obs::ChromeTraceJson({input.tracer});
+  bundle.chrome_trace = trace.ToChromeJson();
   bundle.replan_text = input.replan_text;
   if (input.explain_fn) bundle.explain_text = input.explain_fn();
   if (registry_ != nullptr) bundle.prometheus = registry_->ExposePrometheus();

@@ -85,7 +85,7 @@ struct DebugBundle {
   double t_all_ms = 0.0;
   std::string completeness;
   std::vector<obs::FlightEvent> events;
-  std::string chrome_trace;   ///< ChromeTraceJson of the query's tracer.
+  std::string chrome_trace;   ///< Chrome trace derived from `events`.
   std::string explain_text;   ///< EXPLAIN with actuals.
   std::string prometheus;     ///< Full registry snapshot at capture time.
   /// Replan decision record (trigger + old/new suffix EXPLAIN); empty when
@@ -114,7 +114,6 @@ struct DiagnosticsCaptureInput {
   std::string replan_text;
   /// Renders EXPLAIN-with-actuals; called only when capturing.
   std::function<std::string()> explain_fn;
-  const obs::Tracer* tracer = nullptr;
   engine::op::PhysicalOp* root = nullptr;
 };
 

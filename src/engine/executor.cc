@@ -48,7 +48,6 @@ Result<QueryExecution> Executor::ExecuteCompiled(const lang::Program& program,
   // Executor-level layers of the call pipeline; the registry continues
   // into the target domain's own stack (cache, network).
   std::vector<std::shared_ptr<CallInterceptor>> layers;
-  if (options_.collect_trace) layers.push_back(std::make_shared<TraceInterceptor>());
   if (stats_layer_ != nullptr && options_.record_statistics) {
     layers.push_back(stats_layer_);
   }
@@ -59,15 +58,9 @@ Result<QueryExecution> Executor::ExecuteCompiled(const lang::Program& program,
       });
 
   // The budget covers this execution on top of whatever the caller's
-  // context already consumed; the trace sink is restored on every exit.
+  // context already consumed.
   const uint64_t calls_before = ctx->metrics.domain_calls;
   ctx->call_budget = calls_before + options_.max_domain_calls;
-  struct TraceSinkGuard {
-    CallContext* ctx;
-    std::vector<CallTrace>* previous;
-    ~TraceSinkGuard() { ctx->trace = previous; }
-  } trace_guard{ctx, ctx->trace};
-  if (options_.collect_trace) ctx->trace = &exec.trace;
 
   // Buffer DCSM samples in the (query-private) context and merge them in
   // one batch when evaluation ends — the shared statistics lock is taken
@@ -118,12 +111,11 @@ Result<QueryExecution> Executor::ExecuteCompiled(const lang::Program& program,
       options_.op_metrics->arena_bytes->Set(
           static_cast<double>(arena.bytes_used()));
     }
-    if (ctx->recorder != nullptr) {
-      obs::FlightEvent ev = obs::FlightEvent::Make(
-          obs::FlightEventKind::kArenaHighWater, ctx->query_id,
-          ctx->recorder_seq++, ctx->now_ms);
+    if (ctx->observed()) {
+      obs::FlightEvent ev = obs::FlightEvent::At(
+          obs::FlightEventKind::kArenaHighWater, ctx->now_ms);
       ev.value = static_cast<double>(arena.bytes_used());
-      ctx->recorder->Emit(ev);
+      ctx->Emit(ev);
     }
   };
 

@@ -43,11 +43,9 @@ struct ExecutorOptions {
   /// calls". Unresolvable (output) arguments are recorded as null and act
   /// as wildcards during estimation.
   bool record_predicate_statistics = true;
-  /// Record every domain call (with timing and outcome) into
-  /// QueryExecution::trace — the execution explain/debug facility.
-  bool collect_trace = false;
-  /// Emit an obs::Tracer span per physical operator (category "operator").
-  /// Off by default: the walker-era trace shape stays unchanged.
+  /// Emit an op_begin/op_end event pair per physical operator (an
+  /// "operator" span in the derived trace). Off by default: the walker-era
+  /// trace shape stays unchanged.
   bool trace_operators = false;
   /// Graceful degradation: lost sources yield zero rows (query reported
   /// partial) and a query-deadline abort returns the answers gathered so
@@ -57,10 +55,6 @@ struct ExecutorOptions {
   /// of one mediator (see op::ExecOpMetrics::Bind). May be null.
   std::shared_ptr<op::ExecOpMetrics> op_metrics;
 };
-
-/// One domain call as the trace layer saw it — the execution trace element
-/// (now recorded by TraceInterceptor; the type lives in domain/pipeline.h).
-using CallTrace = ::hermes::CallTrace;
 
 /// The answers and simulated timing of one executed query.
 struct QueryExecution {
@@ -75,8 +69,6 @@ struct QueryExecution {
   /// payloads); the arena itself is reclaimed before Execute returns.
   size_t arena_bytes = 0;
   bool complete = true;  ///< False when interactive mode stopped early.
-  /// Per-call trace, populated when ExecutorOptions::collect_trace is on.
-  std::vector<CallTrace> trace;
 
   std::string ToString() const;
 };
@@ -100,14 +92,14 @@ class Executor {
            ExecutorOptions options = {});
 
   /// Evaluates `query` against `program`, with domain calls routed through
-  /// the call pipeline: executor → trace → stats → (per-domain stack via
-  /// the registry) → domain.
+  /// the call pipeline: executor → stats → (per-domain stack via the
+  /// registry) → domain.
   Result<QueryExecution> Execute(const lang::Program& program,
                                  const lang::Query& query);
 
   /// Same, threading the caller's `ctx` through every domain call so the
   /// caller can read per-query CallMetrics afterwards. The executor sets
-  /// the call budget and the trace sink; query_id is the caller's to set.
+  /// the call budget; query_id and the event sinks are the caller's to set.
   Result<QueryExecution> Execute(const lang::Program& program,
                                  const lang::Query& query, CallContext* ctx);
 

@@ -155,9 +155,9 @@ Status Mediator::EnableOverloadControl(
     // Queries hold wiring_mu_ shared for their whole run, so recorder_ and
     // diag_ cannot be rewired out from under a firing hook.
     if (recorder_ != nullptr) {
-      obs::FlightEvent ev = obs::FlightEvent::Make(
-          obs::FlightEventKind::kBrownout, /*query_id=*/0, /*seq=*/0,
-          /*sim_ms=*/0.0);
+      // A process-level event: query 0, taking no seq from any query.
+      obs::FlightEvent ev =
+          obs::FlightEvent::At(obs::FlightEventKind::kBrownout, 0.0);
       ev.set_detail(
           std::string(overload::BrownoutController::LevelName(from)) + "->" +
           overload::BrownoutController::LevelName(to));
@@ -192,7 +192,8 @@ Status Mediator::EnableDiagnostics(const DiagnosticsOptions& options) {
   auto recorder = std::make_unique<obs::FlightRecorder>(options.ring_capacity);
   recorder->BindMetrics(*metrics_);
   recorder_ = std::move(recorder);
-  drift_ = std::make_unique<dcsm::DriftTracker>(&dcsm_, options.drift);
+  drift_ = std::make_unique<dcsm::DriftTracker>(&dcsm_, options.drift,
+                                                recorder_.get());
   drift_->BindMetrics(metrics_);
   for (const auto& [name, link] : links_) {
     drift_->SetSite(name, link->site().name);
@@ -505,7 +506,6 @@ Result<optimizer::OptimizerResult> Mediator::Plan(
 
 Result<optimizer::CandidatePlan> Mediator::PickPlan(const lang::Query& query,
                                                     const QueryOptions& options,
-                                                    obs::Tracer* tracer,
                                                     QueryResult* result) {
   if (options.use_optimizer) {
     optimizer::QueryOptimizer opt(&dcsm_, EffectiveRewriterOptions(options),
@@ -513,13 +513,6 @@ Result<optimizer::CandidatePlan> Mediator::PickPlan(const lang::Query& query,
     HERMES_ASSIGN_OR_RETURN(
         optimizer::OptimizerResult optimized,
         opt.Optimize(program_, query, options.goal));
-    if (tracer != nullptr) {
-      uint64_t opt_span = tracer->BeginSpan("optimize", "optimizer", 0.0);
-      tracer->AddArg(opt_span, "plan", optimized.best.description);
-      tracer->AddArg(opt_span, "candidates",
-                     std::to_string(optimized.candidates.size()));
-      tracer->EndSpan(opt_span, optimized.total_estimation_ms);
-    }
     if (result != nullptr) {
       result->plan_description = optimized.best.description;
       result->predicted = optimized.best.estimated;
@@ -553,7 +546,7 @@ Result<std::string> Mediator::Explain(const std::string& query_text,
                           lang::Parser::ParseQuery(query_text));
   HERMES_ASSIGN_OR_RETURN(
       optimizer::CandidatePlan plan,
-      PickPlan(query, options, /*tracer=*/nullptr, /*result=*/nullptr));
+      PickPlan(query, options, /*result=*/nullptr));
   engine::op::CompileOptions compile_options;
   compile_options.async_scatter_gather =
       options.async_scatter_gather || async_execution_;
@@ -572,19 +565,15 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
 
   QueryResult result;
 
-  // Root span of the query's trace; optimizer time and execution both
-  // start at simulated time 0 (Ta excludes optimization throughout the
-  // experiment tables, so the trace keeps them as sibling envelopes).
-  obs::Tracer* tracer = options.tracer;
-  // With diagnostics on, an untraced query still records into a private
-  // tracer so an auto-captured bundle always carries a Chrome trace.
-  obs::Tracer internal_tracer;
-  if (tracer == nullptr && diag_ != nullptr) tracer = &internal_tracer;
-  uint64_t root_span = 0;
-  if (tracer != nullptr) {
-    root_span = tracer->BeginSpan("query", "query", 0.0);
-    tracer->AddArg(root_span, "text", query_text);
-  }
+  // The query's events go to the caller's tracer and/or the flight
+  // recorder. The query id is only reserved once a plan exists, so the
+  // query and optimize spans are emitted after planning, carrying host
+  // stamps taken here and around the optimizer.
+  obs::EventSinks sinks{options.tracer, recorder_.get()};
+  const bool observed = sinks.tracer != nullptr || sinks.ring != nullptr;
+  const uint64_t host_start_ns = observed ? obs::HostNowNs() : 0;
+  uint64_t host_optimize_ns = 0;
+  uint64_t host_planned_ns = 0;
 
   // Plan acquisition. With the plan cache on, a repeat query shape reuses
   // a pooled compiled instance — constants rebound in place, optimizer and
@@ -628,8 +617,10 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
     }
   }
   if (compiled == nullptr) {
+    if (observed) host_optimize_ns = obs::HostNowNs();
     HERMES_ASSIGN_OR_RETURN(optimizer::CandidatePlan plan,
-                            PickPlan(query, options, tracer, &result));
+                            PickPlan(query, options, &result));
+    if (observed) host_planned_ns = obs::HostNowNs();
     // Lower the chosen plan to its physical operator tree; execution
     // drives the tree, and the same compiled artifact renders EXPLAIN
     // afterwards.
@@ -670,8 +661,6 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
   exec_options.mode = options.mode;
   exec_options.interactive_batch = options.interactive_batch;
   exec_options.record_statistics = options.record_statistics;
-  exec_options.collect_trace =
-      options.collect_trace || executor_options_.collect_trace;
   // Predicate statistics are a sub-category of statistics recording.
   exec_options.record_predicate_statistics =
       options.record_statistics &&
@@ -687,27 +676,38 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
       brownout_level >= overload::BrownoutController::kNoHedge;
   ctx.query_id = options.query_id != 0 ? options.query_id : ReserveQueryId();
   result.query_id = ctx.query_id;
-  ctx.tracer = tracer;
-  if (tracer != nullptr) {
-    tracer->set_query_id(ctx.query_id);
-    tracer->AddArg(root_span, "query_id", std::to_string(ctx.query_id));
-  }
-  ctx.recorder = recorder_.get();
   ctx.drift = drift_.get();
-  if (ctx.recorder != nullptr) {
-    obs::FlightEvent ev =
-        obs::FlightEvent::Make(obs::FlightEventKind::kQueryStart, ctx.query_id,
-                               ctx.recorder_seq++, /*sim_ms=*/0.0);
-    ev.set_detail(result.plan_description);
-    ctx.recorder->Emit(ev);
-  }
-  if (ctx.recorder != nullptr && cacheable) {
-    obs::FlightEvent ev = obs::FlightEvent::Make(
-        result.plan_cache_hit ? obs::FlightEventKind::kPlanCacheHit
-                              : obs::FlightEventKind::kPlanCacheMiss,
-        ctx.query_id, ctx.recorder_seq++, /*sim_ms=*/0.0);
-    ev.set_detail(result.plan_description);
-    ctx.recorder->Emit(ev);
+  // Optimizer time and execution both start at simulated time 0 (Ta
+  // excludes optimization throughout the experiment tables, so the trace
+  // keeps them as sibling envelopes under the query span).
+  uint32_t query_span = 0;
+  if (observed) {
+    ctx.sinks = &sinks;
+    if (sinks.tracer != nullptr) sinks.tracer->set_query_text(query_text);
+    obs::FlightEvent start =
+        obs::FlightEvent::At(obs::FlightEventKind::kQueryStart, 0.0);
+    start.set_detail(result.plan_description);
+    start.host_ns = host_start_ns;
+    query_span = ctx.Emit(start);
+    if (host_planned_ns != 0 && options.use_optimizer) {
+      obs::FlightEvent begin =
+          obs::FlightEvent::At(obs::FlightEventKind::kOptimizeBegin, 0.0);
+      begin.host_ns = host_optimize_ns;
+      obs::FlightEvent end =
+          obs::FlightEvent::End(obs::FlightEventKind::kOptimizeEnd,
+                                ctx.Emit(begin), result.optimize_ms);
+      end.set_detail(result.plan_description);
+      end.aux = result.candidates.size();
+      end.host_ns = host_planned_ns;
+      ctx.Emit(end);
+    }
+    if (cacheable) {
+      ctx.Emit(obs::FlightEvent::At(result.plan_cache_hit
+                                        ? obs::FlightEventKind::kPlanCacheHit
+                                        : obs::FlightEventKind::kPlanCacheMiss,
+                                    0.0)
+                   .set_detail(result.plan_description));
+    }
   }
 
   // Per-query network randomness: the stream is a function of (base seed,
@@ -739,16 +739,11 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
     HERMES_CALL_METRICS_UINT64_FIELDS(HERMES_FIELD)
     HERMES_CALL_METRICS_DOUBLE_FIELDS(HERMES_FIELD)
 #undef HERMES_FIELD
-    if (tracer != nullptr) {
-      tracer->MarkFailed(root_span, executed.status().ToString());
-      tracer->EndSpan(root_span, 0.0);  // clamps up to the children's ends
-    }
-    if (ctx.recorder != nullptr) {
-      obs::FlightEvent ev =
-          obs::FlightEvent::Make(obs::FlightEventKind::kQueryEnd, ctx.query_id,
-                                 ctx.recorder_seq++, ctx.now_ms);
-      ev.set_detail("failed");
-      ctx.recorder->Emit(ev);
+    if (ctx.observed()) {
+      // The derived span still ends no earlier than its children.
+      ctx.Emit(obs::FlightEvent::End(obs::FlightEventKind::kQueryEnd,
+                                     query_span, ctx.now_ms)
+                   .set_failed("failed"));
     }
     if (lease) plan_cache_->Release(std::move(lease));
     return executed.status();
@@ -798,20 +793,6 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
   result.traffic.bytes = ctx.metrics.bytes_transferred;
   result.traffic.charge = ctx.metrics.network_charge;
 
-  if (tracer != nullptr) {
-    tracer->AddArg(root_span, "plan", result.plan_description);
-    tracer->AddArg(root_span, "answers",
-                   std::to_string(result.execution.answers.size()));
-    tracer->AddArg(root_span, "arena_bytes",
-                   std::to_string(result.execution.arena_bytes));
-    if (result.completeness != QueryCompleteness::kComplete) {
-      tracer->AddArg(root_span, "completeness",
-                     QueryCompletenessName(result.completeness));
-    }
-    tracer->EndSpan(root_span,
-                    std::max(result.execution.t_all_ms, result.optimize_ms));
-  }
-
   // Fold this query's per-layer counters into the process-level registry
   // series (the macro covers every CallMetrics field by construction).
   queries_total_->Add(1);
@@ -841,24 +822,23 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
     for (const auto& [site, breaker] : ctx.breaker_states) {
       if (breaker.state != CallContext::BreakerState::kOpen) continue;
       plan_cache_->InvalidateSite(site);
-      if (ctx.recorder != nullptr) {
-        obs::FlightEvent ev = obs::FlightEvent::Make(
-            obs::FlightEventKind::kPlanCacheInvalidate, ctx.query_id,
-            ctx.recorder_seq++, result.execution.t_all_ms);
-        ev.set_site(site);
-        ev.set_detail("breaker_open");
-        ctx.recorder->Emit(ev);
+      if (ctx.observed()) {
+        ctx.Emit(obs::FlightEvent::At(
+                     obs::FlightEventKind::kPlanCacheInvalidate,
+                     result.execution.t_all_ms)
+                     .set_site(site)
+                     .set_detail("breaker_open"));
       }
     }
   }
-  if (ctx.recorder != nullptr) {
+  if (ctx.observed()) {
     obs::FlightEvent ev =
-        obs::FlightEvent::Make(obs::FlightEventKind::kQueryEnd, ctx.query_id,
-                               ctx.recorder_seq++, result.execution.t_all_ms);
+        obs::FlightEvent::End(obs::FlightEventKind::kQueryEnd, query_span,
+                              result.execution.t_all_ms);
     ev.set_detail(QueryCompletenessName(result.completeness));
     ev.value = result.execution.t_all_ms;
     ev.aux = result.execution.answers.size();
-    ctx.recorder->Emit(ev);
+    ctx.Emit(ev);
   }
   if (diag_ != nullptr) {
     DiagnosticsCaptureInput capture;
@@ -873,7 +853,6 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
       capture.replan_text += ev.ToString();
     }
     capture.explain_fn = [compiled] { return compiled->Explain(true); };
-    capture.tracer = tracer;
     capture.root = compiled->tree().root.get();
     diag_->MaybeCapture(capture);
   }

@@ -87,15 +87,15 @@ struct QueryOptions {
   /// With the optimizer on: emit only CIM-redirected candidate plans.
   bool cim_only = false;
   bool record_statistics = true;  ///< Feed executed calls into the DCSM.
-  bool collect_trace = false;     ///< Fill QueryExecution::trace.
   /// Externally assigned query id; 0 lets the mediator assign the next one.
   /// QueryPool assigns ids at submission time so a query's id — and with
   /// it, its per-query RNG stream — is independent of worker scheduling.
   uint64_t query_id = 0;
-  /// When non-null, the query records its span tree (query → optimize /
-  /// rule → domain-call → cache-lookup → network-hop) into this tracer.
-  /// The tracer must stay alive for the duration of the query and must not
-  /// be shared between concurrent queries (it is not thread-safe).
+  /// When non-null, the query's events go to this tracer as well as to the
+  /// flight recorder, and its spans (query → optimize / rule → domain-call
+  /// → cache-lookup → network-hop) derive from them. The tracer must stay
+  /// alive for the duration of the query and must not be shared between
+  /// concurrent queries (it is not thread-safe).
   obs::Tracer* tracer = nullptr;
   /// Render the executed plan's operator tree — with post-run per-operator
   /// actuals — into QueryResult::explain_text. Use Mediator::Explain for
@@ -476,12 +476,10 @@ class Mediator {
   /// Picks the plan Query() executes for `query` under `options`: the
   /// optimizer's best plan, or the as-written program+query (CIM-redirected
   /// when enabled). When `result` is non-null its optimizer diagnostics
-  /// (plan_description, predicted, candidates, optimize_ms) are filled; when
-  /// `tracer` is non-null an "optimize" span is recorded. Called with
-  /// wiring_mu_ held (at least shared).
+  /// (plan_description, predicted, candidates, optimize_ms) are filled.
+  /// Called with wiring_mu_ held (at least shared).
   Result<optimizer::CandidatePlan> PickPlan(const lang::Query& query,
                                             const QueryOptions& options,
-                                            obs::Tracer* tracer,
                                             QueryResult* result);
 
   /// Hooks the drift tracker's exceedance callback to plan-cache

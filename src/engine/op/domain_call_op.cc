@@ -8,7 +8,6 @@
 #include "engine/op/explain.h"
 #include "engine/op/replan.h"
 #include "obs/flight_recorder.h"
-#include "obs/trace.h"
 
 namespace hermes::engine::op {
 
@@ -17,6 +16,10 @@ std::string DomainCallOp::label() const {
 }
 
 Status DomainCallOp::RunCall(ExecContext& cx, double t_issue) {
+  // Failure attribution is scoped to this call: a failure inside the
+  // domain itself must not report an earlier call's site and cause.
+  cx.ctx->last_failure_site.clear();
+  cx.ctx->last_failure_cause.clear();
   const double t_open = t_issue;
   t_base_ = t_issue;
 
@@ -42,66 +45,45 @@ Status DomainCallOp::RunCall(ExecContext& cx, double t_issue) {
         "ms before " + goal.call.domain + ":" + goal.call.function);
   }
 
-  // Dispatch through the call pipeline: the trace and stats layers observe
-  // the call, then the registry routes it through the target domain's own
+  // Dispatch through the call pipeline: the stats layer observes the call,
+  // then the registry routes it through the target domain's own
   // interceptor stack (cache, network).
   HERMES_RETURN_IF_ERROR(cx.ctx->ChargeCall());
   cx.ctx->now_ms = t_open;
   // The call span is closed before any row is consumed downstream, so
   // sibling goals do not nest under it (only the layers the pipeline
   // itself traverses — cache lookup, network hop — become children).
-  obs::Tracer* tracer = cx.ctx->tracer;
-  uint64_t span_id = 0;
-  if (tracer != nullptr) {
-    span_id = tracer->BeginSpan("call:" + call.domain + ":" + call.function,
-                                "domain-call", t_open);
+  uint32_t span = 0;
+  if (cx.ctx->observed()) {
+    span = cx.ctx->Emit(
+        obs::FlightEvent::At(obs::FlightEventKind::kCallIssued, t_open)
+            .set_domain(call.domain)
+            .set_detail(call.function));
   }
   const uint64_t retries_before = cx.ctx->metrics.retries;
   const uint64_t degraded_before = cx.ctx->metrics.degraded_calls;
   const uint64_t coalesced_before = cx.ctx->metrics.coalesced_calls;
   const size_t errors_before = cx.ctx->source_errors.size();
-  if (cx.ctx->recorder != nullptr) {
-    obs::FlightEvent ev = obs::FlightEvent::Make(
-        obs::FlightEventKind::kCallIssued, cx.ctx->query_id,
-        cx.ctx->recorder_seq++, t_open);
-    ev.set_domain(call.domain);
-    ev.set_detail(call.function);
-    cx.ctx->recorder->Emit(ev);
-  }
   Result<CallOutput> run = cx.pipeline->Run(*cx.ctx, call);
   retries_seen_ += cx.ctx->metrics.retries - retries_before;
   degraded_seen_ += cx.ctx->metrics.degraded_calls - degraded_before;
   coalesced_seen_ += cx.ctx->metrics.coalesced_calls - coalesced_before;
-  if (tracer != nullptr) {
+  if (cx.ctx->observed()) {
     if (run.ok()) {
-      tracer->AddArg(span_id, "answers", std::to_string(run->answers.size()));
-      tracer->EndSpan(span_id, t_open + run->all_ms);
-    } else {
-      tracer->MarkFailed(span_id, run.status().ToString());
-      tracer->EndSpan(span_id, t_open);  // clamps up to child penalties
-    }
-  }
-  if (cx.ctx->recorder != nullptr) {
-    if (run.ok()) {
-      obs::FlightEvent ev = obs::FlightEvent::Make(
-          obs::FlightEventKind::kCallCompleted, cx.ctx->query_id,
-          cx.ctx->recorder_seq++, t_open + run->all_ms);
-      ev.set_domain(call.domain);
-      ev.set_detail(call.function);
+      obs::FlightEvent ev = obs::FlightEvent::End(
+          obs::FlightEventKind::kCallCompleted, span, t_open + run->all_ms);
+      ev.set_domain(call.domain).set_detail(call.function);
       ev.value = run->all_ms;
       ev.aux = run->answers.size();
-      cx.ctx->recorder->Emit(ev);
+      cx.ctx->Emit(ev);
     } else {
-      obs::FlightEvent ev = obs::FlightEvent::Make(
-          obs::FlightEventKind::kCallFailed, cx.ctx->query_id,
-          cx.ctx->recorder_seq++, t_open + cx.ctx->last_call_penalty_ms);
-      ev.set_site(cx.ctx->last_failure_site);
+      obs::FlightEvent ev = obs::FlightEvent::End(
+          obs::FlightEventKind::kCallFailed, span,
+          t_open + cx.ctx->last_call_penalty_ms);
       ev.set_domain(call.domain);
-      ev.set_detail(!cx.ctx->last_failure_cause.empty()
-                        ? cx.ctx->last_failure_cause
-                        : std::string("error"));
+      ev.set_failed(cx.ctx->failure_cause(), cx.ctx->last_failure_site);
       ev.value = cx.ctx->last_call_penalty_ms;
-      cx.ctx->recorder->Emit(ev);
+      cx.ctx->Emit(ev);
     }
   }
   if (run.ok() && cx.replan != nullptr) {
@@ -113,7 +95,7 @@ Status DomainCallOp::RunCall(ExecContext& cx, double t_issue) {
         EstimationPattern(), RuntimeAdornment(),
         CostVector(run->first_ms, run->all_ms,
                    static_cast<double>(run->answers.size())),
-        t_open + run->all_ms, cx.ctx->recorder);
+        t_open + run->all_ms);
   }
   if (!run.ok()) {
     const Status& failure = run.status();

@@ -4,7 +4,7 @@
 
 #include "engine/op/explain.h"
 #include "engine/op/op_metrics.h"
-#include "obs/trace.h"
+#include "obs/flight_recorder.h"
 
 namespace hermes::engine::op {
 
@@ -39,9 +39,10 @@ Status PhysicalOp::Open(ExecContext& cx, double t_open) {
       cx.op_metrics == nullptr ? nullptr : &cx.op_metrics->ForKind(kind());
   if (pk != nullptr) pk->opens->Add(1);
   if (cx.params->trace_operators && cx.ctx != nullptr &&
-      cx.ctx->tracer != nullptr) {
-    op_span_ = cx.ctx->tracer->BeginSpan(
-        "op:" + std::string(OpKindName(kind())), "operator", t_open);
+      cx.ctx->observed()) {
+    op_span_ = cx.ctx->Emit(
+        obs::FlightEvent::At(obs::FlightEventKind::kOpBegin, t_open)
+            .set_detail(OpKindName(kind())));
   }
   Status st = OpenImpl(cx, t_open);
   if (!st.ok() && pk != nullptr) pk->errors->Add(1);
@@ -74,8 +75,8 @@ void PhysicalOp::Close(ExecContext& cx) {
   if (cx.op_metrics != nullptr) {
     cx.op_metrics->ForKind(kind()).sim_ms->Observe(envelope);
   }
-  if (op_span_ != 0 && cx.ctx != nullptr && cx.ctx->tracer != nullptr) {
-    cx.ctx->tracer->EndSpan(op_span_, stats_.sim_last_ms);
+  if (op_span_ != 0) {
+    cx.ctx->Emit(obs::FlightEventKind::kOpEnd, stats_.sim_last_ms, op_span_);
   }
   op_span_ = 0;
 }

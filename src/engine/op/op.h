@@ -63,9 +63,10 @@ struct ExecParams {
   /// Feed per-predicate invocation cost vectors to the stats layer (the
   /// Section 8 predicate-Tf extension), recorded by RulePredicateOp.
   bool record_predicate_statistics = true;
-  /// Emit one obs::Tracer span per operator open/close (category
-  /// "operator"). Off by default so the trace shape of the walker era —
-  /// query/rule/domain-call spans only — is preserved exactly.
+  /// Emit an op_begin/op_end event pair per operator open/close (an
+  /// "operator" span in the derived trace). Off by default so the trace
+  /// shape of the walker era — query/rule/domain-call spans only — is
+  /// preserved exactly.
   bool trace_operators = false;
   /// Graceful degradation: a domain call that fails Unavailable (or at its
   /// call deadline) produces zero rows instead of failing the query; the
@@ -141,7 +142,7 @@ struct OpStats {
 ///
 /// Open/Next/Close are non-virtual wrappers that keep OpStats, the
 /// per-operator hermes_exec_op_* metrics, and the optional "operator"
-/// tracing spans; subclasses implement OpenImpl/NextImpl/CloseImpl.
+/// span events; subclasses implement OpenImpl/NextImpl/CloseImpl.
 class PhysicalOp {
  public:
   virtual ~PhysicalOp() = default;
@@ -197,7 +198,7 @@ class PhysicalOp {
  private:
   OpStats stats_;
   bool open_ = false;
-  uint64_t op_span_ = 0;
+  uint32_t op_span_ = 0;  ///< seq of the op_begin awaiting its op_end.
 };
 
 /// Produces exactly one (empty) row at its open time — the neutral source

@@ -278,16 +278,14 @@ void ReplanManager::SpliceSuffix(ExecContext& cx, size_t from,
     if (pos.estimate.valid) event.new_est_ms += pos.estimate.t_all_ms;
   }
 
-  if (cx.ctx->recorder != nullptr) {
-    obs::FlightEvent ev = obs::FlightEvent::Make(
-        obs::FlightEventKind::kReplan, cx.ctx->query_id,
-        cx.ctx->recorder_seq++, t_now);
-    ev.set_site(site);
-    ev.set_domain(domain);
-    ev.set_detail(trigger.substr(0, trigger.find(' ')));
+  if (cx.ctx->observed()) {
+    obs::FlightEvent ev =
+        obs::FlightEvent::At(obs::FlightEventKind::kReplan, t_now);
+    ev.set_site(site).set_domain(domain).set_detail(
+        std::string_view(trigger).substr(0, trigger.find(' ')));
     ev.value = static_cast<double>(from);
     ev.aux = spliced;
-    cx.ctx->recorder->Emit(ev);
+    cx.ctx->Emit(ev);
   }
   events_.push_back(std::move(event));
 }

@@ -6,7 +6,7 @@
 #include "dcsm/stats_interceptor.h"
 #include "engine/op/compile.h"
 #include "engine/op/explain.h"
-#include "obs/trace.h"
+#include "obs/flight_recorder.h"
 
 namespace hermes::engine::op {
 
@@ -48,9 +48,10 @@ Status RulePredicateOp::OpenImpl(ExecContext& cx, double t_open) {
   // nest under this span: the envelope is the paper's per-predicate Tf/Ta
   // measurement window.
   rule_span_ = 0;
-  if (cx.ctx->tracer != nullptr) {
-    rule_span_ = cx.ctx->tracer->BeginSpan("rule:" + atom_->predicate,
-                                           "rule", t_open);
+  if (cx.ctx->observed()) {
+    rule_span_ = cx.ctx->Emit(
+        obs::FlightEvent::At(obs::FlightEventKind::kRuleBegin, t_open)
+            .set_detail(atom_->predicate));
   }
 
   t_open_ = t_open;
@@ -230,8 +231,9 @@ void RulePredicateOp::CloseImpl(ExecContext& cx) {
     body_open_ = false;
   }
   local_.clear();
-  if (rule_span_ != 0 && cx.ctx != nullptr && cx.ctx->tracer != nullptr) {
-    cx.ctx->tracer->EndSpan(rule_span_, std::max(cursor_, last_emit_));
+  if (rule_span_ != 0) {
+    cx.ctx->Emit(obs::FlightEventKind::kRuleEnd, std::max(cursor_, last_emit_),
+                 rule_span_);
   }
   rule_span_ = 0;
 }

@@ -91,7 +91,7 @@ class RulePredicateOp final : public PhysicalOp {
   double last_emit_ = 0.0;
   double first_solution_t_ = -1.0;
   size_t solutions_ = 0;
-  uint64_t rule_span_ = 0;
+  uint32_t rule_span_ = 0;  ///< seq of the rule_begin awaiting its rule_end.
 };
 
 }  // namespace hermes::engine::op

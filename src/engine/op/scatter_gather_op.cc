@@ -21,12 +21,11 @@ std::string ScatterGatherOp::label() const { return "ScatterGather"; }
 
 Status ScatterGatherOp::OpenImpl(ExecContext& cx, double t_open) {
   open_depth_ = 0;
-  if (cx.ctx->recorder != nullptr) {
-    obs::FlightEvent ev = obs::FlightEvent::Make(
-        obs::FlightEventKind::kScatterFanout, cx.ctx->query_id,
-        cx.ctx->recorder_seq++, t_open);
+  if (cx.ctx->observed()) {
+    obs::FlightEvent ev =
+        obs::FlightEvent::At(obs::FlightEventKind::kScatterFanout, t_open);
     ev.value = static_cast<double>(calls_.size());
-    cx.ctx->recorder->Emit(ev);
+    cx.ctx->Emit(ev);
   }
   // Scatter: issue every member's call at the group's open time. The
   // virtual clock does not advance between issues, so the members' round

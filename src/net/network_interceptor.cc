@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "obs/flight_recorder.h"
-#include "obs/trace.h"
 
 namespace hermes::net {
 
@@ -65,8 +64,25 @@ Result<CallOutput> NetworkInterceptor::Intercept(CallContext& ctx,
         fate.extra_response_ms;
   }
   ++ctx.metrics.remote_calls;
-  obs::SpanScope hop(ctx.tracer, "network-hop", "net", ctx.now_ms);
-  hop.AddArg("site", site_.name);
+  const double t_open = ctx.now_ms;
+  uint32_t hop = 0;
+  if (ctx.observed()) {
+    hop = ctx.Emit(
+        obs::FlightEvent::At(obs::FlightEventKind::kNetworkHopBegin, t_open)
+            .set_site(site_.name));
+  }
+  // Closes the hop span `network_ms` after it opened. `detail` is the
+  // failure cause when `failed`, else "coalesced" when another query's
+  // flight supplied the `bytes`.
+  auto end_hop = [&ctx, hop, t_open](double network_ms, size_t bytes,
+                                     const char* detail, bool failed) {
+    if (!ctx.observed()) return;
+    obs::FlightEvent ev = obs::FlightEvent::End(
+        obs::FlightEventKind::kNetworkHopEnd, hop, t_open + network_ms);
+    ev.aux = bytes;
+    ev.failed = failed;
+    ctx.Emit(ev.set_detail(detail));
+  };
   if (!transfer.available) {
     network_->RecordCall();
     site_calls_->Add(1);
@@ -77,8 +93,7 @@ Result<CallOutput> NetworkInterceptor::Intercept(CallContext& ctx,
     ctx.last_failure_site = site_.name;
     ctx.last_failure_cause = cause;
     ctx.last_call_penalty_ms = transfer.penalty_ms;
-    hop.set_sim_end(ctx.now_ms + transfer.penalty_ms);
-    hop.MarkFailed(cause);
+    end_hop(transfer.penalty_ms, 0, cause, /*failed=*/true);
     // The plain availability draw keeps the legacy wrapper's exact message
     // (NetworkDeterminismTest pins the two paths byte-identical); only
     // fault-plan causes annotate it.
@@ -104,13 +119,11 @@ Result<CallOutput> NetworkInterceptor::Intercept(CallContext& ctx,
     SingleFlightRegistry::Join join =
         sf->JoinOrLead(SingleFlightRegistry::KeyFor(site_.name, call));
     auto record_single_flight = [&ctx, this](const char* role) {
-      if (ctx.recorder == nullptr) return;
-      obs::FlightEvent ev =
-          obs::FlightEvent::Make(obs::FlightEventKind::kSingleFlight,
-                                 ctx.query_id, ctx.recorder_seq++, ctx.now_ms);
-      ev.set_site(site_.name);
-      ev.set_detail(role);
-      ctx.recorder->Emit(ev);
+      if (!ctx.observed()) return;
+      ctx.Emit(
+          obs::FlightEvent::At(obs::FlightEventKind::kSingleFlight, ctx.now_ms)
+              .set_site(site_.name)
+              .set_detail(role));
     };
     if (join.leader) {
       lead_flight = std::move(join.flight);
@@ -129,9 +142,7 @@ Result<CallOutput> NetworkInterceptor::Intercept(CallContext& ctx,
         ctx.metrics.network_charge += NetworkSimulator::ChargeFor(site_,
                                                                  total_bytes);
         ctx.metrics.network_ms += network_ms;
-        hop.set_sim_end(ctx.now_ms + network_ms);
-        hop.AddArg("bytes", std::to_string(total_bytes));
-        hop.AddArg("coalesced", "true");
+        end_hop(network_ms, total_bytes, "coalesced", false);
         return out;
       }
       // Leader failure or wall-clock timeout: fall through to our own
@@ -147,7 +158,11 @@ Result<CallOutput> NetworkInterceptor::Intercept(CallContext& ctx,
     sf->Publish(*lead_flight, inner.ok() ? Status::OK() : inner.status(),
                 inner.ok() ? *inner : CallOutput{});
   }
-  HERMES_ASSIGN_OR_RETURN(CallOutput inner_out, std::move(inner));
+  if (!inner.ok()) {
+    end_hop(0.0, 0, "", false);
+    return inner.status();
+  }
+  CallOutput inner_out = std::move(inner).value();
 
   size_t total_bytes = AnswerSetByteSize(inner_out.answers);
   CallOutput out = ComposeRemoteLatency(transfer, std::move(inner_out));
@@ -160,8 +175,7 @@ Result<CallOutput> NetworkInterceptor::Intercept(CallContext& ctx,
   site_bytes_->Add(total_bytes);
   site_charge_->Add(charge);
   hop_sim_ms_->Observe(network_ms);
-  hop.set_sim_end(ctx.now_ms + network_ms);
-  hop.AddArg("bytes", std::to_string(total_bytes));
+  end_hop(network_ms, total_bytes, "", false);
   return out;
 }
 

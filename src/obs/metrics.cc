@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <thread>
+
+#include "common/strings.h"
 
 namespace hermes::obs {
 
@@ -115,37 +116,6 @@ void Histogram::Reset() {
 // ---- Registry ---------------------------------------------------------------
 
 namespace {
-
-/// %g-style rendering that keeps Prometheus/JSON numbers compact while
-/// preserving enough precision for counters measured in bytes.
-std::string FormatNumber(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string PrometheusEscape(const std::string& s) {
   std::string out;

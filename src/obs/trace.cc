@@ -1,51 +1,30 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <cmath>
+#include <cstdint>
+
+#include "common/strings.h"
 
 namespace hermes::obs {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string FormatNumber(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  return buf;
-}
-
 /// One complete ("ph":"X") trace event. Timestamps use the simulated clock
 /// (deterministic, and the one the paper's figures are drawn in); the wall
-/// clock rides along in args.
+/// clock rides along in args. Both span ends are rounded to whole trace µs
+/// and `dur` is their difference, so a child that ends with its parent
+/// still ends inside it once rendered (rounding `ts` and `dur` separately
+/// let it poke out by a digit).
 void AppendSpanEvent(const Span& span, uint64_t tid, std::string* out) {
+  const long long begin_us = std::llround(span.sim_begin_ms * 1000.0);
+  const long long end_us =
+      std::max(std::llround(span.sim_end_ms * 1000.0), begin_us);
   *out += "{\"name\":\"" + JsonEscape(span.name) + "\",\"cat\":\"" +
           JsonEscape(span.category) + "\",\"ph\":\"X\",\"ts\":" +
-          FormatNumber(span.sim_begin_ms * 1000.0) + ",\"dur\":" +
-          FormatNumber(
-              std::max(span.sim_end_ms - span.sim_begin_ms, 0.0) * 1000.0) +
-          ",\"pid\":1,\"tid\":" + std::to_string(tid) + ",\"args\":{";
+          std::to_string(begin_us) + ",\"dur\":" +
+          std::to_string(end_us - begin_us) + ",\"pid\":1,\"tid\":" +
+          std::to_string(tid) + ",\"args\":{";
   *out += "\"wall_begin_us\":" + FormatNumber(span.wall_begin_us) +
           ",\"wall_dur_us\":" +
           FormatNumber(std::max(span.wall_end_us - span.wall_begin_us, 0.0));
@@ -56,58 +35,144 @@ void AppendSpanEvent(const Span& span, uint64_t tid, std::string* out) {
   *out += "}}";
 }
 
-}  // namespace
+using Kind = FlightEventKind;
 
-double Tracer::WallNowUs() const {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
+/// Names the span `ev` opens and adds the arguments it carries; false
+/// when `ev` opens none.
+bool OpenSpan(const FlightEvent& ev, const std::string& query_text,
+              Span* span) {
+  auto& args = span->args;
+  switch (ev.kind) {
+    case Kind::kQueryStart:
+      span->name = span->category = "query";
+      if (!query_text.empty()) args.emplace_back("text", query_text);
+      args.emplace_back("query_id", std::to_string(ev.query_id));
+      if (ev.detail[0] != '\0') args.emplace_back("plan", ev.detail_str());
+      return true;
+    case Kind::kCallIssued:
+      span->name = "call:" + ev.domain_str() + ":" + ev.detail_str();
+      span->category = "domain-call";
+      return true;
+#define HERMES_SPAN_KIND(id, stem, label, cat) \
+  case Kind::k##id##Begin:                      \
+    span->name = label + ev.detail_str();       \
+    span->category = cat;                       \
+    break;
+      HERMES_SPAN_KINDS(HERMES_SPAN_KIND)
+#undef HERMES_SPAN_KIND
+    default:
+      return false;
+  }
+  if (ev.kind == Kind::kNetworkHopBegin) {
+    args.emplace_back("site", ev.site_str());
+  } else if (ev.kind == Kind::kRetryWaitBegin) {
+    args.emplace_back("attempt", std::to_string(ev.aux));
+  } else if (ev.kind == Kind::kFailoverBegin) {
+    args.emplace_back("from", ev.site_str());
+  }
+  return true;
 }
 
-uint64_t Tracer::BeginSpan(std::string name, std::string category,
-                           double sim_begin_ms) {
-  Span span;
-  span.id = spans_.size() + 1;
-  span.parent = open_.empty() ? 0 : spans_[open_.back()].id;
-  span.name = std::move(name);
-  span.category = std::move(category);
-  span.sim_begin_ms = sim_begin_ms;
-  span.sim_end_ms = sim_begin_ms;
-  span.wall_begin_us = WallNowUs();
-  span.wall_end_us = span.wall_begin_us;
-  open_.push_back(spans_.size());
-  spans_.push_back(std::move(span));
-  return spans_.back().id;
-}
-
-void Tracer::EndSpan(uint64_t id, double sim_end_ms) {
-  if (id == 0 || id > spans_.size()) return;
-  Span& span = spans_[id - 1];
-  // A parent must cover its children: failure paths report a shorter
-  // envelope than the penalties charged below them.
-  span.sim_end_ms = std::max({span.sim_end_ms, sim_end_ms, span.sim_begin_ms});
-  span.wall_end_us = WallNowUs();
-  if (!span.closed) {
-    span.closed = true;
-    auto it = std::find(open_.begin(), open_.end(), static_cast<size_t>(id - 1));
-    if (it != open_.end()) open_.erase(it);
-    if (span.parent != 0 && span.parent <= spans_.size()) {
-      Span& parent = spans_[span.parent - 1];
-      parent.sim_end_ms = std::max(parent.sim_end_ms, span.sim_end_ms);
-    }
+/// Arguments a span takes from its end event and from the point events
+/// inside it: the query's arena high-water mark (negative when none was
+/// seen) and the cache outcome the cache layer reports just before it
+/// closes its lookup span.
+void AddEndArgs(const FlightEvent& ev, double arena_bytes,
+                const std::string& cache_outcome, Span* span) {
+  auto& args = span->args;
+  if (ev.kind == Kind::kCacheLookupEnd && !cache_outcome.empty()) {
+    args.emplace_back("outcome", cache_outcome);
+  }
+  if (ev.failed) {
+    span->failed = true;
+    if (ev.detail[0] != '\0') args.emplace_back("error", ev.detail_str());
+    if (ev.site[0] != '\0') args.emplace_back("site", ev.site_str());
+    return;
+  }
+  switch (ev.kind) {
+    case Kind::kQueryEnd:
+      args.emplace_back("answers", std::to_string(ev.aux));
+      if (arena_bytes >= 0.0) {
+        args.emplace_back("arena_bytes",
+                          std::to_string(static_cast<uint64_t>(arena_bytes)));
+      }
+      if (ev.detail[0] != '\0' && ev.detail_str() != "complete") {
+        args.emplace_back("completeness", ev.detail_str());
+      }
+      break;
+    case Kind::kOptimizeEnd:
+      args.emplace_back("plan", ev.detail_str());
+      args.emplace_back("candidates", std::to_string(ev.aux));
+      break;
+    case Kind::kCallCompleted:
+      args.emplace_back("answers", std::to_string(ev.aux));
+      break;
+    case Kind::kCacheLookupEnd:
+      if (ev.aux != 0) args.emplace_back("degraded", "true");
+      break;
+    case Kind::kNetworkHopEnd:
+      args.emplace_back("bytes", std::to_string(ev.aux));
+      if (ev.detail_str() == "coalesced") {
+        args.emplace_back("coalesced", "true");
+      }
+      break;
+    default:
+      break;
   }
 }
 
-void Tracer::MarkFailed(uint64_t id, const std::string& error) {
-  if (id == 0 || id > spans_.size()) return;
-  Span& span = spans_[id - 1];
-  span.failed = true;
-  if (!error.empty()) span.args.emplace_back("error", error);
-}
+}  // namespace
 
-void Tracer::AddArg(uint64_t id, std::string key, std::string value) {
-  if (id == 0 || id > spans_.size()) return;
-  spans_[id - 1].args.emplace_back(std::move(key), std::move(value));
+std::vector<Span> Tracer::spans() const {
+  std::vector<Span> spans;
+  std::vector<uint32_t> begin_seqs;  ///< Per span, its begin event's seq.
+  std::vector<size_t> open;          ///< Open span indices, innermost last.
+  uint64_t epoch_ns = UINT64_MAX;
+  for (const FlightEvent& ev : events_) {
+    epoch_ns = std::min(epoch_ns, ev.host_ns);
+  }
+  auto wall_us = [epoch_ns](const FlightEvent& ev) {
+    return static_cast<double>(ev.host_ns - epoch_ns) / 1000.0;
+  };
+  double arena_bytes = -1.0;
+  std::string cache_outcome;
+
+  for (const FlightEvent& ev : events_) {
+    if (ev.kind == Kind::kArenaHighWater) arena_bytes = ev.value;
+    if (ev.kind == Kind::kCacheOutcome) cache_outcome = ev.detail_str();
+    if (ev.begin_seq != 0) {
+      // Events arrive in seq order, so begin_seqs is sorted. An end whose
+      // begin is missing (evicted from a ring) closes nothing.
+      auto it = std::lower_bound(begin_seqs.begin(), begin_seqs.end(),
+                                 ev.begin_seq);
+      if (it == begin_seqs.end() || *it != ev.begin_seq) continue;
+      const size_t index = static_cast<size_t>(it - begin_seqs.begin());
+      Span& span = spans[index];
+      span.sim_end_ms =
+          std::max({span.sim_end_ms, ev.sim_ms, span.sim_begin_ms});
+      span.wall_end_us = wall_us(ev);
+      // Ending a closed span only extends it.
+      if (span.closed) continue;
+      AddEndArgs(ev, arena_bytes, cache_outcome, &span);
+      span.closed = true;
+      open.erase(std::find(open.begin(), open.end(), index));
+      if (span.parent != 0) {
+        Span& parent = spans[span.parent - 1];
+        parent.sim_end_ms = std::max(parent.sim_end_ms, span.sim_end_ms);
+      }
+      continue;
+    }
+    Span span;
+    if (!OpenSpan(ev, query_text_, &span)) continue;
+    span.id = spans.size() + 1;
+    span.parent = open.empty() ? 0 : spans[open.back()].id;
+    span.sim_begin_ms = span.sim_end_ms = ev.sim_ms;
+    span.wall_begin_us = span.wall_end_us = wall_us(ev);
+    open.push_back(spans.size());
+    begin_seqs.push_back(ev.seq);
+    spans.push_back(std::move(span));
+  }
+  return spans;
 }
 
 std::string Tracer::ToChromeJson() const { return ChromeTraceJson({this}); }
@@ -116,14 +181,14 @@ std::string ChromeTraceJson(const std::vector<const Tracer*>& tracers) {
   // A merge over zero tracers — or only null / never-run tracers — must
   // still be a valid (empty) trace document, with no orphan metadata
   // records describing threads that recorded nothing.
-  bool any_spans = false;
+  std::vector<std::pair<uint64_t, std::vector<Span>>> tracks;
   for (const Tracer* tracer : tracers) {
-    if (tracer != nullptr && !tracer->spans().empty()) {
-      any_spans = true;
-      break;
-    }
+    if (tracer == nullptr) continue;
+    std::vector<Span> spans = tracer->spans();
+    if (spans.empty()) continue;
+    tracks.emplace_back(tracer->query_id(), std::move(spans));
   }
-  if (!any_spans) return "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}";
+  if (tracks.empty()) return "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}";
 
   std::string out = "{\"traceEvents\":[";
   bool first = true;
@@ -135,13 +200,11 @@ std::string ChromeTraceJson(const std::vector<const Tracer*>& tracers) {
 
   append("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
          "\"args\":{\"name\":\"hermes mediator\"}}");
-  for (const Tracer* tracer : tracers) {
-    if (tracer == nullptr || tracer->spans().empty()) continue;
-    uint64_t tid = tracer->query_id();
+  for (const auto& [tid, spans] : tracks) {
     append("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
            std::to_string(tid) + ",\"args\":{\"name\":\"query " +
            std::to_string(tid) + "\"}}");
-    for (const Span& span : tracer->spans()) {
+    for (const Span& span : spans) {
       std::string event;
       AppendSpanEvent(span, tid, &event);
       append(event);

@@ -1,18 +1,20 @@
 #ifndef HERMES_OBS_TRACE_H_
 #define HERMES_OBS_TRACE_H_
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/flight_recorder.h"
+
 namespace hermes::obs {
 
-/// One timed operation in a query's execution tree. Spans carry both
-/// clocks: the simulated pipeline clock (the system's deterministic cost
-/// model, what the paper's figures measure) and the host wall clock (what
-/// the implementation actually spent inside the span).
+/// One timed operation in a query's execution tree, derived from the
+/// query's event stream. Spans carry both clocks: the simulated pipeline
+/// clock (the system's deterministic cost model, what the paper's figures
+/// measure) and the host wall clock (what the implementation actually
+/// spent inside the span).
 struct Span {
   uint64_t id = 0;      ///< 1-based; 0 is "no span".
   uint64_t parent = 0;  ///< Parent span id; 0 for roots.
@@ -20,56 +22,52 @@ struct Span {
   std::string category; ///< Layer: query|rule|domain-call|cache|net|optimizer.
   double sim_begin_ms = 0.0;
   double sim_end_ms = 0.0;
-  double wall_begin_us = 0.0;  ///< Host microseconds since tracer creation.
+  double wall_begin_us = 0.0;  ///< Host µs since the track's first event.
   double wall_end_us = 0.0;
   bool failed = false;
   bool closed = false;
   std::vector<std::pair<std::string, std::string>> args;
 };
 
-/// Per-query span recorder threaded through CallContext.
+/// A query's trace: the caller-side sink of CallContext::Emit.
+///
+/// The tracer stores the query's events as emitted and derives spans from
+/// them on demand. A begin event opens a span under the innermost open
+/// one; its end event closes it, extending the recorded end so a parent
+/// never ends before its children (failed calls report a shorter envelope
+/// than the penalties their children charged). A debug bundle renders its
+/// trace from a flight-recorder slice through the same derivation.
 ///
 /// NOT thread-safe: one tracer belongs to one query, which executes on one
-/// thread (concurrent queries each carry their own tracer). Spans nest via
-/// an open-span stack — BeginSpan parents the new span under the innermost
-/// open one, and EndSpan closes it, extending the recorded end so a parent
-/// never ends before its children (failed calls report a shorter envelope
-/// than the penalties their children charged).
+/// thread (concurrent queries each carry their own tracer).
 class Tracer {
  public:
-  explicit Tracer(uint64_t query_id = 0) : query_id_(query_id) {}
+  /// The track id: the query id the appended events carry.
+  uint64_t query_id() const {
+    return events_.empty() ? 0 : events_.front().query_id;
+  }
 
-  uint64_t query_id() const { return query_id_; }
-  void set_query_id(uint64_t id) { query_id_ = id; }
+  /// The submitted query text, rendered as the root span's `text`
+  /// argument. Events hold fixed-size strings only, so the text travels
+  /// beside them.
+  void set_query_text(std::string text) { query_text_ = std::move(text); }
 
-  /// Opens a span at simulated time `sim_begin_ms`; returns its id.
-  uint64_t BeginSpan(std::string name, std::string category,
-                     double sim_begin_ms);
+  /// Appends one event of this query, in emission order.
+  void Append(const FlightEvent& ev) { events_.push_back(ev); }
 
-  /// Closes `id` at simulated time `sim_end_ms` (clamped up to the latest
-  /// child end). Idempotent: closing a closed span only extends its end.
-  void EndSpan(uint64_t id, double sim_end_ms);
+  const std::vector<FlightEvent>& events() const { return events_; }
+  bool empty() const { return events_.empty(); }
 
-  void MarkFailed(uint64_t id, const std::string& error);
-  void AddArg(uint64_t id, std::string key, std::string value);
-
-  const std::vector<Span>& spans() const { return spans_; }
-  bool empty() const { return spans_.empty(); }
+  /// The span tree the events describe, in the order the spans opened.
+  std::vector<Span> spans() const;
 
   /// This tracer's spans as a complete Chrome trace_event JSON document
   /// (load in chrome://tracing or https://ui.perfetto.dev).
   std::string ToChromeJson() const;
 
  private:
-  friend std::string ChromeTraceJson(const std::vector<const Tracer*>&);
-
-  double WallNowUs() const;
-
-  uint64_t query_id_;
-  std::vector<Span> spans_;
-  std::vector<size_t> open_;  ///< Indices of open spans, innermost last.
-  std::chrono::steady_clock::time_point epoch_ =
-      std::chrono::steady_clock::now();
+  std::string query_text_;
+  std::vector<FlightEvent> events_;
 };
 
 /// Merges the spans of several tracers (e.g. a cold and a warm run of the
@@ -77,41 +75,10 @@ class Tracer {
 /// renders as its own named track (tid = query id) under one process.
 std::string ChromeTraceJson(const std::vector<const Tracer*>& tracers);
 
-/// RAII helper: closes the span on scope exit with the simulated end time
-/// set via `set_sim_end` (defaults to the begin time).
-class SpanScope {
- public:
-  SpanScope(Tracer* tracer, std::string name, std::string category,
-            double sim_begin_ms)
-      : tracer_(tracer), sim_end_ms_(sim_begin_ms) {
-    if (tracer_ != nullptr) {
-      id_ = tracer_->BeginSpan(std::move(name), std::move(category),
-                               sim_begin_ms);
-    }
-  }
-  ~SpanScope() {
-    if (tracer_ != nullptr) tracer_->EndSpan(id_, sim_end_ms_);
-  }
-
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
-
-  uint64_t id() const { return id_; }
-  bool active() const { return tracer_ != nullptr; }
-  void set_sim_end(double sim_end_ms) { sim_end_ms_ = sim_end_ms; }
-  void AddArg(std::string key, std::string value) {
-    if (tracer_ != nullptr) {
-      tracer_->AddArg(id_, std::move(key), std::move(value));
-    }
-  }
-  void MarkFailed(const std::string& error) {
-    if (tracer_ != nullptr) tracer_->MarkFailed(id_, error);
-  }
-
- private:
-  Tracer* tracer_;
-  uint64_t id_ = 0;
-  double sim_end_ms_;
+/// Where CallContext::Emit delivers one query's events.
+struct EventSinks {
+  Tracer* tracer = nullptr;        ///< The caller's QueryOptions::tracer.
+  FlightRecorder* ring = nullptr;  ///< The diagnostics flight recorder.
 };
 
 }  // namespace hermes::obs

@@ -53,12 +53,9 @@ TEST(DriftWarmupTest, OneOutlierAmongWarmupSamplesDoesNotTrip) {
 
   // First observation is wildly off (20× the estimate); the next two are
   // dead on. The trimmed mean drops the outlier, so the group seeds calm.
-  drift.Observe(Pattern("d:f(1)"), "c", CostVector(100.0, 200.0, 4.0), 0.0,
-                nullptr);
-  drift.Observe(Pattern("d:f(1)"), "c", CostVector(5.0, 10.0, 4.0), 1.0,
-                nullptr);
-  drift.Observe(Pattern("d:f(1)"), "c", CostVector(5.0, 10.0, 4.0), 2.0,
-                nullptr);
+  drift.Observe(Pattern("d:f(1)"), "c", CostVector(100.0, 200.0, 4.0), 0.0);
+  drift.Observe(Pattern("d:f(1)"), "c", CostVector(5.0, 10.0, 4.0), 1.0);
+  drift.Observe(Pattern("d:f(1)"), "c", CostVector(5.0, 10.0, 4.0), 2.0);
 
   EXPECT_EQ(drift.observations(), 3u);
   EXPECT_EQ(drift.exceeded_events(), 0u);
@@ -81,7 +78,7 @@ TEST(DriftWarmupTest, SustainedErrorStillTripsAfterWarmup) {
   // rescue the seed, and the group flags as soon as warm-up completes.
   for (int i = 0; i < 3; ++i) {
     drift.Observe(Pattern("d:f(1)"), "c", CostVector(100.0, 200.0, 4.0),
-                  static_cast<double>(i), nullptr);
+                  static_cast<double>(i));
   }
   EXPECT_EQ(drift.exceeded_events(), 1u);
   ASSERT_EQ(drift.Report().Exceeded().size(), 1u);
@@ -90,8 +87,7 @@ TEST(DriftWarmupTest, SustainedErrorStillTripsAfterWarmup) {
 
   // The flag is edge-triggered: staying past the threshold does not refire
   // the hook (re-invalidation storms on every call would thrash the cache).
-  drift.Observe(Pattern("d:f(1)"), "c", CostVector(100.0, 200.0, 4.0), 3.0,
-                nullptr);
+  drift.Observe(Pattern("d:f(1)"), "c", CostVector(100.0, 200.0, 4.0), 3.0);
   EXPECT_EQ(drift.exceeded_events(), 1u);
   EXPECT_EQ(log.fired.size(), 1u);
 }
@@ -106,8 +102,7 @@ TEST(DriftWarmupTest, MinSamplesOneKeepsTheEagerBehavior) {
   HookLog log;
   drift.set_exceeded_hook(log.hook());
 
-  drift.Observe(Pattern("d:f(1)"), "c", CostVector(100.0, 200.0, 4.0), 0.0,
-                nullptr);
+  drift.Observe(Pattern("d:f(1)"), "c", CostVector(100.0, 200.0, 4.0), 0.0);
   EXPECT_EQ(drift.exceeded_events(), 1u);
   EXPECT_EQ(log.fired.size(), 1u);
 }
@@ -127,9 +122,9 @@ TEST(DriftWarmupTest, GroupsWarmUpIndependently) {
   // d:f drifts hard; e:g stays calm. Only the drifted group flags.
   for (int i = 0; i < 2; ++i) {
     drift.Observe(Pattern("d:f(1)"), "c", CostVector(100.0, 200.0, 4.0),
-                  static_cast<double>(i), nullptr);
+                  static_cast<double>(i));
     drift.Observe(Pattern("e:g(1)"), "c", CostVector(5.0, 10.0, 4.0),
-                  static_cast<double>(i), nullptr);
+                  static_cast<double>(i));
   }
   ASSERT_EQ(log.fired.size(), 1u);
   EXPECT_EQ(log.fired[0], "local/d/c");

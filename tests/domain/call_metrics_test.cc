@@ -56,32 +56,29 @@ TEST(CallMetrics, MergeOntoDefaultEqualsSource) {
   EXPECT_EQ(a.remote_calls, 0u);
 }
 
-TEST(CallTrace, ToStringFlattensMultiLineErrors) {
-  CallTrace entry;
-  entry.call.domain = "video";
-  entry.call.function = "frames_to_objects";
-  entry.t_start_ms = 12.5;
-  entry.failed = true;
-  entry.error = "line one\nline two\r\nline three";
+TEST(SourceError, ToStringFlattensMultiLineErrors) {
+  SourceError err;
+  err.domain = "video";
+  err.function = "frames_to_objects";
+  err.t_ms = 12.5;
+  err.message = "line one\nline two\r\nline three";
 
-  std::string s = entry.ToString();
+  std::string s = err.ToString();
   EXPECT_EQ(s.find('\n'), std::string::npos);
   EXPECT_EQ(s.find('\r'), std::string::npos);
   EXPECT_NE(s.find("line one\\nline two\\r\\nline three"), std::string::npos);
-  EXPECT_NE(s.find("FAILED"), std::string::npos);
+  EXPECT_NE(s.find("LOST"), std::string::npos);
 }
 
-TEST(CallTrace, ToStringStaysSortableByLeadingTimestamp) {
-  CallTrace early, late;
-  early.call.domain = "d";
-  early.call.function = "f";
-  early.t_start_ms = 5.0;
-  early.failed = true;
-  early.error = "broken\npipe";
+TEST(SourceError, ToStringStaysSortableByLeadingTimestamp) {
+  SourceError early, late;
+  early.domain = "d";
+  early.function = "f";
+  early.t_ms = 5.0;
+  early.message = "broken\npipe";
   late = early;
-  late.t_start_ms = 105.0;
-  late.failed = false;
-  late.answers = 2;
+  late.t_ms = 105.0;
+  late.masked = true;
 
   std::string a = early.ToString();
   std::string b = late.ToString();

@@ -159,28 +159,31 @@ TEST(PipelineDomainTest, TraceLayerSeesCacheHits) {
   auto echo = std::make_shared<EchoDomain>("echo");
   auto cim = std::make_shared<cim::CimDomain>("cim_echo", "echo", echo);
   PipelineDomain domain("cim_echo",
-                        {std::make_shared<TraceInterceptor>(),
-                         std::make_shared<cim::CacheInterceptor>(cim)},
-                        echo);
+                        {std::make_shared<cim::CacheInterceptor>(cim)}, echo);
 
+  obs::Tracer tracer;
+  obs::EventSinks sinks{&tracer};
   CallContext ctx;
-  std::vector<CallTrace> trace;
-  ctx.trace = &trace;
+  ctx.sinks = &sinks;
   ASSERT_TRUE(domain.Run(ctx, Id(1)).ok());
   ctx.now_ms = 50.0;
   Result<CallOutput> hit = domain.Run(ctx, Id(1));
   ASSERT_TRUE(hit.ok());
 
-  ASSERT_EQ(trace.size(), 2u);  // the hit is traced, with cache-hit latency
-  EXPECT_EQ(trace[1].t_start_ms, 50.0);
-  EXPECT_EQ(trace[1].all_ms, hit->all_ms);
-  EXPECT_LT(trace[1].all_ms, trace[0].all_ms);
-  EXPECT_EQ(ctx.metrics.traced_calls, 2u);
+  // The hit is traced, with cache-hit latency.
+  std::vector<obs::Span> lookups = tracer.spans();
+  ASSERT_EQ(lookups.size(), 2u);
+  EXPECT_EQ(lookups[1].name, "cache-lookup");
+  EXPECT_EQ(lookups[1].sim_begin_ms, 50.0);
+  EXPECT_EQ(lookups[1].sim_end_ms, 50.0 + hit->all_ms);
+  EXPECT_LT(lookups[1].sim_end_ms - lookups[1].sim_begin_ms,
+            lookups[0].sim_end_ms - lookups[0].sim_begin_ms);
+  EXPECT_EQ(lookups[0].args[0].second, "miss");
+  EXPECT_EQ(lookups[1].args[0].second, "exact-hit");
   // Without a sink nothing is recorded.
-  ctx.trace = nullptr;
+  ctx.sinks = nullptr;
   ASSERT_TRUE(domain.Run(ctx, Id(1)).ok());
-  EXPECT_EQ(trace.size(), 2u);
-  EXPECT_EQ(ctx.metrics.traced_calls, 2u);
+  EXPECT_EQ(tracer.spans().size(), 2u);
 }
 
 TEST(PipelineDomainTest, ContextlessRunUsesScratchContext) {

@@ -8,6 +8,8 @@
 
 #include "engine/mediator.h"
 #include "net/faults/fault_plan.h"
+#include "obs/flight_recorder.h"
+#include "relational/relational_domain.h"
 #include "testbed/scenario.h"
 
 namespace hermes {
@@ -300,6 +302,42 @@ TEST(DegradationTest, FailoverReroutesToTheAlternateSite) {
                         "hermes_resilience_failovers_total"
                         "{site=\"deadsite\",domain=\"prim\"} "),
             1.0);
+}
+
+// Failure attribution is scoped to one call: a call that fails inside its
+// own domain must not report the site and cause of an earlier call that
+// was lost to an outage.
+TEST(DegradationTest, FailedCallDoesNotInheritAnEarlierCallsFailureSite) {
+  Mediator med;
+  net::SiteParams down = net::UsaSite("down_site");
+  down.availability = 0.0;
+  auto r1 = std::make_shared<relational::RelationalDomain>(
+      "r1", testbed::MakeCastDatabase());
+  auto r2 = std::make_shared<relational::RelationalDomain>(
+      "r2", testbed::MakeCastDatabase());
+  ASSERT_TRUE(med.RegisterRemoteDomain("r1", r1, down).ok());
+  ASSERT_TRUE(
+      med.RegisterRemoteDomain("r2", r2, net::UsaSite("up_site")).ok());
+  ASSERT_TRUE(med.LoadProgram("q(X) :- in(X, r1:all('cast')).\n"
+                              "q(X) :- in(X, r2:all('no_such_table')).")
+                  .ok());
+  ASSERT_TRUE(med.EnableDiagnostics({}).ok());
+
+  QueryOptions options = RawQuery();
+  options.partial_results = true;
+  options.query_id = 77;
+  Result<QueryResult> res = med.Query("?- q(X).", options);
+  EXPECT_FALSE(res.ok());  // a missing table is an error, not a lost source
+
+  std::vector<std::string> failures;
+  for (const obs::FlightEvent& ev : med.flight_recorder()->SnapshotQuery(77)) {
+    if (ev.kind != obs::FlightEventKind::kCallFailed) continue;
+    failures.push_back(ev.domain_str() + " site=" + ev.site_str() +
+                       " detail=" + ev.detail_str());
+  }
+  ASSERT_EQ(failures.size(), 2u);
+  EXPECT_EQ(failures[0], "r1 site=down_site detail=unavailable");
+  EXPECT_EQ(failures[1], "r2 site= detail=error");
 }
 
 }  // namespace

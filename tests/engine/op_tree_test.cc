@@ -173,16 +173,18 @@ TEST(OpTreeTest, OperatorSpansGatedByOption) {
 
   {
     obs::Tracer tracer;
+    obs::EventSinks sinks{&tracer};
     CallContext ctx;
-    ctx.tracer = &tracer;
+    ctx.sinks = &sinks;
     Executor executor(&fx.registry, nullptr, {});
     ASSERT_TRUE(executor.Execute(fx.program, fx.query, &ctx).ok());
     EXPECT_EQ(count_operator_spans(tracer), 0u);  // default: walker shape
   }
   {
     obs::Tracer tracer;
+    obs::EventSinks sinks{&tracer};
     CallContext ctx;
-    ctx.tracer = &tracer;
+    ctx.sinks = &sinks;
     ExecutorOptions options;
     options.trace_operators = true;
     Executor executor(&fx.registry, nullptr, options);

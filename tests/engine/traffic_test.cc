@@ -129,12 +129,10 @@ TEST(QueryTrafficTest, MetricsExposePerLayerCounters) {
   ASSERT_TRUE(testbed::SetupRopeScenario(&med, {}).ok());
   ASSERT_TRUE(med.LoadProgram(kObjectsRule).ok());
 
-  QueryOptions traced = AsWritten();
-  traced.collect_trace = true;
-  Result<QueryResult> res = med.Query("?- objects(4, 47, O).", traced);
+  Result<QueryResult> res = med.Query("?- objects(4, 47, O).", AsWritten());
   ASSERT_TRUE(res.ok()) << res.status();
   EXPECT_GT(res->metrics.domain_calls, 0u);
-  EXPECT_EQ(res->metrics.traced_calls, res->execution.trace.size());
+  EXPECT_EQ(res->metrics.domain_calls, res->execution.domain_calls);
   EXPECT_GT(res->metrics.stats_records, 0u);
   EXPECT_EQ(res->metrics.bytes_transferred, res->traffic.bytes);
   EXPECT_GT(res->metrics.network_ms, 0.0);

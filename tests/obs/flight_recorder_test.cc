@@ -13,7 +13,10 @@ namespace {
 
 FlightEvent Event(uint64_t query_id, uint32_t seq, double sim_ms,
                   FlightEventKind kind = FlightEventKind::kCallIssued) {
-  return FlightEvent::Make(kind, query_id, seq, sim_ms);
+  FlightEvent ev = FlightEvent::At(kind, sim_ms);
+  ev.query_id = query_id;
+  ev.seq = seq;
+  return ev;
 }
 
 TEST(FlightEvent, TruncatesOverlongStringsInsteadOfOverflowing) {

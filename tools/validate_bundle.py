@@ -7,7 +7,11 @@ must contain the manifest plus the four capture components:
   manifest.json  - query id/reason/completeness, per-operator rows, and a
                    components map naming the other four files
   events.json    - the query's flight-recorder slice (non-empty)
-  trace.json     - a Chrome trace (traceEvents array)
+  trace.json     - a Chrome trace (traceEvents array). For a query bundle
+                   it is a view of events.json, so it must also pass
+                   validate_trace.py's checks (one "query" root per
+                   track, containing every span) and hold one
+                   domain-call span per call_issued event
   explain.txt    - EXPLAIN of the executed tree with actuals (non-empty)
   metrics.prom   - Prometheus snapshot at capture time (non-empty)
 
@@ -18,6 +22,8 @@ Exits non-zero with a message on the first violation. Stdlib only.
 import json
 import os
 import sys
+
+from validate_trace import check_trace
 
 MANIFEST_KEYS = (
     "query_id",
@@ -76,9 +82,18 @@ def check_bundle(bundle_dir):
         fail(f"{bundle_dir}/events.json: stream lacks query_start/query_end "
              f"(kinds: {sorted(kinds)})")
 
-    trace = load_json(os.path.join(bundle_dir, components["trace"]))
+    trace_path = os.path.join(bundle_dir, components["trace"])
+    trace = load_json(trace_path)
     if "traceEvents" not in trace or not isinstance(trace["traceEvents"], list):
         fail(f"{bundle_dir}/trace.json: no traceEvents array")
+    if manifest["query_id"] != 0:
+        # A query bundle: trace.json derives from the same event slice.
+        spans = check_trace(trace, trace_path)
+        calls = sum(1 for span in spans if span["cat"] == "domain-call")
+        issued = sum(1 for event in events if event["kind"] == "call_issued")
+        if calls != issued:
+            fail(f"{bundle_dir}: trace.json has {calls} domain-call spans "
+                 f"but events.json has {issued} call_issued events")
 
     for component, must_contain in (("explain", "("), ("metrics", "hermes_")):
         path = os.path.join(bundle_dir, components[component])

@@ -19,43 +19,47 @@ def fail(msg):
     sys.exit(1)
 
 
-def main(path):
-    with open(path, "rb") as f:
-        doc = json.load(f)
+def check_trace(doc, where="trace"):
+    """Checks one parsed trace document; returns its complete events.
+
+    Fails (exits) on the first violation, naming `where` in the message.
+    """
+    def bad(msg):
+        fail(f"{where}: {msg}")
 
     if not isinstance(doc, dict):
-        fail("top level is not a JSON object")
+        bad("top level is not a JSON object")
     if doc.get("displayTimeUnit") != "ms":
-        fail("displayTimeUnit is not 'ms'")
+        bad("displayTimeUnit is not 'ms'")
     events = doc.get("traceEvents")
     if not isinstance(events, list) or not events:
-        fail("traceEvents missing or empty")
+        bad("traceEvents missing or empty")
 
     complete, metadata = [], []
     for i, ev in enumerate(events):
         if not isinstance(ev, dict):
-            fail(f"event {i} is not an object")
+            bad(f"event {i} is not an object")
         ph = ev.get("ph")
         if ph == "M":
             metadata.append(ev)
             if ev.get("name") not in ("process_name", "thread_name"):
-                fail(f"event {i}: unexpected metadata name {ev.get('name')!r}")
+                bad(f"event {i}: unexpected metadata name {ev.get('name')!r}")
         elif ph == "X":
             complete.append(ev)
             for key in ("name", "cat", "ts", "dur", "pid", "tid"):
                 if key not in ev:
-                    fail(f"event {i}: complete event missing {key!r}")
+                    bad(f"event {i}: complete event missing {key!r}")
             if ev["dur"] < 0:
-                fail(f"event {i}: negative duration {ev['dur']}")
+                bad(f"event {i}: negative duration {ev['dur']}")
             if ev["ts"] < 0:
-                fail(f"event {i}: negative timestamp {ev['ts']}")
+                bad(f"event {i}: negative timestamp {ev['ts']}")
         else:
-            fail(f"event {i}: unexpected phase {ph!r}")
+            bad(f"event {i}: unexpected phase {ph!r}")
 
     if not complete:
-        fail("no complete ('X') events")
+        bad("no complete ('X') events")
     if not any(ev.get("name") == "process_name" for ev in metadata):
-        fail("no process_name metadata event")
+        bad("no process_name metadata event")
     track_names = {
         ev["tid"]: ev.get("args", {}).get("name")
         for ev in metadata
@@ -63,7 +67,7 @@ def main(path):
     }
     for ev in complete:
         if ev["tid"] not in track_names:
-            fail(f"event on tid {ev['tid']} has no thread_name metadata")
+            bad(f"event on tid {ev['tid']} has no thread_name metadata")
 
     # Every track must carry exactly one root "query" span that contains
     # all other spans on that track.
@@ -73,19 +77,26 @@ def main(path):
     for tid, evs in by_tid.items():
         roots = [ev for ev in evs if ev["name"] == "query"]
         if len(roots) != 1:
-            fail(f"tid {tid}: expected exactly one 'query' span, "
-                 f"got {len(roots)}")
+            bad(f"tid {tid}: expected exactly one 'query' span, "
+                f"got {len(roots)}")
         root = roots[0]
         lo, hi = root["ts"], root["ts"] + root["dur"]
         for ev in evs:
             if ev["ts"] < lo or ev["ts"] + ev["dur"] > hi:
-                fail(f"tid {tid}: span {ev['name']!r} "
-                     f"[{ev['ts']}, {ev['ts'] + ev['dur']}] escapes its "
-                     f"query envelope [{lo}, {hi}]")
+                bad(f"tid {tid}: span {ev['name']!r} "
+                    f"[{ev['ts']}, {ev['ts'] + ev['dur']}] escapes its "
+                    f"query envelope [{lo}, {hi}]")
+    return complete
 
+
+def main(path):
+    with open(path, "rb") as f:
+        doc = json.load(f)
+    complete = check_trace(doc, path)
+    tracks = {ev["tid"] for ev in complete}
     cats = {ev["cat"] for ev in complete}
     print(f"validate_trace: OK: {len(complete)} spans on "
-          f"{len(by_tid)} track(s), categories: {', '.join(sorted(cats))}")
+          f"{len(tracks)} track(s), categories: {', '.join(sorted(cats))}")
 
 
 if __name__ == "__main__":
