@@ -15,6 +15,7 @@
 #include "engine/mediator.h"
 #include "net/faults/fault_plan.h"
 #include "obs/flight_recorder.h"
+#include "obs/trace.h"
 #include "testbed/scenario.h"
 
 namespace hermes {
@@ -82,6 +83,31 @@ TEST(Diagnostics, SlowThresholdCapturesACompleteBundle) {
   ASSERT_TRUE(log.ok());
   EXPECT_NE(log->find("slow-query q"), std::string::npos);
   EXPECT_NE(log->find("reason=slow-threshold"), std::string::npos);
+}
+
+// One stream, two views: the caller's tracer and the bundle's ring slice
+// receive the same events, so their Chrome traces are the same document.
+TEST(Diagnostics, BundleTraceIsTheCallersTraceOfTheSameStream) {
+  std::unique_ptr<Mediator> med = RopeMediator();
+  DiagnosticsOptions options;
+  options.slow_threshold_sim_ms = 1.0;  // capture every query
+  ASSERT_TRUE(med->EnableDiagnostics(options).ok());
+  obs::Tracer tracer;
+  QueryOptions query_options;
+  query_options.tracer = &tracer;
+  Result<QueryResult> res = med->Query(
+      testbed::AppendixQuery(1, false, 1, 9000), query_options);
+  ASSERT_TRUE(res.ok()) << res.status();
+
+  std::vector<DebugBundle> bundles = med->diagnostics()->bundles();
+  ASSERT_EQ(bundles.size(), 1u);
+  EXPECT_EQ(bundles[0].events, tracer.events());
+  EXPECT_EQ(bundles[0].chrome_trace, tracer.ToChromeJson());
+  size_t calls = 0;
+  for (const obs::Span& span : tracer.spans()) {
+    if (span.category == "domain-call") ++calls;
+  }
+  EXPECT_EQ(calls, res->execution.domain_calls);
 }
 
 TEST(Diagnostics, UnremarkableQueriesAreNotCaptured) {
