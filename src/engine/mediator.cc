@@ -523,8 +523,13 @@ Result<optimizer::CandidatePlan> Mediator::PickPlan(const lang::Query& query,
     return std::move(optimized.best);
   }
 
+  // The as-written plan holds only the rules the query reaches, like every
+  // optimizer candidate.
   optimizer::CandidatePlan plan;
-  plan.program = program_;
+  for (size_t r :
+       optimizer::RuleRewriter::ReachableRules(program_, query.goals)) {
+    plan.program.rules.push_back(program_.rules[r]);
+  }
   plan.query = query;
   plan.description = "as-written";
   if (options.use_cim && !cims_.empty()) {

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <set>
 #include <utility>
+
+#include "optimizer/rewriter.h"
 
 namespace hermes::optimizer {
 
@@ -39,28 +40,6 @@ void VisitQueryTerms(lang::Query& query, Fn&& fn) {
 /// constant matches only.
 bool ReachableRulesHaveConstants(const lang::Program& program,
                                  const lang::Query& query) {
-  std::set<std::pair<std::string, size_t>> reachable, frontier;
-  for (const lang::Atom& goal : query.goals) {
-    if (goal.is_predicate()) {
-      frontier.insert({goal.predicate, goal.args.size()});
-    }
-  }
-  while (!frontier.empty()) {
-    auto key = *frontier.begin();
-    frontier.erase(frontier.begin());
-    if (!reachable.insert(key).second) continue;
-    for (const lang::Rule& rule : program.rules) {
-      if (rule.head.predicate != key.first ||
-          rule.head.args.size() != key.second) {
-        continue;
-      }
-      for (const lang::Atom& atom : rule.body) {
-        if (atom.is_predicate()) {
-          frontier.insert({atom.predicate, atom.args.size()});
-        }
-      }
-    }
-  }
   auto has_constant = [](const lang::Atom& atom) {
     switch (atom.kind) {
       case lang::Atom::Kind::kPredicate:
@@ -79,10 +58,8 @@ bool ReachableRulesHaveConstants(const lang::Program& program,
     }
     return false;
   };
-  for (const lang::Rule& rule : program.rules) {
-    if (reachable.count({rule.head.predicate, rule.head.args.size()}) == 0) {
-      continue;
-    }
+  for (size_t r : RuleRewriter::ReachableRules(program, query.goals)) {
+    const lang::Rule& rule = program.rules[r];
     for (const lang::Term& t : rule.head.args) {
       if (t.is_constant()) return true;
     }

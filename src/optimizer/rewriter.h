@@ -22,7 +22,8 @@ namespace hermes::optimizer {
 ///   3. subgoal reordering — every permutation of each body that keeps
 ///      domain-call arguments ground at execution time.
 ///
-/// The rewriter only transforms the rules reachable from the query.
+/// Variants and candidate programs hold only the rules reachable from the
+/// query, in program order; the other rules can never run for it.
 class RuleRewriter {
  public:
   struct Options {
@@ -49,6 +50,12 @@ class RuleRewriter {
       const lang::Program& program, const lang::Query& query,
       const Options& options);
 
+  /// Indexes, in program order, of the rules `goals` reach: those whose
+  /// head matches a predicate goal by name and arity, and in turn those
+  /// their bodies reach.
+  static std::vector<size_t> ReachableRules(
+      const lang::Program& program, const std::vector<lang::Atom>& goals);
+
   /// Redirects every domain call in `atoms` whose domain is in
   /// `cim_domains` to its CIM wrapper (`cim_<domain>`); returns how many
   /// calls were redirected.
@@ -65,6 +72,7 @@ class RuleRewriter {
   /// Enumerates permutations of `body` under which every domain call's
   /// arguments and every comparison's operands are bound when reached.
   /// The original order, when valid, is first. Capped at `max_orderings`.
+  /// Orderings whose atoms print the same at every position are one.
   static std::vector<std::vector<lang::Atom>> ValidOrderings(
       const std::vector<lang::Atom>& body,
       const std::vector<std::string>& initially_bound, size_t max_orderings);

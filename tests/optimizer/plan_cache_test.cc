@@ -218,6 +218,37 @@ TEST(PlanCacheTest, BreakerOpenInvalidatesPlansDependingOnTheSite) {
   EXPECT_FALSE(after->plan_cache_hit);
 }
 
+TEST(PlanCacheTest, PlansDependOnlyOnDomainsTheirQueryReaches) {
+  Mediator med;
+  ASSERT_TRUE(med.RegisterRemoteDomain(
+                     "a",
+                     std::make_shared<relational::RelationalDomain>(
+                         "a", testbed::MakeCastDatabase()),
+                     net::UsaSite("site_a"))
+                  .ok());
+  ASSERT_TRUE(med.RegisterRemoteDomain(
+                     "b",
+                     std::make_shared<relational::RelationalDomain>(
+                         "b", testbed::MakeCastDatabase()),
+                     net::UsaSite("site_b"))
+                  .ok());
+  ASSERT_TRUE(med.LoadProgram("m(X) :- in(X, a:all('cast')).\n"
+                              "u(X) :- in(X, b:all('cast')).")
+                  .ok());
+  ASSERT_TRUE(med.EnablePlanCache().ok());
+  QueryOptions options;
+  options.use_optimizer = false;
+  options.record_statistics = false;
+
+  ASSERT_TRUE(med.Query("?- m(X).", options).ok());
+  // Only u, which ?- m(X) never reaches, calls site_b.
+  med.plan_cache()->InvalidateSite("site_b");
+  Result<QueryResult> warm = med.Query("?- m(X).", options);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  EXPECT_TRUE(warm->plan_cache_hit);
+  EXPECT_EQ(med.plan_cache()->stats().invalidations, 0u);
+}
+
 TEST(PlanCacheTest, DriftExceedanceInvalidatesThroughTheTrackerHook) {
   std::unique_ptr<Mediator> med = RopeMediator(/*caching=*/false);
   DiagnosticsOptions diag;

@@ -85,6 +85,64 @@ TEST(ValidOrderingsTest, CapIsHonored) {
   EXPECT_EQ(orderings.size(), 5u);  // 4! = 24 valid, capped at 5
 }
 
+TEST(ValidOrderingsTest, AtomsThatPrintTheSameAreInterchangeable) {
+  lang::Rule rule = *lang::Parser::ParseRule(
+      "m(X) :- in(X, d:f()) & X > 1 & X > 1.");
+  std::vector<std::vector<lang::Atom>> orderings =
+      RuleRewriter::ValidOrderings(rule.body, {}, 10);
+  EXPECT_EQ(orderings.size(), 1u);
+}
+
+TEST(ValidOrderingsTest, EqualConstantsThatPrintDifferentlyStayDistinct) {
+  // Value::operator== calls 1 and 1.0 equal, but the two comparisons print
+  // differently, so swapping them is a different ordering.
+  lang::Rule rule = *lang::Parser::ParseRule(
+      "m(X) :- in(X, d:f()) & X > 1 & X > 1.0.");
+  ASSERT_TRUE(rule.body[1].rhs.constant == rule.body[2].rhs.constant);
+  std::vector<std::vector<lang::Atom>> orderings =
+      RuleRewriter::ValidOrderings(rule.body, {}, 10);
+  ASSERT_EQ(orderings.size(), 2u);
+  EXPECT_EQ(BodyString(orderings[0]), "in(X, d:f()) & X > 1 & X > 1.0");
+  EXPECT_EQ(BodyString(orderings[1]), "in(X, d:f()) & X > 1.0 & X > 1");
+}
+
+TEST(ValidOrderingsTest, BodiesWiderThanOneMaskWordStillEnumerate) {
+  // 70 calls, each binding its own variable and the last 69 consuming the
+  // previous call's: 70 variables and 70 atoms, past 64 of either.
+  std::string text = "m(V0) :- in(V0, d:f())";
+  for (int i = 1; i < 70; ++i) {
+    text += " & in(V" + std::to_string(i) + ", d:g(V" +
+            std::to_string(i - 1) + "))";
+  }
+  // Two independent tail calls give the enumeration a choice to make.
+  text += " & in(A, d:f()) & in(B, d:f()).";
+  lang::Rule rule = *lang::Parser::ParseRule(text);
+  ASSERT_EQ(rule.body.size(), 72u);
+  std::vector<std::vector<lang::Atom>> orderings =
+      RuleRewriter::ValidOrderings(rule.body, {}, 3);
+  ASSERT_EQ(orderings.size(), 3u);
+  EXPECT_EQ(BodyString(orderings[0]), BodyString(rule.body));
+  for (const std::vector<lang::Atom>& ordering : orderings) {
+    EXPECT_EQ(ordering.size(), rule.body.size());
+  }
+  // A call whose argument only the 70th variable binds never runs before
+  // that variable's call.
+  lang::Rule late = *lang::Parser::ParseRule(text.substr(
+      0, text.size() - 1) + " & in(Z, d:g(V69)).");
+  std::vector<std::vector<lang::Atom>> late_orderings =
+      RuleRewriter::ValidOrderings(late.body, {}, 24);
+  EXPECT_EQ(late_orderings.size(), 24u);
+  for (const std::vector<lang::Atom>& ordering : late_orderings) {
+    size_t z = 0, v69 = 0;
+    for (size_t p = 0; p < ordering.size(); ++p) {
+      if (!ordering[p].is_domain_call()) continue;
+      if (ordering[p].output.var_name == "Z") z = p;
+      if (ordering[p].output.var_name == "V69") v69 = p;
+    }
+    EXPECT_LT(v69, z);
+  }
+}
+
 TEST(RedirectToCimTest, RewritesOnlyListedDomains) {
   lang::Rule rule = *lang::Parser::ParseRule(
       "m(A, B) :- in(A, video:f()) & in(B, relation:g(A)).");
@@ -220,6 +278,45 @@ TEST(RewriteTest, InfeasibleQueryGoalsRejected) {
   lang::Query query = MustQuery("?- in(A, d:f(X)).");
   EXPECT_FALSE(
       RuleRewriter::Rewrite(program, query, RuleRewriter::Options{}).ok());
+}
+
+TEST(RewriteTest, UnreachableRulesNeitherAppearInNorDuplicateCandidates) {
+  // The push-down applies only in u, which ?- m(A) never reaches: it must
+  // not produce a second candidate identical on m's one rule.
+  lang::Program program = MustProgram(R"(
+    m(A) :- in(A, d:f()).
+    u(P) :- in(P, r:all('t')) & =(P.x, 1).
+  )");
+  lang::Query query = MustQuery("?- m(A).");
+  Result<std::vector<CandidatePlan>> plans =
+      RuleRewriter::Rewrite(program, query, RuleRewriter::Options{});
+  ASSERT_TRUE(plans.ok()) << plans.status();
+  ASSERT_EQ(plans->size(), 1u);
+  const CandidatePlan& plan = (*plans)[0];
+  EXPECT_EQ(plan.description, "direct #0");
+  EXPECT_EQ(plan.program.ToString(), "m(A) :- in(A, d:f()).\n");
+}
+
+TEST(RewriteTest, CandidatesHoldTheReachableRulesInProgramOrder) {
+  lang::Program program = MustProgram(R"(
+    q(X) :- in(X, d:g()).
+    u(X) :- in(X, d:h()).
+    m(A, X) :- p(A) & q(X).
+    p(A) :- in(A, d:f()).
+  )");
+  lang::Query query = MustQuery("?- m(A, X).");
+  Result<std::vector<CandidatePlan>> plans =
+      RuleRewriter::Rewrite(program, query, RuleRewriter::Options{});
+  ASSERT_TRUE(plans.ok()) << plans.status();
+  ASSERT_EQ(plans->size(), 2u);  // m's body in either order
+  for (const CandidatePlan& plan : *plans) {
+    ASSERT_EQ(plan.program.rules.size(), 3u);
+    EXPECT_EQ(plan.program.rules[0].head.predicate, "q");
+    EXPECT_EQ(plan.program.rules[1].head.predicate, "m");
+    EXPECT_EQ(plan.program.rules[2].head.predicate, "p");
+  }
+  EXPECT_EQ(RuleRewriter::ReachableRules(program, query.goals),
+            (std::vector<size_t>{0, 2, 3}));
 }
 
 TEST(RewriteTest, PlanCapRespected) {
