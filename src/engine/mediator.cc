@@ -204,14 +204,10 @@ Status Mediator::EnableDiagnostics(const DiagnosticsOptions& options) {
   return Status::OK();
 }
 
-Status Mediator::EnablePlanCache(optimizer::PlanCacheOptions options) {
+Status Mediator::EnablePlanCache() {
   std::unique_lock lock(wiring_mu_);
   HERMES_RETURN_IF_ERROR(CheckNotServing("EnablePlanCache"));
-  engine::op::CompileOptions compile_options;
-  compile_options.async_scatter_gather = async_execution_;
-  plan_cache_async_ = async_execution_;
-  plan_cache_ = std::make_unique<optimizer::PlanCache>(options, &dcsm_,
-                                                       compile_options);
+  plan_cache_ = std::make_unique<optimizer::PlanCache>();
   plan_cache_->BindMetrics(*metrics_);
   WireDriftInvalidation();
   return Status::OK();
@@ -222,8 +218,8 @@ void Mediator::WireDriftInvalidation() {
   optimizer::PlanCache* cache = plan_cache_.get();
   drift_->set_exceeded_hook([cache](const std::string& site,
                                     const std::string& domain,
-                                    const std::string& adorn) {
-    cache->InvalidateDrift(site, domain, adorn);
+                                    const std::string& /*adorn*/) {
+    cache->InvalidateDrift(site, domain);
   });
 }
 
@@ -253,12 +249,9 @@ std::vector<optimizer::PlanCacheDep> Mediator::CollectPlanDeps(
     for (const optimizer::PlanCacheDep& d : deps) {
       if (d.domain == logical) return;
     }
-    optimizer::PlanCacheDep dep;
-    dep.site = SiteOf(logical);
-    dep.domain = logical;
-    // Adornment left as wildcard: a drift exceedance on any shape of the
-    // domain's calls invalidates the plan.
-    deps.push_back(std::move(dep));
+    // A drift exceedance on any shape of the domain's calls invalidates
+    // the plan.
+    deps.push_back({SiteOf(logical), std::move(logical)});
   };
   for (const lang::Atom& goal : plan.query.goals) add(goal);
   for (const lang::Rule& rule : plan.program.rules) {
@@ -565,9 +558,6 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
   // Shared hold for the whole query: wiring mutations (exclusive holders)
   // can never observe — or create — a half-wired registry mid-query.
   std::shared_lock lock(wiring_mu_);
-  HERMES_ASSIGN_OR_RETURN(lang::Query query,
-                          lang::Parser::ParseQuery(query_text));
-
   QueryResult result;
 
   // The query's events go to the caller's tracer and/or the flight
@@ -580,12 +570,6 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
   uint64_t host_optimize_ns = 0;
   uint64_t host_planned_ns = 0;
 
-  // Plan acquisition. With the plan cache on, a repeat query shape reuses
-  // a pooled compiled instance — constants rebound in place, optimizer and
-  // compiler skipped entirely; a miss runs the historical pick-and-lower
-  // path and registers its skeleton. The lease (and with it the instance's
-  // operator tree) stays checked out until the query — including EXPLAIN
-  // and diagnostics capture — is done with the tree.
   // Brownout ladder: snapshot the level once per query. At kDegrade and
   // above low-priority queries lose their scatter-gather fanout (their
   // branches re-serialize, shedding concurrent source load) and every
@@ -601,54 +585,49 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
       (options.async_scatter_gather || async_execution_) &&
       !brownout_force_sync;
   compile_options.record_spine = replan_options_.enabled;
-  const bool cacheable =
-      plan_cache_ != nullptr &&
-      compile_options.async_scatter_gather == plan_cache_async_;
-  optimizer::PlanCacheKey cache_key;
-  std::vector<Value> cache_constants;
-  optimizer::PlanCache::Lease lease;
-  optimizer::CompiledPlan compiled_local;
-  optimizer::CompiledPlan* compiled = nullptr;
-  if (cacheable) {
-    cache_key = optimizer::PlanCache::MakeKey(
-        query, PlanCacheOptionsTag(options), &cache_constants);
-    lease = plan_cache_->Acquire(cache_key, cache_constants);
-    if (lease) {
-      compiled = lease.plan();
-      result.plan_cache_hit = true;
-      result.plan_description = compiled->plan().description;
-      result.predicted = compiled->plan().estimated;
-      result.predicted_valid = compiled->plan().estimatable;
-    }
+
+  // Plan choice. With the plan cache on, a repeat of a query text (under
+  // the same query-shaping options) reuses the plan chosen for it before,
+  // skipping parsing and the optimizer; a miss picks a plan and memoizes
+  // it. Either way the plan is compiled under this query's own options.
+  std::string cache_key;
+  std::shared_ptr<const optimizer::CandidatePlan> plan;
+  if (plan_cache_ != nullptr) {
+    cache_key = query_text + "\n#" + PlanCacheOptionsTag(options);
+    plan = plan_cache_->Lookup(cache_key);
   }
-  if (compiled == nullptr) {
+  if (plan != nullptr) {
+    result.plan_cache_hit = true;
+    result.plan_description = plan->description;
+    result.predicted = plan->estimated;
+    result.predicted_valid = plan->estimatable;
+  } else {
+    HERMES_ASSIGN_OR_RETURN(lang::Query query,
+                            lang::Parser::ParseQuery(query_text));
     if (observed) host_optimize_ns = obs::HostNowNs();
-    HERMES_ASSIGN_OR_RETURN(optimizer::CandidatePlan plan,
+    HERMES_ASSIGN_OR_RETURN(optimizer::CandidatePlan picked,
                             PickPlan(query, options, &result));
     if (observed) host_planned_ns = obs::HostNowNs();
-    // Lower the chosen plan to its physical operator tree; execution
-    // drives the tree, and the same compiled artifact renders EXPLAIN
-    // afterwards.
-    optimizer::PlanCompiler compiler(&dcsm_, compile_options);
-    compiled_local = compiler.Compile(std::move(plan));
-    compiled = &compiled_local;
-    if (cacheable) {
-      plan_cache_->Insert(cache_key, cache_constants, compiled->plan(),
-                          result.predicted, result.predicted_valid,
-                          CollectPlanDeps(compiled->plan()));
+    plan = std::make_shared<const optimizer::CandidatePlan>(std::move(picked));
+    if (plan_cache_ != nullptr) {
+      plan_cache_->Insert(cache_key, plan, CollectPlanDeps(*plan));
     }
   }
+  // Lower the chosen plan to its physical operator tree; execution drives
+  // the tree, and the same compiled artifact renders EXPLAIN afterwards.
+  optimizer::CompiledPlan compiled =
+      optimizer::PlanCompiler(&dcsm_, compile_options).Compile(std::move(plan));
 
   // Mid-query re-optimization: arm a per-query manager over the tree's
   // join spine. Its divergence baseline is snapshotted now — never read
   // from the live DCSM mid-flight — so decisions depend only on per-query
   // state and replay identically under any thread count.
   std::unique_ptr<engine::op::ReplanManager> replan;
-  if (replan_options_.enabled && !compiled->tree().spine.empty()) {
+  if (replan_options_.enabled && !compiled.tree().spine.empty()) {
     engine::op::ReplanManager::Setup setup;
-    setup.program = &compiled->plan().program;
-    setup.goals = &compiled->plan().query.goals;
-    setup.spine = compiled->tree().spine;
+    setup.program = &compiled.plan().program;
+    setup.goals = &compiled.plan().query.goals;
+    setup.spine = compiled.tree().spine;
     setup.compile_options = compile_options;
     setup.site_of = [this](const std::string& domain) {
       return SiteOf(domain);
@@ -656,7 +635,7 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
     setup.cim_domains = CachedDomains();
     if (replan_options_.divergence_factor > 0.0) {
       setup.estimates = engine::op::SnapshotGoalEstimates(
-          &dcsm_, compiled->plan().query.goals);
+          &dcsm_, compiled.plan().query.goals);
     }
     setup.options = replan_options_;
     replan = std::make_unique<engine::op::ReplanManager>(std::move(setup));
@@ -706,7 +685,7 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
       end.host_ns = host_planned_ns;
       ctx.Emit(end);
     }
-    if (cacheable) {
+    if (plan_cache_ != nullptr) {
       ctx.Emit(obs::FlightEvent::At(result.plan_cache_hit
                                         ? obs::FlightEventKind::kPlanCacheHit
                                         : obs::FlightEventKind::kPlanCacheMiss,
@@ -725,14 +704,11 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
   }
 
   Result<engine::QueryExecution> executed = executor.ExecuteCompiled(
-      compiled->plan().program, compiled->tree(), &ctx, replan.get());
+      compiled.plan().program, compiled.tree(), &ctx, replan.get());
   if (replan != nullptr && replan->replanned()) {
     result.replan_events = replan->events();
     replan_triggers_total_->Add(replan->triggers());
     replan_splices_total_->Add(replan->splices());
-    // A replanned tree no longer matches its cached skeleton; the release
-    // below drops it instead of pooling it.
-    if (lease) lease.MarkDirty();
   }
   if (!executed.ok()) {
     query_failures_total_->Add(1);
@@ -750,7 +726,6 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
                                      query_span, ctx.now_ms)
                    .set_failed("failed"));
     }
-    if (lease) plan_cache_->Release(std::move(lease));
     return executed.status();
   }
   result.execution = std::move(executed).value();
@@ -772,7 +747,7 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
     result.completeness = QueryCompleteness::kPartial;
   }
   if (options.explain) {
-    result.explain_text = compiled->Explain(/*actuals=*/true);
+    result.explain_text = compiled.Explain(/*actuals=*/true);
     for (const engine::op::ReplanEvent& ev : result.replan_events) {
       result.explain_text += ev.ToString();
     }
@@ -857,11 +832,10 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
     for (const engine::op::ReplanEvent& ev : result.replan_events) {
       capture.replan_text += ev.ToString();
     }
-    capture.explain_fn = [compiled] { return compiled->Explain(true); };
-    capture.root = compiled->tree().root.get();
+    capture.explain_fn = [&compiled] { return compiled.Explain(true); };
+    capture.root = compiled.tree().root.get();
     diag_->MaybeCapture(capture);
   }
-  if (lease) plan_cache_->Release(std::move(lease));
 
   if (pacing_scale_ > 0.0) {
     // Realize the simulated service time as wall-clock wait (scaled), so

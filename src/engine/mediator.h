@@ -163,7 +163,7 @@ struct QueryResult {
   /// masked with cached answers (degraded); lost_sources names them.
   QueryCompleteness completeness = QueryCompleteness::kComplete;
   std::vector<SourceError> lost_sources;
-  /// The query reused a cached plan skeleton (EnablePlanCache); the
+  /// The query text had a memoized plan (EnablePlanCache): parsing and the
   /// optimizer did not run and `candidates` is empty.
   bool plan_cache_hit = false;
   /// Mid-query re-optimizations this query performed (set_replan_options);
@@ -332,16 +332,17 @@ class Mediator {
 
   // ---- Adaptive execution -----------------------------------------------------
 
-  /// Turns on the adornment-keyed plan cache: queries that differ only in
-  /// constant values share one compiled skeleton, and repeat shapes skip
-  /// the optimizer and compiler entirely (see DESIGN.md "Adaptive
-  /// execution"). Wiring time; call after set_async_execution — the cache
-  /// compiles instances under the wiring-time execution flags, and a query
-  /// whose per-query flags differ bypasses it. Entries are invalidated on
-  /// DCSM drift exceedances (when diagnostics are enabled), on
-  /// breaker-open sites, and on any program/wiring mutation. Last call
-  /// wins.
-  Status EnablePlanCache(optimizer::PlanCacheOptions options = {});
+  /// Turns on the plan cache: a memo of the plan chosen for each exact
+  /// query text under the same query-shaping options (optimizer, CIM
+  /// redirection, goal). A repeat text skips parsing and the optimizer; its
+  /// plan is still compiled under the query's own compile options (see
+  /// DESIGN.md "Adaptive execution"). Holds at most
+  /// optimizer::PlanCache::kCapacity entries, evicting the least recently
+  /// used. Entries are invalidated on DCSM drift exceedances (when
+  /// diagnostics are enabled) and on breaker-open sites; the wiring calls
+  /// that change what the planner returns clear the cache. Wiring time.
+  /// Last call wins.
+  Status EnablePlanCache();
 
   /// Null until EnablePlanCache.
   optimizer::PlanCache* plan_cache() { return plan_cache_.get(); }
@@ -544,11 +545,8 @@ class Mediator {
   optimizer::EstimatorParams estimator_params_;
   engine::ExecutorOptions executor_options_;
 
-  // Adaptive execution (EnablePlanCache / set_replan_options). The cache
-  // remembers the async flag its instances were compiled under; queries
-  // whose effective flag differs bypass it.
+  // Adaptive execution (EnablePlanCache / set_replan_options).
   std::unique_ptr<optimizer::PlanCache> plan_cache_;
-  bool plan_cache_async_ = false;
   engine::op::ReplanOptions replan_options_;
 
   // Diagnostics (EnableDiagnostics). diag_ borrows recorder_ and drift_,

@@ -3,117 +3,64 @@
 
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
-#include "common/value.h"
-#include "domain/cost.h"
-#include "engine/op/compile.h"
 #include "obs/metrics.h"
-#include "optimizer/plan_compiler.h"
+#include "optimizer/plan.h"
 
 namespace hermes::optimizer {
 
-/// Cache key of one query shape: the query text with every constant masked
-/// (which also encodes the adornment pattern — constant vs variable
-/// argument positions) plus a tag for the compile options in force. Two
-/// queries that differ only in constant values share a key.
-struct PlanCacheKey {
-  std::string text;
-
-  bool operator==(const PlanCacheKey& other) const {
-    return text == other.text;
-  }
-};
-
-/// One (site, domain, adornment) estimate a cached plan depends on.
-/// Invalidation matches these against DriftTracker exceedances and
-/// breaker-open sites; empty fields are wildcards on that dimension.
+/// One (site, domain) a cached plan calls. Invalidation matches these
+/// against DriftTracker exceedances and breaker-open sites; an empty site
+/// is a wildcard.
 struct PlanCacheDep {
   std::string site;
   std::string domain;  ///< Logical domain (no "cim_" prefix).
-  std::string adorn;   ///< 'c' per constant arg, 'b' per bound variable.
-};
-
-struct PlanCacheOptions {
-  size_t shards = 8;
-  size_t capacity_per_shard = 64;     ///< Entries per shard (LRU beyond).
-  size_t max_instances_per_entry = 8; ///< Pooled instantiations per entry.
 };
 
 struct PlanCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
-  uint64_t instantiations = 0;  ///< Hits that had to build a new instance.
   uint64_t invalidations = 0;
   uint64_t evictions = 0;
   uint64_t entries = 0;
 };
 
-/// Sharded, lock-striped cache of compiled plan skeletons keyed on
-/// (masked query signature, compile-options tag).
-///
-/// Each entry splits the historical per-query CompiledPlan into:
-///  - an immutable *skeleton*: the CandidatePlan template, its description
-///    and predicted cost, and the (site, domain, adornment) dependency set;
-///  - a pool of reusable *instances*: fully lowered operator trees whose
-///    constant Term slots are rebound per query. Acquiring a pooled
-///    instance for a repeat query is allocation-free: pop from the free
-///    list, compare-and-assign the constants, reset the tree's counters.
-///
-/// Entries are invalidated (atomic flag; leases already handed out finish
-/// their query, new acquires miss) when a DriftTracker EWMA exceedance or
-/// a breaker-open site touches any dependency.
+/// Memo of the plan the mediator chose for each query text: the key is the
+/// exact query text plus a tag of the query-shaping options, the value the
+/// chosen CandidatePlan and the (site, domain) pairs it calls. A hit lets a
+/// repeat query skip parsing and planning; the caller still compiles the
+/// plan under its own compile options. One mutex guards the map; beyond
+/// kCapacity entries the least recently looked-up one is evicted.
 class PlanCache {
  public:
-  /// `dcsm` and `compile_options` configure the embedded PlanCompiler used
-  /// to build instances; record_spine is forced on so instances can host
-  /// mid-query replanning.
-  PlanCache(PlanCacheOptions options, const dcsm::Dcsm* dcsm,
-            engine::op::CompileOptions compile_options);
-  ~PlanCache();
+  static constexpr size_t kCapacity = 512;
 
+  PlanCache() = default;
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Key + canonical constant vector (order of appearance) of `query`
-  /// under `options_tag`. Allocates; callers on the hot path build it once
-  /// alongside parsing.
-  static PlanCacheKey MakeKey(const lang::Query& query,
-                              const std::string& options_tag,
-                              std::vector<Value>* constants);
+  /// The plan memoized under `key`, or null (a miss). Counts the hit or
+  /// miss and marks the entry most recently used.
+  std::shared_ptr<const CandidatePlan> Lookup(const std::string& key);
 
-  class Lease;
+  /// Memoizes `plan` under `key`. No-op if the key is already present.
+  void Insert(const std::string& key,
+              std::shared_ptr<const CandidatePlan> plan,
+              std::vector<PlanCacheDep> deps);
 
-  /// Hit path: returns a bound lease (constants rebound, stats reset), or
-  /// an empty lease on miss / invalidated entry / non-rebindable constant
-  /// mismatch. Zero heap allocations when the entry has a pooled instance
-  /// and the constants already match.
-  Lease Acquire(const PlanCacheKey& key, const std::vector<Value>& constants);
-
-  /// Miss path: registers the skeleton of a freshly optimized plan.
-  /// `constants` must be the canonical constants of the query that
-  /// produced it (MakeKey's output). No-op if the key is already present
-  /// and valid.
-  void Insert(const PlanCacheKey& key, const std::vector<Value>& constants,
-              const CandidatePlan& plan, const CostVector& predicted,
-              bool predicted_valid, std::vector<PlanCacheDep> deps);
-
-  /// Returns a lease's instance to its entry's pool. Dirty (replanned)
-  /// instances, invalidated entries and full pools drop the instance
-  /// instead. The lease is consumed.
-  void Release(Lease lease);
-
-  /// Invalidates every entry depending on `site` (breaker opened there).
+  /// Drops every entry depending on `site` (breaker opened there).
   void InvalidateSite(const std::string& site);
 
-  /// Invalidates every entry depending on (site, domain, adorn) — the
-  /// DriftTracker exceedance hook. `domain` is the logical domain.
-  void InvalidateDrift(const std::string& site, const std::string& domain,
-                       const std::string& adorn);
+  /// Drops every entry calling `domain` at `site` — the DriftTracker
+  /// exceedance hook. `domain` is the logical domain.
+  void InvalidateDrift(const std::string& site, const std::string& domain);
 
   /// Drops every entry (wiring changed under the mediator).
   void Clear();
@@ -124,56 +71,28 @@ class PlanCache {
   void BindMetrics(obs::MetricsRegistry& registry);
 
  private:
-  struct Instance;
-  struct Entry;
-  struct Shard;
+  struct Entry {
+    std::string key;
+    std::shared_ptr<const CandidatePlan> plan;
+    std::vector<PlanCacheDep> deps;
+  };
+  using LruList = std::list<Entry>;
 
-  Shard& ShardFor(const PlanCacheKey& key);
-  std::unique_ptr<Instance> Instantiate(Entry& entry) const;
   void InvalidateMatching(
       const std::function<bool(const PlanCacheDep&)>& pred);
+  /// Removes `it` from both the index and the list. Requires mu_.
+  void EraseLocked(LruList::iterator it);
 
-  PlanCacheOptions options_;
-  PlanCompiler compiler_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mu_;
+  LruList lru_;  ///< Most recently looked up first.
+  /// Keys view the owning list node's Entry::key; both are erased together.
+  std::unordered_map<std::string_view, LruList::iterator> index_;
 
-  std::shared_ptr<obs::Counter> hits_;
-  std::shared_ptr<obs::Counter> misses_;
-  std::shared_ptr<obs::Counter> instantiations_;
-  std::shared_ptr<obs::Counter> invalidations_;
-  std::shared_ptr<obs::Counter> evictions_;
-};
-
-/// A checked-out plan instance. Movable handle; destroying an unbound or
-/// already-released lease is a no-op. The instance's operator tree borrows
-/// atoms owned by the instance's own CandidatePlan copy, so the lease must
-/// outlive the query's execution and EXPLAIN rendering.
-class PlanCache::Lease {
- public:
-  // Out of line: instance_ points at the incomplete Instance here.
-  Lease();
-  Lease(Lease&& other) noexcept;
-  Lease& operator=(Lease&& other) noexcept;
-  ~Lease();
-  Lease(const Lease&) = delete;
-  Lease& operator=(const Lease&) = delete;
-
-  explicit operator bool() const { return instance_ != nullptr; }
-
-  /// The instance's compiled plan (tree + owned CandidatePlan copy).
-  CompiledPlan* plan();
-
-  /// Marks the instance unfit for pooling (its tree was replanned — it no
-  /// longer matches the skeleton).
-  void MarkDirty() { dirty_ = true; }
-  bool dirty() const { return dirty_; }
-
- private:
-  friend class PlanCache;
-  Entry* entry_ = nullptr;  ///< Kept alive by the shard's shared_ptr.
-  std::shared_ptr<void> entry_guard_;
-  std::unique_ptr<Instance> instance_;
-  bool dirty_ = false;
+  std::shared_ptr<obs::Counter> hits_ = std::make_shared<obs::Counter>();
+  std::shared_ptr<obs::Counter> misses_ = std::make_shared<obs::Counter>();
+  std::shared_ptr<obs::Counter> invalidations_ =
+      std::make_shared<obs::Counter>();
+  std::shared_ptr<obs::Counter> evictions_ = std::make_shared<obs::Counter>();
 };
 
 }  // namespace hermes::optimizer

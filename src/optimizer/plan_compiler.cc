@@ -5,8 +5,13 @@
 namespace hermes::optimizer {
 
 CompiledPlan PlanCompiler::Compile(CandidatePlan plan) const {
+  return Compile(std::make_shared<const CandidatePlan>(std::move(plan)));
+}
+
+CompiledPlan PlanCompiler::Compile(
+    std::shared_ptr<const CandidatePlan> plan) const {
   CompiledPlan compiled;
-  compiled.plan_ = std::make_unique<CandidatePlan>(std::move(plan));
+  compiled.plan_ = std::move(plan);
   compiled.tree_ = engine::op::Compile(compiled.plan_->program,
                                        compiled.plan_->query, options_);
   compiled.dcsm_ = dcsm_;

@@ -15,9 +15,9 @@ class Dcsm;
 namespace hermes::optimizer {
 
 /// A CandidatePlan lowered to its physical operator tree — the plan as an
-/// executable, inspectable artifact. Owns the plan (the tree's operators
-/// point into its program/query, held behind a unique_ptr so moves are
-/// safe); movable, not copyable.
+/// executable, inspectable artifact. Shares ownership of the immutable plan
+/// (the tree's operators point into its program/query, held behind a
+/// pointer so moves are safe) with the plan cache; movable, not copyable.
 class CompiledPlan {
  public:
   CompiledPlan() = default;
@@ -27,10 +27,6 @@ class CompiledPlan {
   CompiledPlan& operator=(const CompiledPlan&) = delete;
 
   const CandidatePlan& plan() const { return *plan_; }
-  /// Mutable plan access for the plan cache's constant rebinding: the tree
-  /// borrows the plan's atoms, so assigning a constant Term's value here
-  /// retargets the corresponding operator in place.
-  CandidatePlan* mutable_plan() { return plan_.get(); }
   engine::op::CompiledQuery& tree() { return tree_; }
 
   /// Renders the plan header (description, query, plan-level estimate)
@@ -43,7 +39,7 @@ class CompiledPlan {
  private:
   friend class PlanCompiler;
 
-  std::unique_ptr<CandidatePlan> plan_;
+  std::shared_ptr<const CandidatePlan> plan_;
   engine::op::CompiledQuery tree_;
   const dcsm::Dcsm* dcsm_ = nullptr;
 };
@@ -62,6 +58,9 @@ class PlanCompiler {
       : dcsm_(dcsm), options_(options) {}
 
   CompiledPlan Compile(CandidatePlan plan) const;
+  /// Lowers a shared plan without copying it; several trees may borrow one
+  /// plan at once.
+  CompiledPlan Compile(std::shared_ptr<const CandidatePlan> plan) const;
 
  private:
   const dcsm::Dcsm* dcsm_;

@@ -77,14 +77,15 @@ std::string Describe(const Outcome& o) {
          "] err=" + o.error;
 }
 
-/// Flattened (rule-free) queries so the top-level spine is replannable and
-/// the plan-cache entries are rebindable: the umd video call feeds
-/// per-object cornell lookups, and cornell's 30% flakiness opens per-query
-/// breakers mid-join in a workload-dependent but schedule-independent set
-/// of queries.
+/// Flattened (rule-free) queries so the top-level spine is replannable: the
+/// umd video call feeds per-object cornell lookups, and cornell's 30%
+/// flakiness opens per-query breakers mid-join in a workload-dependent but
+/// schedule-independent set of queries. Each text comes twice back to back,
+/// so the second of a pair can hit the plan cache.
 std::vector<std::string> Workload(size_t n) {
   std::vector<std::string> queries;
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t j = 0; j < n; ++j) {
+    const size_t i = j / 2;
     int64_t first = 4 + static_cast<int64_t>(3 * (i % 5));
     int64_t last = first + 20 + static_cast<int64_t>(17 * (i % 7));
     char buf[256];
@@ -196,11 +197,14 @@ std::vector<Outcome> RunPool(size_t threads,
   }
   pool->Shutdown();
 
-  // The cache actually carried load: with rebindable single-shape queries,
-  // everything after the first compilation is a hit.
+  // The cache actually carried load. Only the serial run is asserted to
+  // hit: with more workers both texts of a pair can be in flight at once,
+  // and a breaker trip can invalidate an entry before its repeat arrives.
   optimizer::PlanCacheStats stats = med->plan_cache()->stats();
   EXPECT_EQ(stats.hits + stats.misses, queries.size());
-  EXPECT_GT(stats.hits, 0u);
+  if (threads == 1) {
+    EXPECT_GT(stats.hits, 0u);
+  }
   std::string prom = med->metrics().ExposePrometheus();
   EXPECT_NE(prom.find("hermes_plan_cache_hits_total"), std::string::npos);
   EXPECT_NE(prom.find("hermes_replan_triggers_total"), std::string::npos);

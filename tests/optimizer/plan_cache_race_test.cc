@@ -1,4 +1,4 @@
-// Invalidation races: 8 threads acquiring/instantiating cached plans while
+// Invalidation races: 8 threads looking up and inserting cached plans while
 // drift- and breaker-style invalidations (and full clears) land mid-flight.
 // Correctness bar: every query still returns the cold-mediator answers —
 // an invalidation can cost a miss, never a stale or corrupt plan — and the
@@ -62,14 +62,7 @@ TEST(PlanCacheRaceTest, InvalidationsUnderConcurrentAcquiresStayCorrect) {
 
   Mediator med;
   ASSERT_TRUE(testbed::SetupRopeScenario(&med, {}).ok());
-  // A deliberately tiny cache: one pooled instance per entry keeps every
-  // thread on the instantiate path (the widest race window against the
-  // invalid flag), and two small shards force LRU evictions throughout.
-  optimizer::PlanCacheOptions cache_options;
-  cache_options.shards = 2;
-  cache_options.capacity_per_shard = 2;
-  cache_options.max_instances_per_entry = 1;
-  ASSERT_TRUE(med.EnablePlanCache(cache_options).ok());
+  ASSERT_TRUE(med.EnablePlanCache().ok());
 
   std::atomic<bool> stop{false};
   std::atomic<size_t> wrong{0};
@@ -87,7 +80,7 @@ TEST(PlanCacheRaceTest, InvalidationsUnderConcurrentAcquiresStayCorrect) {
     });
   }
   // The antagonist: drift-style and breaker-style invalidations plus full
-  // clears, racing every Acquire/Insert above.
+  // clears, racing every Lookup/Insert above.
   std::thread invalidator([&] {
     size_t round = 0;
     while (!stop.load(std::memory_order_relaxed)) {
@@ -96,7 +89,7 @@ TEST(PlanCacheRaceTest, InvalidationsUnderConcurrentAcquiresStayCorrect) {
           med.plan_cache()->InvalidateSite("umd");
           break;
         case 1:
-          med.plan_cache()->InvalidateDrift("cornell", "relation", "");
+          med.plan_cache()->InvalidateDrift("cornell", "relation");
           break;
         default:
           med.plan_cache()->Clear();
@@ -115,7 +108,7 @@ TEST(PlanCacheRaceTest, InvalidationsUnderConcurrentAcquiresStayCorrect) {
   EXPECT_EQ(stats.hits + stats.misses, kThreads * kItersPerThread);
   EXPECT_GT(stats.misses, 0u);  // the invalidator landed at least once
 
-  // After a final quiescent invalidation the next acquire must miss.
+  // After a final quiescent invalidation the next lookup must miss.
   med.plan_cache()->InvalidateSite("umd");
   Result<QueryResult> after = med.Query(shapes[0], RaceQuery());
   ASSERT_TRUE(after.ok());

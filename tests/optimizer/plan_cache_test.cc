@@ -1,7 +1,8 @@
-// The adornment-keyed plan cache: constant masking in the key, exact vs
-// rebinding hits, correctness of rebound plans against a cache-less
-// mediator, and the three invalidation paths (breaker-open site, DCSM
-// drift exceedance, wiring mutation).
+// The plan cache, a memo of the plan chosen for each query text: hits on
+// repeated texts, misses on new constants, the hit rate under rotating
+// constants, LRU eviction, answers of cached plans against a cache-less
+// mediator, and the three invalidation paths (breaker-open site, DCSM drift
+// exceedance, wiring mutation).
 
 #include "optimizer/plan_cache.h"
 
@@ -11,18 +12,11 @@
 #include <string>
 
 #include "engine/mediator.h"
-#include "lang/parser.h"
 #include "net/faults/fault_plan.h"
 #include "testbed/scenario.h"
 
 namespace hermes {
 namespace {
-
-lang::Query MustParse(const std::string& text) {
-  Result<lang::Query> query = lang::Parser::ParseQuery(text);
-  EXPECT_TRUE(query.ok()) << query.status();
-  return *query;
-}
 
 std::unique_ptr<Mediator> RopeMediator(bool caching = true) {
   auto med = std::make_unique<Mediator>();
@@ -32,8 +26,7 @@ std::unique_ptr<Mediator> RopeMediator(bool caching = true) {
   return med;
 }
 
-// A rule-free query: rebinding requires every constant to live in the query
-// text itself (rule bodies pin 'rope'/'cast' and force exact-only entries).
+// A rule-free query: every constant lives in the query text itself.
 const char kFlattened[] =
     "?- in(Object, video:frames_to_objects('rope', %d, %d)) & "
     "in(T, relation:equal('cast', role, Object)) & =(Actor, T.name).";
@@ -42,46 +35,6 @@ std::string Flattened(int first, int last) {
   char buf[256];
   std::snprintf(buf, sizeof(buf), kFlattened, first, last);
   return buf;
-}
-
-// ---- MakeKey: masking and adornment ---------------------------------------
-
-TEST(PlanCacheKeyTest, ConstantsAreMaskedButTypesAndPositionsKept) {
-  std::vector<Value> c1, c2;
-  optimizer::PlanCacheKey k1 =
-      optimizer::PlanCache::MakeKey(MustParse("?- in(X, d:f(1, 'a'))."),
-                                    "opt", &c1);
-  optimizer::PlanCacheKey k2 =
-      optimizer::PlanCache::MakeKey(MustParse("?- in(X, d:f(2, 'b'))."),
-                                    "opt", &c2);
-  // Same shape, same adornment: the keys collide; the constants differ.
-  EXPECT_EQ(k1.text, k2.text);
-  ASSERT_EQ(c1.size(), 2u);
-  ASSERT_EQ(c2.size(), 2u);
-  EXPECT_EQ(c1[0], Value::Int(1));
-  EXPECT_EQ(c2[1], Value::Str("b"));
-
-  // A type change at a constant position is a different adornment.
-  std::vector<Value> c3;
-  optimizer::PlanCacheKey k3 =
-      optimizer::PlanCache::MakeKey(MustParse("?- in(X, d:f('one', 'a'))."),
-                                    "opt", &c3);
-  EXPECT_NE(k1.text, k3.text);
-
-  // Constant-vs-variable argument positions differ too.
-  std::vector<Value> c4;
-  optimizer::PlanCacheKey k4 =
-      optimizer::PlanCache::MakeKey(MustParse("?- in(X, d:f(Y, 'a'))."),
-                                    "opt", &c4);
-  EXPECT_NE(k1.text, k4.text);
-  EXPECT_EQ(c4.size(), 1u);
-
-  // The compile-options tag keys optimizer-on and as-written plans apart.
-  std::vector<Value> c5;
-  optimizer::PlanCacheKey k5 =
-      optimizer::PlanCache::MakeKey(MustParse("?- in(X, d:f(1, 'a'))."),
-                                    "raw", &c5);
-  EXPECT_NE(k1.text, k5.text);
 }
 
 // ---- Hit/miss behavior through the mediator -------------------------------
@@ -114,9 +67,8 @@ TEST(PlanCacheTest, RuleConstantsForceExactOnlyEntries) {
   std::unique_ptr<Mediator> med = RopeMediator();
   ASSERT_TRUE(med->EnablePlanCache().ok());
 
-  // query3's rule body pins 'rope' and 'cast': a cached instance cannot be
-  // rebound to new frame bounds, so a different-constant repeat must be a
-  // miss (a wrong-answer hit would be silent corruption).
+  // Entries are keyed on the exact text: query3 over other frame bounds is
+  // a miss (a hit would serve a plan whose rules pin the old bounds).
   ASSERT_TRUE(med->Query(testbed::AppendixQuery(3, false, 4, 47), {}).ok());
   Result<QueryResult> other =
       med->Query(testbed::AppendixQuery(3, false, 10, 60), {});
@@ -127,29 +79,80 @@ TEST(PlanCacheTest, RuleConstantsForceExactOnlyEntries) {
   EXPECT_EQ(stats.misses, 2u);
 }
 
-TEST(PlanCacheTest, RebindingHitMatchesAColdMediatorsAnswers) {
+TEST(PlanCacheTest, NewConstantsMissAndTheirRepeatMatchesAColdMediator) {
   QueryOptions options;
   options.record_statistics = false;  // keep both mediators' DCSMs static
 
   std::unique_ptr<Mediator> cached = RopeMediator();
   ASSERT_TRUE(cached->EnablePlanCache().ok());
   ASSERT_TRUE(cached->Query(Flattened(4, 47), options).ok());
-  Result<QueryResult> rebound = cached->Query(Flattened(10, 60), options);
-  ASSERT_TRUE(rebound.ok()) << rebound.status();
-  EXPECT_TRUE(rebound->plan_cache_hit);
+  Result<QueryResult> first = cached->Query(Flattened(10, 60), options);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_FALSE(first->plan_cache_hit);
+  EXPECT_EQ(cached->plan_cache()->stats().entries, 2u);
+  Result<QueryResult> repeat = cached->Query(Flattened(10, 60), options);
+  ASSERT_TRUE(repeat.ok()) << repeat.status();
+  EXPECT_TRUE(repeat->plan_cache_hit);
 
   std::unique_ptr<Mediator> cold = RopeMediator();
   Result<QueryResult> reference = cold->Query(Flattened(10, 60), options);
   ASSERT_TRUE(reference.ok()) << reference.status();
   ASSERT_FALSE(reference->execution.answers.empty());
-  EXPECT_EQ(rebound->execution.answers, reference->execution.answers);
-  EXPECT_EQ(rebound->execution.var_names, reference->execution.var_names);
+  EXPECT_EQ(repeat->execution.answers, reference->execution.answers);
+  EXPECT_EQ(repeat->execution.var_names, reference->execution.var_names);
 
-  // And a third shape repeats the rebind off the pooled instance.
+  // The first text's entry survived the second text's insert.
   Result<QueryResult> again = cached->Query(Flattened(4, 47), options);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->plan_cache_hit);
   EXPECT_EQ(cached->plan_cache()->stats().hits, 2u);
+}
+
+TEST(PlanCacheTest, RotatingConstantsHitAfterEachWindowsFirstQuery) {
+  constexpr int kWindows = 8;
+  constexpr int kRounds = 4;
+  QueryOptions options;
+  options.record_statistics = false;  // keep both mediators' DCSMs static
+  auto window = [](int w) {
+    return testbed::AppendixQuery(3, false, 4 + 2 * w, 47 + 5 * w);
+  };
+
+  std::unique_ptr<Mediator> cached = RopeMediator();
+  ASSERT_TRUE(cached->EnablePlanCache().ok());
+  std::unique_ptr<Mediator> cold = RopeMediator();
+  for (int round = 0; round < kRounds; ++round) {
+    for (int w = 0; w < kWindows; ++w) {
+      Result<QueryResult> res = cached->Query(window(w), options);
+      ASSERT_TRUE(res.ok()) << res.status();
+      EXPECT_EQ(res->plan_cache_hit, round > 0) << "round " << round;
+      Result<QueryResult> reference = cold->Query(window(w), options);
+      ASSERT_TRUE(reference.ok()) << reference.status();
+      EXPECT_EQ(res->execution.answers, reference->execution.answers)
+          << "round " << round << " window " << w;
+    }
+  }
+  optimizer::PlanCacheStats stats = cached->plan_cache()->stats();
+  EXPECT_EQ(stats.misses, static_cast<uint64_t>(kWindows));
+  EXPECT_EQ(stats.hits, static_cast<uint64_t>(kWindows * (kRounds - 1)));
+  EXPECT_EQ(stats.entries, static_cast<uint64_t>(kWindows));
+}
+
+TEST(PlanCacheTest, EvictsTheLeastRecentlyLookedUpEntry) {
+  constexpr size_t kCapacity = optimizer::PlanCache::kCapacity;
+  optimizer::PlanCache cache;
+  auto plan = std::make_shared<const optimizer::CandidatePlan>();
+  auto text = [](size_t i) { return "?- p(" + std::to_string(i) + ")."; };
+  for (size_t i = 0; i < kCapacity; ++i) cache.Insert(text(i), plan, {});
+  // Looking text 0 up leaves text 1 the least recently used.
+  ASSERT_NE(cache.Lookup(text(0)), nullptr);
+  cache.Insert(text(kCapacity), plan, {});
+
+  optimizer::PlanCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries, kCapacity);
+  EXPECT_EQ(cache.Lookup(text(1)), nullptr);
+  EXPECT_NE(cache.Lookup(text(0)), nullptr);
+  EXPECT_NE(cache.Lookup(text(kCapacity)), nullptr);
 }
 
 TEST(PlanCacheTest, HitAndMissLandInTheFlightStream) {

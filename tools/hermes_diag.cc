@@ -91,10 +91,12 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  // Adaptive execution armed, exactly as a production mediator would run:
-  // repeated window shapes serve from the plan cache, and a breaker
-  // opening mid-join re-plans the suffix — the capture_on_replan default
-  // then persists the decision (old/new suffix, trigger) into the bundle.
+  // Adaptive execution armed, exactly as a production mediator would run.
+  // The twelve queries below are twelve distinct texts, so every plan-cache
+  // lookup misses: the run exercises the miss path and exposes the
+  // hermes_plan_cache_* families. A breaker opening mid-join re-plans the
+  // suffix — the capture_on_replan default then persists the decision
+  // (old/new suffix, trigger) into the bundle.
   Status plan_cache = med.EnablePlanCache();
   if (!plan_cache.ok()) {
     std::fprintf(stderr, "plan cache setup failed: %s\n",

@@ -90,7 +90,8 @@ int Run(int argc, char** argv) {
   }
   // Plan cache on, so the hermes_plan_cache_* families are part of the
   // exposition and move: each cold/warm pair below repeats one query text,
-  // so the warm half serves the compiled plan from the cache.
+  // so the warm half reuses the plan memoized for it, skipping parsing and
+  // planning.
   Status plan_cache = med.EnablePlanCache();
   if (!plan_cache.ok()) {
     std::fprintf(stderr, "plan cache setup failed: %s\n",

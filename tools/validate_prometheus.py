@@ -39,6 +39,7 @@ DEFAULT_REQUIRED = [
     "hermes_plan_cache_hits_total",
     "hermes_plan_cache_misses_total",
     "hermes_plan_cache_invalidations_total",
+    "hermes_plan_cache_evictions_total",
     "hermes_plan_cache_entries",
     "hermes_replan_triggers_total",
     "hermes_replan_splices_total",
