@@ -1,263 +1,222 @@
 #include "lang/lexer.h"
 
-#include <cctype>
+#include <algorithm>
+#include <charconv>
 
 namespace hermes::lang {
 
 namespace {
 
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == '$';
-}
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+bool IsUpper(char c) { return c >= 'A' && c <= 'Z'; }
+bool IsAlpha(char c) { return (c >= 'a' && c <= 'z') || IsUpper(c); }
+// ' ', '\t', '\n', '\v', '\f' and '\r'.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
+bool IsIdentStart(char c) { return IsAlpha(c) || c == '_' || c == '$'; }
 
-bool IsVariableStart(const std::string& word) {
-  char c = word[0];
-  return std::isupper(static_cast<unsigned char>(c)) || c == '_' || c == '$';
+bool IsIdentChar(char c) { return IsAlpha(c) || IsDigit(c) || c == '_'; }
+
+Status ErrorAt(int line, int column, const std::string& message) {
+  return Status::ParseError(message + " at line " + std::to_string(line) +
+                            ", column " + std::to_string(column));
 }
 
 }  // namespace
 
-Lexer::Lexer(std::string text) : text_(std::move(text)) {}
-
-char Lexer::Advance() {
-  char c = text_[pos_++];
-  if (c == '\n') {
-    ++line_;
-    column_ = 1;
-  } else {
-    ++column_;
-  }
-  return c;
+void Lexer::NewLineAt(size_t newline) {
+  ++line_;
+  line_start_ = newline + 1;
 }
 
 void Lexer::SkipWhitespaceAndComments() {
-  while (!AtEnd()) {
-    char c = Peek();
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      Advance();
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (IsSpace(c)) {
+      if (c == '\n') NewLineAt(pos_);
+      ++pos_;
     } else if (c == '%' || (c == '/' && Peek(1) == '/')) {
-      while (!AtEnd() && Peek() != '\n') Advance();
+      pos_ = std::min(text_.find('\n', pos_), text_.size());
     } else {
       break;
     }
   }
 }
 
-Token Lexer::MakeToken(TokenKind kind) const {
-  Token t;
-  t.kind = kind;
-  t.line = token_line_;
-  t.column = token_column_;
-  return t;
-}
-
 Status Lexer::ErrorHere(const std::string& message) const {
-  return Status::ParseError(message + " at line " + std::to_string(line_) +
-                            ", column " + std::to_string(column_));
+  return ErrorAt(line_, Column(pos_), message);
 }
 
 Result<std::vector<Token>> Lexer::Tokenize() {
   std::vector<Token> out;
+  // Every token spans at least one character, and queries average two to
+  // three characters a token, so this rarely regrows.
+  out.reserve(text_.size() / 2 + 2);
   while (true) {
     SkipWhitespaceAndComments();
-    token_line_ = line_;
-    token_column_ = column_;
-    if (AtEnd()) {
-      out.push_back(MakeToken(TokenKind::kEnd));
+    Token& t = out.emplace_back();
+    t.line = line_;
+    t.column = Column(pos_);
+    if (pos_ >= text_.size()) {
+      t.kind = TokenKind::kEnd;
       return out;
     }
-    HERMES_RETURN_IF_ERROR(LexOne(&out));
+    HERMES_RETURN_IF_ERROR(LexOne(&t));
   }
 }
 
-Status Lexer::LexOne(std::vector<Token>* out) {
-  char c = Peek();
-  if (std::isdigit(static_cast<unsigned char>(c)) ||
-      (c == '-' && std::isdigit(static_cast<unsigned char>(Peek(1))))) {
-    return LexNumber(out);
-  }
-  if (c == '\'' || c == '"') return LexString(out);
-  if (IsIdentStart(c)) return LexWord(out);
+Status Lexer::LexOne(Token* t) {
+  const char c = text_[pos_];
+  if (IsDigit(c) || (c == '-' && IsDigit(Peek(1)))) return LexNumber(t);
+  if (c == '\'' || c == '"') return LexString(t);
+  if (IsIdentStart(c)) return LexWord(t);
 
-  Advance();
+  ++pos_;
+  // Consumes the second character of a two-character operator.
+  auto followed_by = [this](char second) {
+    if (Peek() != second) return false;
+    ++pos_;
+    return true;
+  };
   switch (c) {
-    case '(':
-      out->push_back(MakeToken(TokenKind::kLParen));
-      return Status::OK();
-    case ')':
-      out->push_back(MakeToken(TokenKind::kRParen));
-      return Status::OK();
-    case '[':
-      out->push_back(MakeToken(TokenKind::kLBracket));
-      return Status::OK();
-    case ']':
-      out->push_back(MakeToken(TokenKind::kRBracket));
-      return Status::OK();
-    case ',':
-      out->push_back(MakeToken(TokenKind::kComma));
-      return Status::OK();
-    case '.':
-      out->push_back(MakeToken(TokenKind::kDot));
-      return Status::OK();
-    case '&':
-      out->push_back(MakeToken(TokenKind::kAmp));
-      return Status::OK();
+    case '(': t->kind = TokenKind::kLParen; break;
+    case ')': t->kind = TokenKind::kRParen; break;
+    case '[': t->kind = TokenKind::kLBracket; break;
+    case ']': t->kind = TokenKind::kRBracket; break;
+    case ',': t->kind = TokenKind::kComma; break;
+    case '.': t->kind = TokenKind::kDot; break;
+    case '&': t->kind = TokenKind::kAmp; break;
     case ':':
-      if (Peek() == '-') {
-        Advance();
-        out->push_back(MakeToken(TokenKind::kIf));
-      } else {
-        out->push_back(MakeToken(TokenKind::kColon));
-      }
-      return Status::OK();
+      t->kind = followed_by('-') ? TokenKind::kIf : TokenKind::kColon;
+      break;
     case '?':
-      if (Peek() == '-') {
-        Advance();
-        out->push_back(MakeToken(TokenKind::kQuery));
-        return Status::OK();
-      }
-      return ErrorHere("unexpected '?'");
+      if (!followed_by('-')) return ErrorHere("unexpected '?'");
+      t->kind = TokenKind::kQuery;
+      break;
     case '=':
-      if (Peek() == '>') {
-        Advance();
-        out->push_back(MakeToken(TokenKind::kImplies));
-      } else if (Peek() == '=') {
-        Advance();  // '==' is accepted as '='.
-        out->push_back(MakeToken(TokenKind::kEq));
+      if (followed_by('>')) {
+        t->kind = TokenKind::kImplies;
       } else {
-        out->push_back(MakeToken(TokenKind::kEq));
+        followed_by('=');  // '==' is accepted as '='.
+        t->kind = TokenKind::kEq;
       }
-      return Status::OK();
+      break;
     case '!':
-      if (Peek() == '=') {
-        Advance();
-        out->push_back(MakeToken(TokenKind::kNeq));
-        return Status::OK();
-      }
-      return ErrorHere("unexpected '!'");
+      if (!followed_by('=')) return ErrorHere("unexpected '!'");
+      t->kind = TokenKind::kNeq;
+      break;
     case '<':
-      if (Peek() == '=') {
-        Advance();
-        out->push_back(MakeToken(TokenKind::kLe));
-      } else if (Peek() == '>') {
-        Advance();
-        out->push_back(MakeToken(TokenKind::kNeq));
-      } else {
-        out->push_back(MakeToken(TokenKind::kLt));
-      }
-      return Status::OK();
+      t->kind = followed_by('=')   ? TokenKind::kLe
+                : followed_by('>') ? TokenKind::kNeq
+                                   : TokenKind::kLt;
+      break;
     case '>':
-      if (Peek() == '=') {
-        Advance();
-        out->push_back(MakeToken(TokenKind::kGe));
-      } else {
-        out->push_back(MakeToken(TokenKind::kGt));
-      }
-      return Status::OK();
+      t->kind = followed_by('=') ? TokenKind::kGe : TokenKind::kGt;
+      break;
     default:
       return ErrorHere(std::string("unexpected character '") + c + "'");
   }
+  return Status::OK();
 }
 
-Status Lexer::LexNumber(std::vector<Token>* out) {
-  std::string digits;
-  if (Peek() == '-') digits += Advance();
-  while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-    digits += Advance();
-  }
+Status Lexer::LexNumber(Token* t) {
+  const size_t start = pos_;
+  auto skip_digits = [this] {
+    while (IsDigit(Peek())) ++pos_;
+  };
+  if (Peek() == '-') ++pos_;
+  skip_digits();
   bool is_double = false;
   // A '.' continues the number only when followed by a digit; otherwise it
   // is the clause terminator.
-  if (Peek() == '.' && std::isdigit(static_cast<unsigned char>(Peek(1)))) {
+  if (Peek() == '.' && IsDigit(Peek(1))) {
     is_double = true;
-    digits += Advance();
-    while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-      digits += Advance();
-    }
+    ++pos_;
+    skip_digits();
   }
   if (Peek() == 'e' || Peek() == 'E') {
-    size_t look = 1;
-    if (Peek(1) == '+' || Peek(1) == '-') look = 2;
-    if (std::isdigit(static_cast<unsigned char>(Peek(look)))) {
+    const size_t sign = (Peek(1) == '+' || Peek(1) == '-') ? 1 : 0;
+    if (IsDigit(Peek(1 + sign))) {
       is_double = true;
-      digits += Advance();  // e
-      if (Peek() == '+' || Peek() == '-') digits += Advance();
-      while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-        digits += Advance();
-      }
+      pos_ += 1 + sign;
+      skip_digits();
     }
   }
-  Token t = MakeToken(is_double ? TokenKind::kDouble : TokenKind::kInt);
-  t.text = digits;
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  t->text.assign(first, last);
+  std::from_chars_result parsed;
   if (is_double) {
-    t.double_value = std::stod(digits);
+    t->kind = TokenKind::kDouble;
+    parsed = std::from_chars(first, last, t->double_value);
   } else {
-    t.int_value = std::stoll(digits);
+    t->kind = TokenKind::kInt;
+    parsed = std::from_chars(first, last, t->int_value);
   }
-  out->push_back(std::move(t));
+  if (parsed.ec != std::errc() || parsed.ptr != last) {
+    return ErrorAt(t->line, t->column,
+                   "numeric literal '" + t->text + "' is out of range");
+  }
   return Status::OK();
 }
 
-Status Lexer::LexString(std::vector<Token>* out) {
-  char quote = Advance();
-  std::string body;
+Status Lexer::LexString(Token* t) {
+  t->kind = TokenKind::kString;
+  const char quote = text_[pos_++];
+  size_t run = pos_;  // First character not yet copied into t->text.
   while (true) {
-    if (AtEnd()) return ErrorHere("unterminated string literal");
-    char c = Advance();
+    if (pos_ >= text_.size()) return ErrorHere("unterminated string literal");
+    const char c = text_[pos_];
     if (c == quote) break;
-    if (c == '\\' && !AtEnd()) {
-      char esc = Advance();
+    if (c == '\\' && pos_ + 1 < text_.size()) {
+      t->text.append(text_.data() + run, pos_ - run);
+      const char esc = text_[pos_ + 1];
       switch (esc) {
-        case 'n': body += '\n'; break;
-        case 't': body += '\t'; break;
-        default: body += esc; break;
+        case 'n': t->text += '\n'; break;
+        case 't': t->text += '\t'; break;
+        default: t->text += esc; break;
       }
-    } else {
-      body += c;
+      if (esc == '\n') NewLineAt(pos_ + 1);
+      pos_ += 2;
+      run = pos_;
+      continue;
     }
+    if (c == '\n') NewLineAt(pos_);
+    ++pos_;
   }
-  Token t = MakeToken(TokenKind::kString);
-  t.text = std::move(body);
-  out->push_back(std::move(t));
+  t->text.append(text_.data() + run, pos_ - run);
+  ++pos_;  // closing quote
   return Status::OK();
 }
 
-Status Lexer::LexWord(std::vector<Token>* out) {
-  std::string word;
-  word += Advance();  // ident start (may be '$')
-  while (!AtEnd() && IsIdentChar(Peek())) word += Advance();
+Status Lexer::LexWord(Token* t) {
+  const size_t start = pos_++;  // ident start (may be '$')
+  while (IsIdentChar(Peek())) ++pos_;
+  const std::string_view word = text_.substr(start, pos_ - start);
 
   if (word == "$b") {
-    out->push_back(MakeToken(TokenKind::kDollarB));
+    t->kind = TokenKind::kDollarB;
     return Status::OK();
   }
   if (word == "$") return ErrorHere("'$' must begin a variable name");
 
-  Token t = MakeToken(IsVariableStart(word) ? TokenKind::kVariable
-                                            : TokenKind::kIdent);
-  t.text = std::move(word);
+  const char first = word[0];
+  const bool variable = IsUpper(first) || first == '_' || first == '$';
+  t->kind = variable ? TokenKind::kVariable : TokenKind::kIdent;
+  t->text.assign(word);
+  if (!variable) return Status::OK();
 
   // Attribute path: Var.attr, Var.2, $ans.1.name — consumed only when the
   // dot is immediately adjacent and followed by an identifier or number.
-  if (t.kind == TokenKind::kVariable) {
-    while (Peek() == '.' &&
-           (IsIdentStart(Peek(1)) ||
-            std::isdigit(static_cast<unsigned char>(Peek(1))))) {
-      // A digit-led step could be the start of a new numeric token after a
-      // clause terminator only if preceded by whitespace; adjacency rules
-      // this out here.
-      Advance();  // '.'
-      std::string step;
-      while (!AtEnd() && IsIdentChar(Peek())) step += Advance();
-      if (step.empty()) return ErrorHere("empty attribute path step");
-      t.path.push_back(std::move(step));
-    }
+  // A digit-led step could be the start of a new numeric token after a
+  // clause terminator only if preceded by whitespace; adjacency rules this
+  // out here.
+  while (Peek() == '.' && (IsIdentStart(Peek(1)) || IsDigit(Peek(1)))) {
+    const size_t step = ++pos_;  // past the '.'
+    while (IsIdentChar(Peek())) ++pos_;
+    if (pos_ == step) return ErrorHere("empty attribute path step");
+    t->path.emplace_back(text_.substr(step, pos_ - step));
   }
-  out->push_back(std::move(t));
   return Status::OK();
 }
 

@@ -10,8 +10,8 @@ const Token& Parser::Peek(size_t ahead) const {
   return tokens_[i];
 }
 
-const Token& Parser::Advance() {
-  const Token& t = tokens_[pos_];
+Token& Parser::Advance() {
+  Token& t = tokens_[pos_];
   if (pos_ + 1 < tokens_.size()) ++pos_;
   return t;
 }
@@ -60,207 +60,230 @@ RelOp Parser::RelOpFromToken(TokenKind kind) {
   }
 }
 
-Result<Term> Parser::ParseTerm() {
+Status Parser::ParseTerm(Term* term) {
   const Token& t = Peek();
   switch (t.kind) {
-    case TokenKind::kInt: {
-      Advance();
-      return Term::Const(Value::Int(t.int_value));
-    }
-    case TokenKind::kDouble: {
-      Advance();
-      return Term::Const(Value::Double(t.double_value));
-    }
-    case TokenKind::kString: {
-      Advance();
-      return Term::Const(Value::Str(t.text));
-    }
+    case TokenKind::kInt:
+      term->constant = Value::Int(Advance().int_value);
+      return Status::OK();
+    case TokenKind::kDouble:
+      term->constant = Value::Double(Advance().double_value);
+      return Status::OK();
+    case TokenKind::kString:
+      term->constant = Value::Str(std::move(Advance().text));
+      return Status::OK();
     case TokenKind::kIdent: {
-      Advance();
-      if (t.text == "true") return Term::Const(Value::Bool(true));
-      if (t.text == "false") return Term::Const(Value::Bool(false));
-      if (t.text == "null") return Term::Const(Value::Null());
-      return Term::Const(Value::Str(t.text));
+      std::string& name = Advance().text;
+      if (name == "true") {
+        term->constant = Value::Bool(true);
+      } else if (name == "false") {
+        term->constant = Value::Bool(false);
+      } else if (name == "null") {
+        term->constant = Value::Null();
+      } else {
+        term->constant = Value::Str(std::move(name));
+      }
+      return Status::OK();
     }
     case TokenKind::kVariable: {
-      Advance();
-      return Term::Var(t.text, t.path);
+      Token& var = Advance();
+      term->kind = Term::Kind::kVariable;
+      term->var_name = std::move(var.text);
+      term->path = std::move(var.path);
+      return Status::OK();
     }
-    case TokenKind::kDollarB: {
+    case TokenKind::kDollarB:
       Advance();
-      return Term::Bound();
-    }
+      term->kind = Term::Kind::kBoundPattern;
+      return Status::OK();
     case TokenKind::kLBracket: {
-      Advance();
+      const Token& open = Advance();
       ValueList items;
       if (!Check(TokenKind::kRBracket)) {
-        while (true) {
-          HERMES_ASSIGN_OR_RETURN(Term item, ParseTerm());
+        do {
+          Term item;
+          HERMES_RETURN_IF_ERROR(ParseTerm(&item));
           if (!item.is_constant()) {
-            return ErrorAt(t, "list literals may contain only constants");
+            return ErrorAt(open, "list literals may contain only constants");
           }
-          items.push_back(item.constant);
-          if (!Match(TokenKind::kComma)) break;
-        }
+          items.push_back(std::move(item.constant));
+        } while (Match(TokenKind::kComma));
       }
       HERMES_RETURN_IF_ERROR(Expect(TokenKind::kRBracket, "to close list"));
-      return Term::Const(Value::List(std::move(items)));
+      term->constant = Value::List(std::move(items));
+      return Status::OK();
     }
     default:
       return ErrorAt(t, "expected a term, found " + t.Describe());
   }
 }
 
-Result<DomainCallSpec> Parser::ParseDomainCall() {
+size_t Parser::CountItemsAhead() const {
+  size_t items = 1;
+  int depth = 0;
+  for (size_t i = pos_; i < tokens_.size(); ++i) {
+    switch (tokens_[i].kind) {
+      case TokenKind::kLParen:
+      case TokenKind::kLBracket:
+        ++depth;
+        break;
+      case TokenKind::kRParen:
+      case TokenKind::kRBracket:
+        if (--depth < 0) return items;
+        break;
+      case TokenKind::kComma:
+      case TokenKind::kAmp:
+        if (depth == 0) ++items;
+        break;
+      case TokenKind::kDot:
+        if (depth == 0) return items;
+        break;
+      case TokenKind::kEnd:
+        return items;
+      default:
+        break;
+    }
+  }
+  return items;
+}
+
+Status Parser::ParseTerms(std::vector<Term>* terms) {
+  terms->reserve(CountItemsAhead());
+  do {
+    HERMES_RETURN_IF_ERROR(ParseTerm(&terms->emplace_back()));
+  } while (Match(TokenKind::kComma));
+  return Status::OK();
+}
+
+Status Parser::ParseDomainCall(DomainCallSpec* spec) {
   const Token& dom = Peek();
   if (dom.kind != TokenKind::kIdent) {
     return ErrorAt(dom, "expected domain name, found " + dom.Describe());
   }
-  Advance();
+  spec->domain = std::move(Advance().text);
   HERMES_RETURN_IF_ERROR(Expect(TokenKind::kColon, "after domain name"));
   const Token& fn = Peek();
   if (fn.kind != TokenKind::kIdent) {
     return ErrorAt(fn, "expected function name, found " + fn.Describe());
   }
-  Advance();
+  spec->function = std::move(Advance().text);
   HERMES_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "after function name"));
-  DomainCallSpec spec;
-  spec.domain = dom.text;
-  spec.function = fn.text;
   if (!Check(TokenKind::kRParen)) {
-    while (true) {
-      HERMES_ASSIGN_OR_RETURN(Term arg, ParseTerm());
-      spec.args.push_back(std::move(arg));
-      if (!Match(TokenKind::kComma)) break;
-    }
+    HERMES_RETURN_IF_ERROR(ParseTerms(&spec->args));
   }
-  HERMES_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "to close domain call"));
-  return spec;
+  return Expect(TokenKind::kRParen, "to close domain call");
 }
 
-Result<Atom> Parser::ParseAtom() {
+Status Parser::ParseAtom(Atom* atom) {
   const Token& t = Peek();
 
   // Prefix comparison: =(X, Y), <=(X, 5), ...
   if (IsRelOpToken(t.kind) && Peek(1).kind == TokenKind::kLParen) {
-    RelOp op = RelOpFromToken(t.kind);
+    atom->kind = Atom::Kind::kComparison;
+    atom->op = RelOpFromToken(t.kind);
     Advance();
     Advance();  // '('
-    HERMES_ASSIGN_OR_RETURN(Term lhs, ParseTerm());
+    HERMES_RETURN_IF_ERROR(ParseTerm(&atom->lhs));
     HERMES_RETURN_IF_ERROR(Expect(TokenKind::kComma, "in comparison"));
-    HERMES_ASSIGN_OR_RETURN(Term rhs, ParseTerm());
-    HERMES_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "to close comparison"));
-    return Atom::Comparison(op, std::move(lhs), std::move(rhs));
+    HERMES_RETURN_IF_ERROR(ParseTerm(&atom->rhs));
+    return Expect(TokenKind::kRParen, "to close comparison");
   }
 
   // in(Output, domain:function(args))
   if (t.kind == TokenKind::kIdent && t.text == "in" &&
       Peek(1).kind == TokenKind::kLParen) {
+    atom->kind = Atom::Kind::kDomainCall;
     Advance();
     Advance();  // '('
-    HERMES_ASSIGN_OR_RETURN(Term output, ParseTerm());
+    HERMES_RETURN_IF_ERROR(ParseTerm(&atom->output));
     HERMES_RETURN_IF_ERROR(Expect(TokenKind::kComma, "after in() output term"));
-    HERMES_ASSIGN_OR_RETURN(DomainCallSpec call, ParseDomainCall());
-    HERMES_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "to close in()"));
-    return Atom::DomainCall(std::move(output), std::move(call));
+    HERMES_RETURN_IF_ERROR(ParseDomainCall(&atom->call));
+    return Expect(TokenKind::kRParen, "to close in()");
   }
 
   // Predicate atom: ident(...) or bare ident.
   if (t.kind == TokenKind::kIdent) {
-    Advance();
-    std::vector<Term> args;
-    if (Match(TokenKind::kLParen)) {
-      if (!Check(TokenKind::kRParen)) {
-        while (true) {
-          HERMES_ASSIGN_OR_RETURN(Term arg, ParseTerm());
-          args.push_back(std::move(arg));
-          if (!Match(TokenKind::kComma)) break;
-        }
-      }
-      HERMES_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "to close predicate"));
+    atom->kind = Atom::Kind::kPredicate;
+    atom->predicate = std::move(Advance().text);
+    if (!Match(TokenKind::kLParen)) return Status::OK();
+    if (!Check(TokenKind::kRParen)) {
+      HERMES_RETURN_IF_ERROR(ParseTerms(&atom->args));
     }
-    return Atom::Predicate(t.text, std::move(args));
+    return Expect(TokenKind::kRParen, "to close predicate");
   }
 
   // Infix comparison: Term relop Term.
-  HERMES_ASSIGN_OR_RETURN(Term lhs, ParseTerm());
+  atom->kind = Atom::Kind::kComparison;
+  HERMES_RETURN_IF_ERROR(ParseTerm(&atom->lhs));
   const Token& op_tok = Peek();
   if (!IsRelOpToken(op_tok.kind)) {
     return ErrorAt(op_tok,
                    "expected comparison operator, found " + op_tok.Describe());
   }
-  RelOp op = RelOpFromToken(op_tok.kind);
+  atom->op = RelOpFromToken(op_tok.kind);
   Advance();
-  HERMES_ASSIGN_OR_RETURN(Term rhs, ParseTerm());
-  return Atom::Comparison(op, std::move(lhs), std::move(rhs));
+  return ParseTerm(&atom->rhs);
 }
 
-Result<Atom> Parser::ParseHeadAtom() {
+Status Parser::ParseHeadAtom(Atom* atom) {
   const Token& t = Peek();
   if (t.kind != TokenKind::kIdent) {
     return ErrorAt(t, "expected predicate name, found " + t.Describe());
   }
-  HERMES_ASSIGN_OR_RETURN(Atom atom, ParseAtom());
-  if (!atom.is_predicate()) {
+  HERMES_RETURN_IF_ERROR(ParseAtom(atom));
+  if (!atom->is_predicate()) {
     return ErrorAt(t, "rule head must be a predicate atom");
   }
-  return atom;
+  return Status::OK();
 }
 
-Result<std::vector<Atom>> Parser::ParseBody() {
-  std::vector<Atom> body;
-  while (true) {
-    HERMES_ASSIGN_OR_RETURN(Atom atom, ParseAtom());
-    body.push_back(std::move(atom));
-    if (!Match(TokenKind::kAmp) && !Match(TokenKind::kComma)) break;
-  }
-  return body;
+Status Parser::ParseBody(std::vector<Atom>* body) {
+  body->reserve(CountItemsAhead());
+  do {
+    HERMES_RETURN_IF_ERROR(ParseAtom(&body->emplace_back()));
+  } while (Match(TokenKind::kAmp) || Match(TokenKind::kComma));
+  return Status::OK();
 }
 
-Result<Rule> Parser::ParseRuleInternal() {
-  Rule rule;
-  HERMES_ASSIGN_OR_RETURN(rule.head, ParseHeadAtom());
+Status Parser::ParseRuleInternal(Rule* rule) {
+  HERMES_RETURN_IF_ERROR(ParseHeadAtom(&rule->head));
   if (Match(TokenKind::kIf)) {
-    HERMES_ASSIGN_OR_RETURN(rule.body, ParseBody());
+    HERMES_RETURN_IF_ERROR(ParseBody(&rule->body));
   }
-  HERMES_RETURN_IF_ERROR(Expect(TokenKind::kDot, "to end rule"));
-  return rule;
+  return Expect(TokenKind::kDot, "to end rule");
 }
 
-Result<Invariant> Parser::ParseInvariantInternal() {
-  Invariant inv;
+Status Parser::ParseInvariantInternal(Invariant* inv) {
   if (!Match(TokenKind::kImplies)) {
     // Parse conditions up to '=>'.
-    while (true) {
-      HERMES_ASSIGN_OR_RETURN(Atom cond, ParseAtom());
+    do {
+      Atom& cond = inv->conditions.emplace_back();
+      HERMES_RETURN_IF_ERROR(ParseAtom(&cond));
       if (!cond.is_comparison()) {
         return Status::ParseError(
             "invariant conditions must be comparison atoms, got '" +
             cond.ToString() + "'");
       }
-      inv.conditions.push_back(std::move(cond));
-      if (Match(TokenKind::kAmp) || Match(TokenKind::kComma)) continue;
-      break;
-    }
+    } while (Match(TokenKind::kAmp) || Match(TokenKind::kComma));
     HERMES_RETURN_IF_ERROR(Expect(TokenKind::kImplies, "after conditions"));
   }
-  HERMES_ASSIGN_OR_RETURN(inv.lhs, ParseDomainCall());
+  HERMES_RETURN_IF_ERROR(ParseDomainCall(&inv->lhs));
   const Token& rel = Peek();
   switch (rel.kind) {
     case TokenKind::kEq:
-      inv.relation = InvariantRelation::kEqual;
+      inv->relation = InvariantRelation::kEqual;
       break;
     case TokenKind::kGe:
-      inv.relation = InvariantRelation::kSuperset;
+      inv->relation = InvariantRelation::kSuperset;
       break;
     case TokenKind::kLe:
-      inv.relation = InvariantRelation::kSubset;
+      inv->relation = InvariantRelation::kSubset;
       break;
     default:
       return ErrorAt(rel, "expected invariant relation '=', '>=' or '<='");
   }
   Advance();
-  HERMES_ASSIGN_OR_RETURN(inv.rhs, ParseDomainCall());
+  HERMES_RETURN_IF_ERROR(ParseDomainCall(&inv->rhs));
   HERMES_RETURN_IF_ERROR(Expect(TokenKind::kDot, "to end invariant"));
 
   // Well-formedness: no free variables — every condition variable must
@@ -271,15 +294,15 @@ Result<Invariant> Parser::ParseInvariantInternal() {
     }
     return false;
   };
-  for (const Atom& cond : inv.conditions) {
+  for (const Atom& cond : inv->conditions) {
     for (const std::string& var : cond.Variables()) {
-      if (!call_has_var(inv.lhs, var) && !call_has_var(inv.rhs, var)) {
+      if (!call_has_var(inv->lhs, var) && !call_has_var(inv->rhs, var)) {
         return Status::ParseError("invariant condition variable '" + var +
                                   "' does not appear in either domain call");
       }
     }
   }
-  return inv;
+  return Status::OK();
 }
 
 Result<Program> Parser::ParseProgram(const std::string& text) {
@@ -288,8 +311,8 @@ Result<Program> Parser::ParseProgram(const std::string& text) {
   Parser parser(std::move(tokens));
   Program program;
   while (!parser.AtEnd()) {
-    HERMES_ASSIGN_OR_RETURN(Rule rule, parser.ParseRuleInternal());
-    program.rules.push_back(std::move(rule));
+    HERMES_RETURN_IF_ERROR(
+        parser.ParseRuleInternal(&program.rules.emplace_back()));
   }
   return program;
 }
@@ -298,7 +321,8 @@ Result<Rule> Parser::ParseRule(const std::string& text) {
   Lexer lexer(text);
   HERMES_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
   Parser parser(std::move(tokens));
-  HERMES_ASSIGN_OR_RETURN(Rule rule, parser.ParseRuleInternal());
+  Rule rule;
+  HERMES_RETURN_IF_ERROR(parser.ParseRuleInternal(&rule));
   if (!parser.AtEnd()) {
     return parser.ErrorAt(parser.Peek(), "trailing input after rule");
   }
@@ -311,7 +335,7 @@ Result<Query> Parser::ParseQuery(const std::string& text) {
   Parser parser(std::move(tokens));
   parser.Match(TokenKind::kQuery);  // optional '?-'
   Query query;
-  HERMES_ASSIGN_OR_RETURN(query.goals, parser.ParseBody());
+  HERMES_RETURN_IF_ERROR(parser.ParseBody(&query.goals));
   HERMES_RETURN_IF_ERROR(parser.Expect(TokenKind::kDot, "to end query"));
   if (!parser.AtEnd()) {
     return parser.ErrorAt(parser.Peek(), "trailing input after query");
@@ -323,7 +347,8 @@ Result<Invariant> Parser::ParseInvariant(const std::string& text) {
   Lexer lexer(text);
   HERMES_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
   Parser parser(std::move(tokens));
-  HERMES_ASSIGN_OR_RETURN(Invariant inv, parser.ParseInvariantInternal());
+  Invariant inv;
+  HERMES_RETURN_IF_ERROR(parser.ParseInvariantInternal(&inv));
   if (!parser.AtEnd()) {
     return parser.ErrorAt(parser.Peek(), "trailing input after invariant");
   }
@@ -337,8 +362,7 @@ Result<std::vector<Invariant>> Parser::ParseInvariants(
   Parser parser(std::move(tokens));
   std::vector<Invariant> out;
   while (!parser.AtEnd()) {
-    HERMES_ASSIGN_OR_RETURN(Invariant inv, parser.ParseInvariantInternal());
-    out.push_back(std::move(inv));
+    HERMES_RETURN_IF_ERROR(parser.ParseInvariantInternal(&out.emplace_back()));
   }
   return out;
 }
@@ -347,7 +371,8 @@ Result<DomainCallSpec> Parser::ParseCallPattern(const std::string& text) {
   Lexer lexer(text);
   HERMES_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
   Parser parser(std::move(tokens));
-  HERMES_ASSIGN_OR_RETURN(DomainCallSpec spec, parser.ParseDomainCall());
+  DomainCallSpec spec;
+  HERMES_RETURN_IF_ERROR(parser.ParseDomainCall(&spec));
   parser.Match(TokenKind::kDot);  // optional terminator
   if (!parser.AtEnd()) {
     return parser.ErrorAt(parser.Peek(), "trailing input after call pattern");

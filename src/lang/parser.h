@@ -29,6 +29,9 @@ namespace hermes::lang {
 ///
 /// Lowercase identifiers are symbol constants; uppercase/`$`/`_`-initial
 /// identifiers are variables. `%` and `//` start comments.
+///
+/// Every entry point lexes the whole text before parsing any of it, so a
+/// lexing error anywhere wins over a parse error before it.
 class Parser {
  public:
   /// Parses a whole program (zero or more rules).
@@ -48,20 +51,31 @@ class Parser {
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   const Token& Peek(size_t ahead = 0) const;
-  const Token& Advance();
+  /// Consumes the current token. Its text and path may be moved from: no
+  /// rule reads a consumed token's text again.
+  Token& Advance();
   bool Check(TokenKind kind) const { return Peek().kind == kind; }
   bool Match(TokenKind kind);
   Status Expect(TokenKind kind, const char* context);
   Status ErrorAt(const Token& token, const std::string& message) const;
   bool AtEnd() const { return Peek().kind == TokenKind::kEnd; }
+  /// Sizes a vector before parsing into it: one more than the ',' and '&'
+  /// separators ahead at bracket depth 0, up to the first unmatched closing
+  /// bracket, '.' or the end.
+  size_t CountItemsAhead() const;
 
-  Result<Rule> ParseRuleInternal();
-  Result<std::vector<Atom>> ParseBody();
-  Result<Atom> ParseAtom();
-  Result<Atom> ParseHeadAtom();
-  Result<DomainCallSpec> ParseDomainCall();
-  Result<Term> ParseTerm();
-  Result<Invariant> ParseInvariantInternal();
+  // Each Parse* fills a default-constructed node that its caller has
+  // already placed in the parent, so no node is built in a temporary and
+  // moved.
+  Status ParseRuleInternal(Rule* rule);
+  Status ParseBody(std::vector<Atom>* body);
+  Status ParseAtom(Atom* atom);
+  Status ParseHeadAtom(Atom* atom);
+  Status ParseDomainCall(DomainCallSpec* spec);
+  /// Parses `term { "," term }` into `terms`.
+  Status ParseTerms(std::vector<Term>* terms);
+  Status ParseTerm(Term* term);
+  Status ParseInvariantInternal(Invariant* inv);
   static bool IsRelOpToken(TokenKind kind);
   static RelOp RelOpFromToken(TokenKind kind);
 

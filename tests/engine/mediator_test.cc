@@ -165,6 +165,15 @@ TEST(MediatorTest, ParseErrorsSurfaceFromQuery) {
   EXPECT_TRUE(med.LoadProgram("junk :-").IsParseError());
 }
 
+TEST(MediatorTest, OutOfRangeLiteralIsParseErrorNotException) {
+  Mediator med;
+  ASSERT_TRUE(testbed::SetupRopeScenario(&med, FastSites()).ok());
+  Result<QueryResult> res = med.Query(
+      "?- query3(10, 99999999999999999999, Object, Actor).", QueryOptions{});
+  ASSERT_FALSE(res.ok());
+  EXPECT_TRUE(res.status().IsParseError()) << res.status();
+}
+
 TEST(MediatorTest, StatisticsAccumulateAcrossQueries) {
   Mediator med;
   ASSERT_TRUE(testbed::SetupRopeScenario(&med, FastSites()).ok());
