@@ -497,7 +497,7 @@ Result<optimizer::OptimizerResult> Mediator::Plan(
   return opt.Optimize(program_, query, options.goal);
 }
 
-Result<optimizer::CandidatePlan> Mediator::PickPlan(const lang::Query& query,
+Result<optimizer::CandidatePlan> Mediator::PickPlan(lang::Query query,
                                                     const QueryOptions& options,
                                                     QueryResult* result) {
   if (options.use_optimizer) {
@@ -523,7 +523,7 @@ Result<optimizer::CandidatePlan> Mediator::PickPlan(const lang::Query& query,
        optimizer::RuleRewriter::ReachableRules(program_, query.goals)) {
     plan.program.rules.push_back(program_.rules[r]);
   }
-  plan.query = query;
+  plan.query = std::move(query);
   plan.description = "as-written";
   if (options.use_cim && !cims_.empty()) {
     std::vector<std::string> cached = CachedDomains();
@@ -544,7 +544,7 @@ Result<std::string> Mediator::Explain(const std::string& query_text,
                           lang::Parser::ParseQuery(query_text));
   HERMES_ASSIGN_OR_RETURN(
       optimizer::CandidatePlan plan,
-      PickPlan(query, options, /*result=*/nullptr));
+      PickPlan(std::move(query), options, /*result=*/nullptr));
   engine::op::CompileOptions compile_options;
   compile_options.async_scatter_gather =
       options.async_scatter_gather || async_execution_;
@@ -606,7 +606,7 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
                             lang::Parser::ParseQuery(query_text));
     if (observed) host_optimize_ns = obs::HostNowNs();
     HERMES_ASSIGN_OR_RETURN(optimizer::CandidatePlan picked,
-                            PickPlan(query, options, &result));
+                            PickPlan(std::move(query), options, &result));
     if (observed) host_planned_ns = obs::HostNowNs();
     plan = std::make_shared<const optimizer::CandidatePlan>(std::move(picked));
     if (plan_cache_ != nullptr) {

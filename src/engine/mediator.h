@@ -476,10 +476,11 @@ class Mediator {
 
   /// Picks the plan Query() executes for `query` under `options`: the
   /// optimizer's best plan, or the as-written program+query (CIM-redirected
-  /// when enabled). When `result` is non-null its optimizer diagnostics
-  /// (plan_description, predicted, candidates, optimize_ms) are filled.
+  /// when enabled), which takes over `query` instead of copying it. When
+  /// `result` is non-null its optimizer diagnostics (plan_description,
+  /// predicted, candidates, optimize_ms) are filled.
   /// Called with wiring_mu_ held (at least shared).
-  Result<optimizer::CandidatePlan> PickPlan(const lang::Query& query,
+  Result<optimizer::CandidatePlan> PickPlan(lang::Query query,
                                             const QueryOptions& options,
                                             QueryResult* result);
 
