@@ -160,7 +160,6 @@ std::optional<CimDomain::InvariantHit> CimDomain::FindViaInvariants(
           hit.entry = std::move(*entry);
           hit.equality = true;
           hit.search_ms = *search_ms;
-          hit.via = inv.ToString();
           return hit;
         }
       }
@@ -188,7 +187,6 @@ std::optional<CimDomain::InvariantHit> CimDomain::FindViaInvariants(
       hit.entry = std::move(*entry);
       hit.equality = false;
       hit.search_ms = *search_ms;
-      hit.via = inv.ToString();
       best_partial = std::move(hit);
     }
   }

@@ -177,7 +177,6 @@ class CimDomain : public Domain {
     CacheEntry entry;
     bool equality = false;   ///< True: answers identical; false: subset.
     double search_ms = 0.0;  ///< Simulated time spent finding it.
-    std::string via;         ///< The invariant that justified the hit.
   };
 
   /// Scans the invariants (and, where needed, the cache) for an entry the
