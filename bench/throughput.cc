@@ -59,6 +59,20 @@ void BM_ParseQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseQuery);
 
+// The 8-way scatter-gather text of the overload topology: texts like this
+// never repeat, so every one is parsed.
+void BM_ParseFanoutQuery(benchmark::State& state) {
+  testbed::TopologyInfo topology;
+  for (int i = 0; i < 32; ++i) {
+    topology.domains.push_back("s" + std::to_string(i));
+  }
+  const std::string text = testbed::TopologyQuery(topology, 1234, 8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lang::Parser::ParseQuery(text));
+  }
+}
+BENCHMARK(BM_ParseFanoutQuery);
+
 void BM_PlanQuery(benchmark::State& state) {
   Mediator* med = SharedMediator();
   const std::string query = testbed::AppendixQuery(3, false, 4, 47);
