@@ -75,6 +75,14 @@ TEST(ParserTest, TrailingInputIsError) {
   EXPECT_TRUE(Parser::ParseRule("p(a). q(b).").status().IsParseError());
 }
 
+TEST(ParserTest, LexingErrorWinsOverAnEarlierParseError) {
+  // The whole text is lexed first: the stray ')' would fail the parse at
+  // column 8, but the unterminated string at the end is reported.
+  Status s = Parser::ParseQuery("?- p(X)) & q('oops").status();
+  ASSERT_TRUE(s.IsParseError());
+  EXPECT_EQ(s.message(), "unterminated string literal at line 1, column 19");
+}
+
 TEST(ParserTest, ProgramParsesMultipleRules) {
   Result<Program> p = Parser::ParseProgram(
       "m(A, C) :- p(A, B) & q(B, C).\n"
