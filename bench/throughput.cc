@@ -25,18 +25,21 @@ void PrintReproduction() {
       " its *host* cost below is microseconds)\n\n");
 }
 
+/// The rope scenario on local sites, warmed with one as-written query3.
+Mediator* NewLocalRopeMediator() {
+  auto* m = new Mediator();
+  testbed::RopeScenarioOptions options;
+  options.sites.video_site = net::LocalSite();
+  options.sites.relation_site = net::LocalSite();
+  (void)testbed::SetupRopeScenario(m, options);
+  QueryOptions warm;
+  warm.use_optimizer = false;
+  (void)m->Query(testbed::AppendixQuery(3, false, 4, 47), warm);
+  return m;
+}
+
 Mediator* SharedMediator() {
-  static Mediator* med = [] {
-    auto* m = new Mediator();
-    testbed::RopeScenarioOptions options;
-    options.sites.video_site = net::LocalSite();
-    options.sites.relation_site = net::LocalSite();
-    (void)testbed::SetupRopeScenario(m, options);
-    QueryOptions warm;
-    warm.use_optimizer = false;
-    (void)m->Query(testbed::AppendixQuery(3, false, 4, 47), warm);
-    return m;
-  }();
+  static Mediator* med = NewLocalRopeMediator();
   return med;
 }
 
@@ -95,8 +98,8 @@ void BM_ExecuteJoinQueryDirect(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecuteJoinQueryDirect)->Unit(benchmark::kMicrosecond);
 
-void BM_ExecuteCacheHitQuery(benchmark::State& state) {
-  Mediator* med = SharedMediator();
+/// Warm, unpaced query3 CIM hits on `med`.
+void RunCacheHitQuery(benchmark::State& state, Mediator* med) {
   QueryOptions cached;
   cached.use_optimizer = false;
   cached.use_cim = true;
@@ -107,7 +110,23 @@ void BM_ExecuteCacheHitQuery(benchmark::State& state) {
     benchmark::DoNotOptimize(med->Query(query, cached));
   }
 }
+
+void BM_ExecuteCacheHitQuery(benchmark::State& state) {
+  RunCacheHitQuery(state, SharedMediator());
+}
 BENCHMARK(BM_ExecuteCacheHitQuery)->Unit(benchmark::kMicrosecond);
+
+// The same hit with diagnostics on (flight recorder, drift tracker and
+// capture policy): the hit-path overhead of always-on diagnostics.
+void BM_ExecuteCacheHitQueryDiagnostics(benchmark::State& state) {
+  static Mediator* med = [] {
+    Mediator* m = NewLocalRopeMediator();
+    (void)m->EnableDiagnostics({});
+    return m;
+  }();
+  RunCacheHitQuery(state, med);
+}
+BENCHMARK(BM_ExecuteCacheHitQueryDiagnostics)->Unit(benchmark::kMicrosecond);
 
 void BM_EndToEndOptimizedQuery(benchmark::State& state) {
   Mediator* med = SharedMediator();
