@@ -51,9 +51,8 @@ std::string DriftReport::ToString() const {
   return out;
 }
 
-DriftTracker::DriftTracker(const Dcsm* dcsm, DriftOptions options,
-                           obs::FlightRecorder* recorder)
-    : dcsm_(dcsm), options_(options), recorder_(recorder) {}
+DriftTracker::DriftTracker(DriftOptions options, obs::FlightRecorder* recorder)
+    : options_(options), recorder_(recorder) {}
 
 void DriftTracker::SetSite(const std::string& domain,
                            const std::string& site) {
@@ -77,22 +76,20 @@ void DriftTracker::set_exceeded_hook(ExceededHook hook) {
   exceeded_hook_ = std::move(hook);
 }
 
-void DriftTracker::Observe(const lang::DomainCallSpec& pattern,
+void DriftTracker::Observe(const std::string& call_domain,
                            const std::string& adornment,
+                           const CostEstimate& estimate,
                            const CostVector& observed, double sim_ms) {
-  if (dcsm_ == nullptr) return;
-  Result<CostEstimate> est = dcsm_->Cost(pattern);
-  if (!est.ok()) return;
   // An estimate fabricated wholly from defaults says nothing about the
   // model: error against a placeholder is noise, not drift.
-  if (est->source == "default") return;
+  if (estimate.source == "default") return;
+  const CostVector& est = estimate.cost;
 
-  const double err_tf = RelError(observed.t_first_ms, est->cost.t_first_ms);
-  const double err_ta = RelError(observed.t_all_ms, est->cost.t_all_ms);
-  const double err_card = RelError(observed.cardinality,
-                                   est->cost.cardinality);
+  const double err_tf = RelError(observed.t_first_ms, est.t_first_ms);
+  const double err_ta = RelError(observed.t_all_ms, est.t_all_ms);
+  const double err_card = RelError(observed.cardinality, est.cardinality);
 
-  const std::string domain = LogicalDomain(pattern.domain);
+  const std::string domain = LogicalDomain(call_domain);
 
   bool newly_exceeded = false;
   std::string site;

@@ -12,7 +12,6 @@
 
 #include "dcsm/dcsm.h"
 #include "domain/cost.h"
-#include "lang/ast.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
@@ -58,17 +57,18 @@ struct DriftReport {
 
 /// Tracks observed-vs-estimated [Tf Ta card] error per (site, domain,
 /// adornment) group as EWMA gauges. DomainCallOp feeds it one observation
-/// per successful call (when diagnostics are enabled); estimates come from
-/// the same `Dcsm::Cost` lookup EXPLAIN prints, taken *before* this
-/// query's own samples are flushed — so drift measures how wrong the
-/// planner's knowledge was, not how fast it converges afterwards.
+/// per successful call (when diagnostics are enabled), against the call
+/// site's estimate stamp — the same answer EXPLAIN prints, taken when the
+/// query was compiled and so *before* its own samples are flushed. Drift
+/// measures how wrong the planner's knowledge was, not how fast it
+/// converges afterwards.
 ///
 /// Thread-safe: one mutex over the group map. Calls through it are
 /// per-successful-call but the critical section is a few arithmetic ops.
 class DriftTracker {
  public:
   /// `recorder` (may be null) receives the `drift_exceeded` events.
-  explicit DriftTracker(const Dcsm* dcsm, DriftOptions options = {},
+  explicit DriftTracker(DriftOptions options = {},
                         obs::FlightRecorder* recorder = nullptr);
 
   /// Wiring-time (not thread-safe vs. Observe): names the site a logical
@@ -87,16 +87,17 @@ class DriftTracker {
       const std::string& adornment)>;
   void set_exceeded_hook(ExceededHook hook);
 
-  /// Feeds one successful call: `pattern` is the DCSM estimation pattern
-  /// (constants kept, runtime-bound variables as `$b`), `adornment` its
-  /// arg shape, `observed` the measured [Tf Ta card]. Estimates whose only
-  /// source is the DCSM default are skipped — error against a placeholder
-  /// is noise, not drift. Emits a `drift_exceeded` flight event when a
+  /// Feeds one successful call to `call_domain` ("cim_video" counts as
+  /// "video"): `adornment` is its arg shape ('c' per constant, 'b' per
+  /// variable), `estimate` the call site's estimate, `observed` the
+  /// measured [Tf Ta card]. Estimates whose only source is the DCSM
+  /// default are skipped — error against a placeholder is noise, not
+  /// drift. Emits a `drift_exceeded` flight event when a
   /// group first crosses the threshold. The event is a process-level one:
   /// tagged query_id 0 and taking no seq from any query, so per-query
   /// event streams stay deterministic.
-  void Observe(const lang::DomainCallSpec& pattern,
-               const std::string& adornment, const CostVector& observed,
+  void Observe(const std::string& call_domain, const std::string& adornment,
+               const CostEstimate& estimate, const CostVector& observed,
                double sim_ms);
 
   DriftReport Report() const;
@@ -120,7 +121,6 @@ class DriftTracker {
   };
   using Key = std::tuple<std::string, std::string, std::string>;
 
-  const Dcsm* dcsm_;
   DriftOptions options_;
   obs::FlightRecorder* const recorder_;
 

@@ -163,7 +163,7 @@ struct CallContext {
   /// thread count or ring layout.
   uint32_t event_seq = 0;
   /// DCSM drift tracker. When non-null DomainCallOp feeds every successful
-  /// call's observed [Tf Ta card] vs. the DCSM estimate into it.
+  /// call's observed [Tf Ta card] vs. its estimate stamp into it.
   dcsm::DriftTracker* drift = nullptr;
 
   // ---- Resilience state (per-query, so replay is thread-count-invariant).

@@ -25,6 +25,34 @@ std::string EventsJson(const std::vector<obs::FlightEvent>& events) {
   return out;
 }
 
+/// Per-operator est-vs-actual rows of the executed tree; each DomainCall
+/// row's estimate is its call site's compile-time stamp.
+std::vector<SlowQueryRow> CollectRows(engine::op::PhysicalOp* root) {
+  std::vector<SlowQueryRow> rows;
+  if (root == nullptr) return rows;
+  root->VisitTree([&rows](engine::op::PhysicalOp& op, size_t depth) {
+    SlowQueryRow row;
+    row.depth = depth;
+    row.op = engine::op::OpKindName(op.kind());
+    row.label = op.label();
+    row.opens = op.stats().opens;
+    row.rows = op.stats().rows;
+    row.sim_total_ms = op.stats().sim_total_ms;
+    auto* call = dynamic_cast<engine::op::DomainCallOp*>(&op);
+    if (call != nullptr && call->estimate().has_value() &&
+        call->estimate()->answer.has_value()) {
+      const dcsm::CostEstimate& est = *call->estimate()->answer;
+      row.has_estimate = true;
+      row.est_tf_ms = est.cost.t_first_ms;
+      row.est_ta_ms = est.cost.t_all_ms;
+      row.est_card = est.cost.cardinality;
+      row.est_source = est.source;
+    }
+    rows.push_back(std::move(row));
+  });
+  return rows;
+}
+
 }  // namespace
 
 std::string SlowQueryRow::ToString() const {
@@ -87,11 +115,9 @@ std::string DebugBundle::SlowQueryRecord() const {
 
 DiagnosticsCenter::DiagnosticsCenter(
     DiagnosticsOptions options, obs::FlightRecorder* recorder,
-    const dcsm::Dcsm* dcsm, dcsm::DriftTracker* drift,
-    std::shared_ptr<obs::MetricsRegistry> registry)
+    dcsm::DriftTracker* drift, std::shared_ptr<obs::MetricsRegistry> registry)
     : options_(std::move(options)),
       recorder_(recorder),
-      dcsm_(dcsm),
       drift_(drift),
       registry_(std::move(registry)) {
   if (registry_ != nullptr) {
@@ -138,34 +164,6 @@ std::string DiagnosticsCenter::CaptureReasonLocked(
   if (input.degraded && options_.capture_on_degraded) return "degraded";
   if (input.partial && options_.capture_on_partial) return "partial";
   return "";
-}
-
-std::vector<SlowQueryRow> DiagnosticsCenter::CollectRows(
-    engine::op::PhysicalOp* root) const {
-  std::vector<SlowQueryRow> rows;
-  if (root == nullptr) return rows;
-  root->VisitTree([this, &rows](engine::op::PhysicalOp& op, size_t depth) {
-    SlowQueryRow row;
-    row.depth = depth;
-    row.op = engine::op::OpKindName(op.kind());
-    row.label = op.label();
-    row.opens = op.stats().opens;
-    row.rows = op.stats().rows;
-    row.sim_total_ms = op.stats().sim_total_ms;
-    auto* call = dynamic_cast<engine::op::DomainCallOp*>(&op);
-    if (call != nullptr && dcsm_ != nullptr) {
-      Result<dcsm::CostEstimate> est = dcsm_->Cost(call->EstimationPattern());
-      if (est.ok()) {
-        row.has_estimate = true;
-        row.est_tf_ms = est->cost.t_first_ms;
-        row.est_ta_ms = est->cost.t_all_ms;
-        row.est_card = est->cost.cardinality;
-        row.est_source = est->source;
-      }
-    }
-    rows.push_back(std::move(row));
-  });
-  return rows;
 }
 
 Status DiagnosticsCenter::Persist(DebugBundle& bundle, size_t index) const {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "dcsm/dcsm.h"
 #include "dcsm/drift.h"
 #include "engine/op/op.h"
 #include "obs/flight_recorder.h"
@@ -65,7 +64,7 @@ struct SlowQueryRow {
   uint64_t opens = 0;
   uint64_t rows = 0;
   double sim_total_ms = 0.0;
-  bool has_estimate = false;  ///< DomainCall with a DCSM answer.
+  bool has_estimate = false;  ///< DomainCall stamped with a DCSM answer.
   double est_tf_ms = 0.0;
   double est_ta_ms = 0.0;
   double est_card = 0.0;
@@ -123,7 +122,7 @@ struct DiagnosticsCaptureInput {
 class DiagnosticsCenter {
  public:
   DiagnosticsCenter(DiagnosticsOptions options, obs::FlightRecorder* recorder,
-                    const dcsm::Dcsm* dcsm, dcsm::DriftTracker* drift,
+                    dcsm::DriftTracker* drift,
                     std::shared_ptr<obs::MetricsRegistry> registry);
 
   /// Feeds one finished query through the capture policy. Returns the
@@ -153,8 +152,6 @@ class DiagnosticsCenter {
   std::string CaptureReasonLocked(const DiagnosticsCaptureInput& input);
   /// Trailing p99 of the watermark window. Caller holds mu_.
   double TrailingP99Locked() const;
-  /// Builds per-operator est-vs-actual rows from the executed tree.
-  std::vector<SlowQueryRow> CollectRows(engine::op::PhysicalOp* root) const;
   /// Writes the bundle's files under options_.bundle_dir; sets bundle.dir.
   Status Persist(DebugBundle& bundle, size_t index) const;
   /// Appends one record to the bounded in-memory log and — when a bundle
@@ -164,7 +161,6 @@ class DiagnosticsCenter {
 
   const DiagnosticsOptions options_;
   obs::FlightRecorder* const recorder_;
-  const dcsm::Dcsm* const dcsm_;
   dcsm::DriftTracker* const drift_;
   const std::shared_ptr<obs::MetricsRegistry> registry_;
 

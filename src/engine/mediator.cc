@@ -192,13 +192,13 @@ Status Mediator::EnableDiagnostics(const DiagnosticsOptions& options) {
   auto recorder = std::make_unique<obs::FlightRecorder>(options.ring_capacity);
   recorder->BindMetrics(*metrics_);
   recorder_ = std::move(recorder);
-  drift_ = std::make_unique<dcsm::DriftTracker>(&dcsm_, options.drift,
+  drift_ = std::make_unique<dcsm::DriftTracker>(options.drift,
                                                 recorder_.get());
   drift_->BindMetrics(metrics_);
   for (const auto& [name, link] : links_) {
     drift_->SetSite(name, link->site().name);
   }
-  diag_ = std::make_unique<DiagnosticsCenter>(options, recorder_.get(), &dcsm_,
+  diag_ = std::make_unique<DiagnosticsCenter>(options, recorder_.get(),
                                               drift_.get(), metrics_);
   WireDriftInvalidation();
   return Status::OK();
@@ -615,28 +615,31 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
   }
   // Lower the chosen plan to its physical operator tree; execution drives
   // the tree, and the same compiled artifact renders EXPLAIN afterwards.
-  optimizer::CompiledPlan compiled =
-      optimizer::PlanCompiler(&dcsm_, compile_options).Compile(std::move(plan));
+  // Each call site is stamped with its DCSM estimate as it is built, but
+  // only when something reads the stamps: EXPLAIN, diagnostics (drift and
+  // bundles) or the replan divergence trigger.
+  const bool stamp_estimates =
+      options.explain || diag_ != nullptr ||
+      (replan_options_.enabled && replan_options_.divergence_factor > 0.0);
+  const optimizer::PlanCompiler compiler(stamp_estimates ? &dcsm_ : nullptr,
+                                         compile_options);
+  optimizer::CompiledPlan compiled = compiler.Compile(std::move(plan));
 
   // Mid-query re-optimization: arm a per-query manager over the tree's
-  // join spine. Its divergence baseline is snapshotted now — never read
-  // from the live DCSM mid-flight — so decisions depend only on per-query
-  // state and replay identically under any thread count.
+  // join spine. Its divergence baseline is the calls' compile-time stamps
+  // — never the live DCSM mid-flight — so decisions depend only on
+  // per-query state and replay identically under any thread count.
   std::unique_ptr<engine::op::ReplanManager> replan;
   if (replan_options_.enabled && !compiled.tree().spine.empty()) {
     engine::op::ReplanManager::Setup setup;
     setup.program = &compiled.plan().program;
     setup.goals = &compiled.plan().query.goals;
     setup.spine = compiled.tree().spine;
-    setup.compile_options = compile_options;
+    setup.compile_options = compiler.options();
     setup.site_of = [this](const std::string& domain) {
       return SiteOf(domain);
     };
     setup.cim_domains = CachedDomains();
-    if (replan_options_.divergence_factor > 0.0) {
-      setup.estimates = engine::op::SnapshotGoalEstimates(
-          &dcsm_, compiled.plan().query.goals);
-    }
     setup.options = replan_options_;
     replan = std::make_unique<engine::op::ReplanManager>(std::move(setup));
   }

@@ -126,7 +126,7 @@ std::unique_ptr<PhysicalOp> CompileGoal(const lang::Atom& goal,
                                         const CompileOptions& options) {
   switch (goal.kind) {
     case lang::Atom::Kind::kDomainCall:
-      return std::make_unique<DomainCallOp>(&goal);
+      return std::make_unique<DomainCallOp>(&goal, options.dcsm);
     case lang::Atom::Kind::kComparison:
       return std::make_unique<FilterOp>(&goal);
     case lang::Atom::Kind::kPredicate:
@@ -204,7 +204,8 @@ std::unique_ptr<PhysicalOp> CompileGoals(const std::vector<lang::Atom>& goals,
         std::vector<std::unique_ptr<DomainCallOp>> members;
         members.reserve(run);
         for (size_t k = i; k < i + run; ++k) {
-          members.push_back(std::make_unique<DomainCallOp>(&goals[k]));
+          members.push_back(
+              std::make_unique<DomainCallOp>(&goals[k], options.dcsm));
         }
         append(std::make_unique<ScatterGatherOp>(std::move(members)), i, run,
                false);

@@ -8,6 +8,10 @@
 #include "engine/op/op.h"
 #include "engine/op/sink_ops.h"
 
+namespace hermes::dcsm {
+class Dcsm;
+}  // namespace hermes::dcsm
+
 namespace hermes::engine::op {
 
 class NestedLoopJoinOp;
@@ -58,6 +62,10 @@ struct CompileOptions {
   /// its joins so the replan layer can address them. Off by default: the
   /// tree shape is identical either way, this only captures pointers.
   bool record_spine = false;
+  /// When set, every DomainCallOp is stamped with its call site's DCSM
+  /// estimate as it is built: here, in lazily compiled rule bodies and in
+  /// replan splices. Null builds unstamped ops and makes no lookups.
+  const dcsm::Dcsm* dcsm = nullptr;
 };
 
 /// Lowers one goal atom: kDomainCall → DomainCallOp, kComparison →

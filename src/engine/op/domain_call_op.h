@@ -3,10 +3,21 @@
 
 #include <cstddef>
 #include <optional>
+#include <string>
 
+#include "dcsm/dcsm.h"
 #include "engine/op/op.h"
 
 namespace hermes::engine::op {
+
+/// One call site's DCSM estimate, stamped once when its DomainCallOp is
+/// built. The pattern keeps constant arguments and turns variables — ground
+/// by the time the call runs — into `$b`. EXPLAIN, the replan divergence
+/// trigger, the drift tracker and the slow-query log all read this answer.
+struct CallEstimate {
+  std::string adornment;  ///< 'c' per constant argument, 'b' per variable.
+  std::optional<dcsm::CostEstimate> answer;  ///< Unset: the DCSM had none.
+};
 
 /// Executes one `in(Output, domain:function(args))` goal through the call
 /// pipeline (executor layers → registry → per-domain cache/network stack).
@@ -34,7 +45,9 @@ class DomainCallOp final : public PhysicalOp {
  public:
   /// `goal` (kind kDomainCall) is borrowed; it must outlive the operator
   /// (the compiled tree's plan owns the program/query the goals live in).
-  explicit DomainCallOp(const lang::Atom* goal) : goal_(goal) {}
+  /// With a `dcsm` the op is stamped with its call site's estimate.
+  explicit DomainCallOp(const lang::Atom* goal,
+                        const dcsm::Dcsm* dcsm = nullptr);
 
   OpKind kind() const override { return OpKind::kDomainCall; }
   std::string label() const override;
@@ -42,6 +55,9 @@ class DomainCallOp final : public PhysicalOp {
   std::string ActualExtras() const override;
 
   const lang::Atom& goal() const { return *goal_; }
+
+  /// The estimate stamp; unset when the op was built without a DCSM.
+  const std::optional<CallEstimate>& estimate() const { return estimate_; }
 
   /// Grounds the call from the current bindings and runs it at virtual
   /// time `t_issue`. Until ResetAsync(), Open() reuses the result instead
@@ -55,16 +71,6 @@ class DomainCallOp final : public PhysicalOp {
   /// Marks this call's EXPLAIN annotation `async` (set by the compiler
   /// when the call is grouped under a ScatterGatherOp).
   void set_async_marker(bool marker) { async_marker_ = marker; }
-
-  /// The DCSM estimation pattern of this call as executed: constant args
-  /// stay constants, variable args (ground by run time) become `$b`. Used
-  /// by the drift tracker and the slow-query log, matching what EXPLAIN
-  /// asks the DCSM for a fully-bound plan position.
-  lang::DomainCallSpec EstimationPattern() const;
-
-  /// Runtime adornment matching EstimationPattern(): 'c' per constant
-  /// argument, 'b' per variable argument.
-  std::string RuntimeAdornment() const;
 
   void ResetStatsTree() override {
     PhysicalOp::ResetStatsTree();
@@ -86,6 +92,7 @@ class DomainCallOp final : public PhysicalOp {
   Status RunCall(ExecContext& cx, double t_issue);
 
   const lang::Atom* goal_;
+  std::optional<CallEstimate> estimate_;
   bool async_marker_ = false;
 
   // Per-open state.

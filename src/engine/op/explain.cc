@@ -22,7 +22,7 @@ void ExplainPrinter::NodeFor(PhysicalOp& oper, const std::string& annotations,
                              std::vector<std::function<void()>> children) {
   std::string text = oper.label();
   if (!annotations.empty()) text += " " + annotations;
-  if (options_.actuals) {
+  if (actuals_) {
     const OpStats& s = oper.stats();
     text += " (actual: opens=" + std::to_string(s.opens) +
             " rows=" + std::to_string(s.rows) +
@@ -45,8 +45,8 @@ std::string ExplainPrinter::FormatNum(double v) {
   return buf;
 }
 
-std::string ExplainTree(PhysicalOp& root, const ExplainOptions& options) {
-  ExplainPrinter printer(options);
+std::string ExplainTree(PhysicalOp& root, bool actuals) {
+  ExplainPrinter printer(actuals);
   root.Explain(printer);
   return printer.Take();
 }

@@ -8,22 +8,7 @@
 
 #include "engine/op/op.h"
 
-namespace hermes::dcsm {
-class Dcsm;
-}  // namespace hermes::dcsm
-
 namespace hermes::engine::op {
-
-/// Knobs of one EXPLAIN rendering.
-struct ExplainOptions {
-  /// When set, DomainCallOp nodes are annotated with the DCSM's cost
-  /// estimate for their call pattern under the plan's static adornments
-  /// (bound arguments become `$b`). Dcsm::Cost is const and thread-safe,
-  /// so EXPLAIN can run concurrently with query execution.
-  const dcsm::Dcsm* dcsm = nullptr;
-  /// Include post-run per-operator actuals (rows, opens, virtual time).
-  bool actuals = false;
-};
 
 /// Accumulates the ASCII operator tree. Operators call NodeFor()/Node()
 /// from their Explain() overrides; the printer handles the branch glyphs
@@ -32,19 +17,19 @@ struct ExplainOptions {
 /// that stops recursive rules from unrolling forever.
 class ExplainPrinter {
  public:
-  explicit ExplainPrinter(ExplainOptions options)
-      : options_(std::move(options)) {}
+  /// With `actuals`, each operator line ends with its post-run counters
+  /// (rows, opens, virtual time).
+  explicit ExplainPrinter(bool actuals) : actuals_(actuals) {}
 
   /// Emits one tree line, then renders each child one level deeper.
   void Node(const std::string& text,
             std::vector<std::function<void()>> children);
 
-  /// Node() with the operator's label, extra annotations, and — when
-  /// options().actuals — the operator's actual-execution suffix.
+  /// Node() with the operator's label, extra annotations, and — with
+  /// actuals — the operator's actual-execution suffix.
   void NodeFor(PhysicalOp& oper, const std::string& annotations,
                std::vector<std::function<void()>> children);
 
-  const ExplainOptions& options() const { return options_; }
   std::string Take() { return std::move(out_); }
 
   /// Variables bound so far in the plan walk (adornment propagation).
@@ -60,7 +45,7 @@ class ExplainPrinter {
   static std::string FormatNum(double v);
 
  private:
-  ExplainOptions options_;
+  bool actuals_;
   std::string out_;
   std::string indent_;
   std::string pending_prefix_;
@@ -69,7 +54,7 @@ class ExplainPrinter {
 };
 
 /// Renders the whole tree rooted at `root`.
-std::string ExplainTree(PhysicalOp& root, const ExplainOptions& options);
+std::string ExplainTree(PhysicalOp& root, bool actuals);
 
 }  // namespace hermes::engine::op
 

@@ -1,10 +1,8 @@
 #include "engine/op/replan.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
-#include "dcsm/dcsm.h"
 #include "engine/op/domain_call_op.h"
 #include "engine/op/explain.h"
 #include "engine/op/join_op.h"
@@ -72,8 +70,11 @@ ReplanManager::ReplanManager(Setup setup)
     if (slot.single_domain_call && setup.goals != nullptr &&
         slot.goal_start < setup.goals->size()) {
       pos.atom = &(*setup.goals)[slot.goal_start];
-      if (slot.goal_start < setup.estimates.size()) {
-        pos.estimate = setup.estimates[slot.goal_start];
+      const std::optional<CallEstimate>& stamp =
+          static_cast<const DomainCallOp*>(slot.join->right())->estimate();
+      if (options_.divergence_factor > 0.0 && stamp.has_value() &&
+          stamp->answer.has_value()) {
+        pos.estimate = stamp->answer->cost;
       }
       goal_positions_[pos.atom] = positions_.size();
     }
@@ -87,20 +88,20 @@ void ReplanManager::ObserveCall(const lang::Atom* goal, double all_ms,
   if (divergence_pending_) return;
   auto it = goal_positions_.find(goal);
   if (it == goal_positions_.end()) return;
-  const GoalEstimate& est = positions_[it->second].estimate;
-  if (!est.valid) return;
+  const std::optional<CostVector>& est = positions_[it->second].estimate;
+  if (!est.has_value()) return;
   const double n = options_.divergence_factor;
   bool diverged = false;
   double ratio = 1.0;
-  if (est.t_all_ms > 0.0) {
-    const double r = all_ms / est.t_all_ms;
+  if (est->t_all_ms > 0.0) {
+    const double r = all_ms / est->t_all_ms;
     if (r > n || r < 1.0 / n) {
       diverged = true;
       ratio = r;
     }
   }
-  if (!diverged && est.cardinality > 0.0) {
-    const double r = card / est.cardinality;
+  if (!diverged && est->cardinality > 0.0) {
+    const double r = card / est->cardinality;
     if (r > n || r < 1.0 / n) {
       diverged = true;
       ratio = r;
@@ -114,8 +115,8 @@ void ReplanManager::ObserveCall(const lang::Atom* goal, double all_ms,
       "divergence domain=" + GoalName(*goal) +
       " observed=[Ta=" + ExplainPrinter::FormatNum(all_ms) +
       "ms card=" + ExplainPrinter::FormatNum(card) +
-      "] est=[Ta=" + ExplainPrinter::FormatNum(est.t_all_ms) +
-      "ms card=" + ExplainPrinter::FormatNum(est.cardinality) + "]";
+      "] est=[Ta=" + ExplainPrinter::FormatNum(est->t_all_ms) +
+      "ms card=" + ExplainPrinter::FormatNum(est->cardinality) + "]";
 }
 
 bool ReplanManager::BreakerTrigger(const ExecContext& cx, size_t from,
@@ -139,7 +140,7 @@ bool ReplanManager::BreakerTrigger(const ExecContext& cx, size_t from,
 }
 
 double ReplanManager::RankOf(const Position& pos) const {
-  double rank = pos.estimate.valid ? pos.estimate.t_all_ms : 0.0;
+  double rank = pos.estimate.has_value() ? pos.estimate->t_all_ms : 0.0;
   if (divergence_pending_ && pos.atom != nullptr &&
       pos.atom->call.domain == divergence_domain_ &&
       divergence_ratio_ > 1.0) {
@@ -185,7 +186,7 @@ void ReplanManager::SpliceSuffix(ExecContext& cx, size_t from,
     if (!event.old_suffix.empty()) event.old_suffix += " & ";
     event.old_suffix += pos.atom != nullptr ? pos.atom->ToString()
                                             : std::string("<subtree>");
-    if (pos.estimate.valid) event.old_est_ms += pos.estimate.t_all_ms;
+    if (pos.estimate.has_value()) event.old_est_ms += pos.estimate->t_all_ms;
   }
 
   // 1) Redirect breaker-open goals to their CIM wrapper domain when one is
@@ -210,7 +211,7 @@ void ReplanManager::SpliceSuffix(ExecContext& cx, size_t from,
     rewritten.call.domain = "cim_" + rewritten.call.domain;
     goal_positions_.erase(pos.atom);
     pos.atom = &rewritten;
-    pos.estimate = GoalEstimate{};  // the wrapper's cost is unknown
+    pos.estimate.reset();  // the wrapper's cost is unknown
     goal_positions_[pos.atom] = p;
   }
 
@@ -275,7 +276,7 @@ void ReplanManager::SpliceSuffix(ExecContext& cx, size_t from,
     if (!event.new_suffix.empty()) event.new_suffix += " & ";
     event.new_suffix += pos.atom != nullptr ? pos.atom->ToString()
                                             : std::string("<subtree>");
-    if (pos.estimate.valid) event.new_est_ms += pos.estimate.t_all_ms;
+    if (pos.estimate.has_value()) event.new_est_ms += pos.estimate->t_all_ms;
   }
 
   if (cx.ctx->observed()) {
@@ -288,54 +289,6 @@ void ReplanManager::SpliceSuffix(ExecContext& cx, size_t from,
     cx.ctx->Emit(ev);
   }
   events_.push_back(std::move(event));
-}
-
-std::vector<GoalEstimate> SnapshotGoalEstimates(
-    const dcsm::Dcsm* dcsm, const std::vector<lang::Atom>& goals) {
-  std::vector<GoalEstimate> out(goals.size());
-  std::set<std::string> bound;
-  for (size_t i = 0; i < goals.size(); ++i) {
-    const lang::Atom& goal = goals[i];
-    switch (goal.kind) {
-      case lang::Atom::Kind::kDomainCall: {
-        lang::DomainCallSpec pattern;
-        pattern.domain = goal.call.domain;
-        pattern.function = goal.call.function;
-        bool estimable = true;
-        for (const lang::Term& arg : goal.call.args) {
-          if (arg.is_constant()) {
-            pattern.args.push_back(arg);
-          } else if (arg.is_variable() && bound.count(arg.var_name) > 0) {
-            pattern.args.push_back(lang::Term::Bound());
-          } else {
-            estimable = false;
-          }
-        }
-        if (estimable && dcsm != nullptr) {
-          Result<dcsm::CostEstimate> est = dcsm->Cost(pattern);
-          if (est.ok()) {
-            out[i].t_all_ms = est->cost.t_all_ms;
-            out[i].cardinality = est->cost.cardinality;
-            out[i].valid = true;
-          }
-        }
-        if (goal.output.is_variable()) bound.insert(goal.output.var_name);
-        break;
-      }
-      case lang::Atom::Kind::kComparison:
-        if (goal.op == lang::RelOp::kEq) {
-          if (goal.lhs.is_variable()) bound.insert(goal.lhs.var_name);
-          if (goal.rhs.is_variable()) bound.insert(goal.rhs.var_name);
-        }
-        break;
-      case lang::Atom::Kind::kPredicate:
-        for (const lang::Term& arg : goal.args) {
-          if (arg.is_variable()) bound.insert(arg.var_name);
-        }
-        break;
-    }
-  }
-  return out;
 }
 
 }  // namespace hermes::engine::op

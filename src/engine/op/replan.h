@@ -6,15 +6,13 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "domain/cost.h"
 #include "engine/op/compile.h"
 #include "engine/op/op.h"
-
-namespace hermes::dcsm {
-class Dcsm;
-}  // namespace hermes::dcsm
 
 namespace hermes::engine::op {
 
@@ -29,21 +27,11 @@ struct ReplanOptions {
   /// Re-plan when an executed call's observed latency or cardinality
   /// diverges from its compile-time estimate by more than this factor
   /// (observed > N·est or observed < est/N). 0 disables the divergence
-  /// trigger; it compares against estimates snapshotted at plan time, never
-  /// the live DCSM.
+  /// trigger; it compares against each call's compile-time estimate stamp
+  /// (DomainCallOp::estimate), never the live DCSM.
   double divergence_factor = 0.0;
   /// Upper bound on replans per query (each replan splices new subtrees).
   size_t max_replans = 1;
-};
-
-/// Compile-time cost snapshot for one top-level query goal, taken when the
-/// plan is instantiated. MaybeReplan compares actuals against these — not
-/// against the live DCSM, whose contents depend on cross-query flush
-/// interleaving.
-struct GoalEstimate {
-  double t_all_ms = 0.0;
-  double cardinality = 0.0;
-  bool valid = false;
 };
 
 /// One replan decision, kept for EXPLAIN/diagnostics: what fired, what the
@@ -84,9 +72,6 @@ class ReplanManager {
     std::function<std::string(const std::string&)> site_of;
     /// Domains with a registered "cim_<domain>" wrapper to redirect to.
     std::vector<std::string> cim_domains;
-    /// Per-goal estimate snapshot (parallel to `goals`); may be empty when
-    /// the divergence trigger is off.
-    std::vector<GoalEstimate> estimates;
     ReplanOptions options;
   };
 
@@ -113,7 +98,10 @@ class ReplanManager {
   struct Position {
     SpineSlot slot;
     const lang::Atom* atom = nullptr;  ///< Current goal (null: fixed subtree).
-    GoalEstimate estimate;
+    /// The goal's estimate stamp, read only when the divergence trigger is
+    /// armed — not the live DCSM, whose contents depend on cross-query
+    /// flush interleaving. Unset: no estimate.
+    std::optional<CostVector> estimate;
   };
 
   bool BreakerTrigger(const ExecContext& cx, size_t from, std::string* trigger,
@@ -143,13 +131,6 @@ class ReplanManager {
   std::vector<ReplanEvent> events_;
   uint64_t splices_ = 0;
 };
-
-/// Snapshot of per-goal DCSM estimates under the plan's static adornments
-/// (the same left-to-right bound-variable walk EXPLAIN uses). Entry i is
-/// valid only when goals[i] is a domain call whose arguments are all bound
-/// at that point. `dcsm` may be null (all entries invalid).
-std::vector<GoalEstimate> SnapshotGoalEstimates(
-    const dcsm::Dcsm* dcsm, const std::vector<lang::Atom>& goals);
 
 }  // namespace hermes::engine::op
 

@@ -14,7 +14,6 @@ CompiledPlan PlanCompiler::Compile(
   compiled.plan_ = std::move(plan);
   compiled.tree_ = engine::op::Compile(compiled.plan_->program,
                                        compiled.plan_->query, options_);
-  compiled.dcsm_ = dcsm_;
   return compiled;
 }
 
@@ -28,10 +27,7 @@ std::string CompiledPlan::Explain(bool actuals) {
            "ms card=" + ExplainPrinter::FormatNum(plan_->estimated.cardinality) +
            "\n";
   }
-  engine::op::ExplainOptions options;
-  options.dcsm = dcsm_;
-  options.actuals = actuals;
-  out += engine::op::ExplainTree(*tree_.root, options);
+  out += engine::op::ExplainTree(*tree_.root, actuals);
   return out;
 }
 

@@ -30,8 +30,8 @@ class CompiledPlan {
   engine::op::CompiledQuery& tree() { return tree_; }
 
   /// Renders the plan header (description, query, plan-level estimate)
-  /// followed by the operator tree with static adornments and per-call
-  /// DCSM estimates. With `actuals`, each operator also shows its post-run
+  /// followed by the operator tree with static adornments and each call's
+  /// estimate stamp. With `actuals`, each operator also shows its post-run
   /// counters — call after executing the tree. Non-const because rendering
   /// rule bodies shares the operators' lazily-compiled subtrees.
   std::string Explain(bool actuals = false);
@@ -41,29 +41,31 @@ class CompiledPlan {
 
   std::shared_ptr<const CandidatePlan> plan_;
   engine::op::CompiledQuery tree_;
-  const dcsm::Dcsm* dcsm_ = nullptr;
 };
 
-/// Lowers CandidatePlans into physical operator trees. The optional DCSM
-/// annotates EXPLAIN output with per-call cost estimates (Dcsm::Cost is
-/// const and thread-safe, so compilation and EXPLAIN are safe while
-/// queries execute). `options` selects the lowering — notably whether
-/// independent domain-call runs are grouped for async scatter-gather; the
-/// compiler is where call-site independence (no shared bound variables)
-/// is decided.
+/// Lowers CandidatePlans into physical operator trees. With a DCSM, each
+/// domain call is stamped with its cost estimate as it is built (Dcsm::Cost
+/// is const and thread-safe, so compilation is safe while queries
+/// execute). `options` selects the lowering — notably whether independent
+/// domain-call runs are grouped for async scatter-gather; the compiler is
+/// where call-site independence (no shared bound variables) is decided.
 class PlanCompiler {
  public:
   explicit PlanCompiler(const dcsm::Dcsm* dcsm = nullptr,
                         engine::op::CompileOptions options = {})
-      : dcsm_(dcsm), options_(options) {}
+      : options_(options) {
+    options_.dcsm = dcsm;
+  }
 
   CompiledPlan Compile(CandidatePlan plan) const;
   /// Lowers a shared plan without copying it; several trees may borrow one
   /// plan at once.
   CompiledPlan Compile(std::shared_ptr<const CandidatePlan> plan) const;
 
+  /// The lowering options, with the DCSM filled in.
+  const engine::op::CompileOptions& options() const { return options_; }
+
  private:
-  const dcsm::Dcsm* dcsm_;
   engine::op::CompileOptions options_;
 };
 

@@ -292,9 +292,7 @@ TEST(OpTreeTest, RuleStatsVisibleInExplainActuals) {
   CallContext ctx;
   ASSERT_TRUE(executor.ExecuteCompiled(fx.program, cq, &ctx).ok());
 
-  op::ExplainOptions options;
-  options.actuals = true;
-  std::string text = op::ExplainTree(*cq.root, options);
+  std::string text = op::ExplainTree(*cq.root, /*actuals=*/true);
   EXPECT_NE(text.find("rule:"), std::string::npos) << text;
   EXPECT_NE(text.find("(actual: opens=1 rows=2"), std::string::npos) << text;
 }
