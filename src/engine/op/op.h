@@ -192,7 +192,8 @@ class PhysicalOp {
                                 double* t_out) = 0;
   virtual void CloseImpl(ExecContext& cx) = 0;
 
-  /// Direct children, for the default Explain() rendering.
+  /// Direct children, for VisitTree() (which skips null entries) and the
+  /// default Explain() rendering.
   virtual std::vector<PhysicalOp*> children() { return {}; }
 
  private:

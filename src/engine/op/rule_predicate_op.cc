@@ -238,6 +238,13 @@ void RulePredicateOp::CloseImpl(ExecContext& cx) {
   rule_span_ = 0;
 }
 
+std::vector<PhysicalOp*> RulePredicateOp::children() {
+  std::vector<PhysicalOp*> kids;
+  kids.reserve(bodies_.size());
+  for (std::unique_ptr<PhysicalOp>& body : bodies_) kids.push_back(body.get());
+  return kids;
+}
+
 void RulePredicateOp::Explain(ExplainPrinter& printer) {
   std::string adorn;
   for (const lang::Term& arg : atom_->args) {

@@ -53,6 +53,8 @@ class RulePredicateOp final : public PhysicalOp {
   Result<bool> NextImpl(ExecContext& cx, double t_resume,
                         double* t_out) override;
   void CloseImpl(ExecContext& cx) override;
+  /// The rule bodies compiled so far (null where a rule never ran).
+  std::vector<PhysicalOp*> children() override;
 
  private:
   struct BackBinding {
