@@ -1,9 +1,11 @@
 #include "common/value.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <sstream>
 
 namespace hermes {
@@ -26,6 +28,16 @@ bool IsAllDigits(const std::string& s) {
     if (!std::isdigit(static_cast<unsigned char>(c))) return false;
   }
   return true;
+}
+
+/// The 1-based index an all-digit path step names. A step too large for
+/// size_t is past the end of any value, so it saturates instead of failing.
+size_t PathIndex(const std::string& step) {
+  size_t index = 0;
+  std::from_chars_result parsed =
+      std::from_chars(step.data(), step.data() + step.size(), index);
+  return parsed.ec == std::errc() ? index
+                                  : std::numeric_limits<size_t>::max();
 }
 
 void HashCombine(size_t& seed, size_t h) {
@@ -97,7 +109,7 @@ Result<const Value*> Value::GetPathPtr(
   const Value* current = this;
   for (const std::string& step : path) {
     Result<const Value*> next = IsAllDigits(step)
-                                    ? current->GetIndexPtr(std::stoul(step))
+                                    ? current->GetIndexPtr(PathIndex(step))
                                     : current->GetAttrPtr(step);
     if (!next.ok()) return next.status();
     current = next.value();

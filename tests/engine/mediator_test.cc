@@ -174,6 +174,22 @@ TEST(MediatorTest, OutOfRangeLiteralIsParseErrorNotException) {
   EXPECT_TRUE(res.status().IsParseError()) << res.status();
 }
 
+TEST(MediatorTest, HugePathIndexIsTypeErrorNotException) {
+  Mediator med;
+  ASSERT_TRUE(testbed::SetupRopeScenario(&med, FastSites()).ok());
+  // video_size answers an elementary value, so positional access past 1 is
+  // a TypeError — however many digits the index has.
+  Result<QueryResult> small = med.Query(
+      "?- in(X, video:video_size('rope')) & X.5 = 1.", QueryOptions{});
+  ASSERT_FALSE(small.ok());
+  EXPECT_EQ(small.status().code(), StatusCode::kTypeError) << small.status();
+  Result<QueryResult> huge = med.Query(
+      "?- in(X, video:video_size('rope')) & X.99999999999999999999 = 1.",
+      QueryOptions{});
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().ToString(), small.status().ToString());
+}
+
 TEST(MediatorTest, StatisticsAccumulateAcrossQueries) {
   Mediator med;
   ASSERT_TRUE(testbed::SetupRopeScenario(&med, FastSites()).ok());
