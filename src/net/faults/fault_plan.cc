@@ -1,7 +1,7 @@
 #include "net/faults/fault_plan.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "common/io.h"
@@ -21,14 +21,11 @@ const char* KindName(FaultRule::Kind kind) {
   return "unknown";
 }
 
-std::string FormatMs(double ms) {
+/// The shortest text that parses back to exactly `v`.
+std::string FormatNumber(double v) {
   char buf[32];
-  if (ms == static_cast<double>(static_cast<long long>(ms))) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(ms));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%g", ms);
-  }
-  return buf;
+  std::to_chars_result printed = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, printed.ptr);
 }
 
 Status ParseDouble(const std::string& token, const std::string& value,
@@ -51,20 +48,12 @@ std::string FaultRule::ToString() const {
   std::string out = KindName(kind);
   out += " site=" + site;
   if (kind == Kind::kFlaky || kind == Kind::kSlow) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), " p=%g", probability);
-    out += buf;
+    out += " p=" + FormatNumber(probability);
   }
-  if (kind == Kind::kLatency) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), " factor=%g", factor);
-    out += buf;
-  }
-  if (kind == Kind::kSlow) {
-    out += " extra_ms=" + FormatMs(extra_ms);
-  }
-  if (from_ms > 0.0) out += " from=" + FormatMs(from_ms);
-  if (std::isfinite(until_ms)) out += " until=" + FormatMs(until_ms);
+  if (kind == Kind::kLatency) out += " factor=" + FormatNumber(factor);
+  if (kind == Kind::kSlow) out += " extra_ms=" + FormatNumber(extra_ms);
+  if (from_ms > 0.0) out += " from=" + FormatNumber(from_ms);
+  if (std::isfinite(until_ms)) out += " until=" + FormatNumber(until_ms);
   return out;
 }
 
@@ -95,9 +84,9 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
                                   std::to_string(line_no) +
                                   ": seed needs a value");
       }
-      try {
-        plan.seed = std::stoull(value);
-      } catch (const std::exception&) {
+      const char* end = value.data() + value.size();
+      auto [used, ec] = std::from_chars(value.data(), end, plan.seed);
+      if (ec != std::errc() || used != end) {
         return Status::ParseError("fault spec line " +
                                   std::to_string(line_no) + ": bad seed '" +
                                   value + "'");
