@@ -1,6 +1,8 @@
 #include "relational/database.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 
 #include "common/io.h"
 #include "common/strings.h"
@@ -35,6 +37,15 @@ bool LooksNumeric(const std::string& field) {
   return digits;
 }
 
+/// Parses the whole of `field` into `*out`; false on trailing text or an
+/// out-of-range value.
+template <typename T>
+bool ParseWhole(const std::string& field, T* out) {
+  const char* end = field.data() + field.size();
+  std::from_chars_result parsed = std::from_chars(field.data(), end, *out);
+  return parsed.ec == std::errc() && parsed.ptr == end;
+}
+
 Result<Value> ParseCsvField(const std::string& raw, ColumnType type) {
   std::string field = TrimString(raw);
   // Quoted fields are strings with the quotes stripped.
@@ -48,16 +59,20 @@ Result<Value> ParseCsvField(const std::string& raw, ColumnType type) {
     return Value::Str(field);
   }
   switch (type) {
-    case ColumnType::kInt:
-      if (!LooksNumeric(field)) {
+    case ColumnType::kInt: {
+      int64_t v = 0;
+      if (!ParseWhole(field, &v)) {
         return Status::TypeError("'" + field + "' is not an int");
       }
-      return Value::Int(std::stoll(field));
-    case ColumnType::kDouble:
-      if (!LooksNumeric(field)) {
+      return Value::Int(v);
+    }
+    case ColumnType::kDouble: {
+      double v = 0.0;
+      if (!LooksNumeric(field) || !ParseWhole(field, &v)) {
         return Status::TypeError("'" + field + "' is not a double");
       }
-      return Value::Double(std::stod(field));
+      return Value::Double(v);
+    }
     case ColumnType::kBool:
       if (field == "true" || field == "1") return Value::Bool(true);
       if (field == "false" || field == "0") return Value::Bool(false);
