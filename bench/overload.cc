@@ -6,9 +6,10 @@
 // concurrency limits and hedging earn their keep. The driver
 //
 //   1. calibrates 1x capacity (closed-loop queries/sec of the pool),
-//   2. replays the same workload at 1x/2x/4x offered load under three
+//   2. replays the same workload at 1x/2x/4x offered load under six
 //      configurations — baseline (bounded queue only), overload (admission
-//      + AIMD limiter + brownout), overload+hedge — and
+//      + AIMD limiter + brownout), overload+hedge, and one per mechanism
+//      alone (admission, limiter, hedge) — and
 //   3. records goodput, wall/simulated latency percentiles, shed rates and
 //      hedge traffic per run into BENCH_overload.json.
 //
@@ -48,9 +49,12 @@ constexpr size_t kQueueCapacity = 256;
 constexpr double kPacing = 0.002;    ///< Wall ms slept per simulated ms.
 constexpr double kDeadlineSimMs = 20000.0;  ///< Per-query deadline (sim).
 
+/// The brownout ladder is installed whenever `limiter` or `hedge` arms
+/// overload control, but only the pool's admission outcomes move it, so it
+/// acts only together with `admission`.
 struct RunConfig {
   std::string name;
-  bool admission = false;  ///< Pool admission + CoDel + brownout ladder.
+  bool admission = false;  ///< Pool deadline admission + CoDel shedding.
   bool limiter = false;    ///< Per-site AIMD concurrency limits.
   bool hedge = false;      ///< Hedged requests to failover replicas.
 };
@@ -338,6 +342,9 @@ int Main(int argc, char** argv) {
       {"baseline", false, false, false},
       {"overload", true, true, false},
       {"overload+hedge", true, true, true},
+      {"admission", true, false, false},
+      {"limiter", false, true, false},
+      {"hedge", false, false, true},
   };
   const double loads[] = {1.0, 2.0, 4.0};
 

@@ -334,11 +334,6 @@ Mediator* FanoutMediator(bool async) {
     }
     m->set_per_query_network_rng(true);
     m->set_async_execution(on);
-    // Coalescing enabled but never firing (every call is unique): the mix
-    // also measures that the single-flight layer is free on the miss path.
-    SingleFlightOptions sf;
-    sf.enabled = true;
-    m->set_single_flight(sf);
     m->set_service_pacing(0.002);
     return m;
   };

@@ -1,6 +1,5 @@
 #include "domain/pipeline.h"
 
-#include <chrono>
 #include <cstdio>
 #include <utility>
 
@@ -151,88 +150,6 @@ CallInterceptor* PipelineDomain::FindLayer(const std::string& layer) const {
     if (interceptor->name() == layer) return interceptor.get();
   }
   return nullptr;
-}
-
-std::string SingleFlightRegistry::KeyFor(const std::string& site,
-                                         const DomainCall& call) {
-  return site + "|" + call.ToString();
-}
-
-SingleFlightRegistry::Join SingleFlightRegistry::JoinOrLead(
-    const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = flights_.find(key);
-  if (it != flights_.end()) {
-    return {/*leader=*/false, it->second};
-  }
-  auto flight = std::make_shared<Flight>();
-  flight->key = key;
-  flights_.emplace(key, flight);
-  leaders_->Add(1);
-  return {/*leader=*/true, std::move(flight)};
-}
-
-void SingleFlightRegistry::Publish(Flight& flight, const Status& status,
-                                   CallOutput output) {
-  {
-    std::lock_guard<std::mutex> lock(flight.mu);
-    flight.status = status;
-    flight.output = std::move(output);
-    flight.done = true;
-  }
-  flight.cv.notify_all();
-  // Retire the key: calls arriving after publication lead a fresh flight
-  // (the published answers belong to the queries that overlapped it).
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = flights_.find(flight.key);
-  if (it != flights_.end() && it->second.get() == &flight) {
-    flights_.erase(it);
-  }
-}
-
-Result<CallOutput> SingleFlightRegistry::Await(Flight& flight) {
-  const auto timeout = std::chrono::duration<double, std::milli>(
-      options_.wait_timeout_ms);
-  std::unique_lock<std::mutex> lock(flight.mu);
-  waiting_.fetch_add(1, std::memory_order_relaxed);
-  const bool published =
-      flight.cv.wait_for(lock, timeout, [&flight] { return flight.done; });
-  waiting_.fetch_sub(1, std::memory_order_relaxed);
-  if (!published) {
-    fallbacks_->Add(1);
-    return Status::DeadlineExceeded(
-        "single-flight leader did not publish within " +
-        std::to_string(options_.wait_timeout_ms) + "ms");
-  }
-  if (!flight.status.ok()) {
-    fallbacks_->Add(1);
-    return flight.status;
-  }
-  followers_->Add(1);
-  return flight.output;
-}
-
-SingleFlightRegistry::Stats SingleFlightRegistry::stats() const {
-  Stats s;
-  s.leaders = leaders_->Value();
-  s.followers = followers_->Value();
-  s.fallbacks = fallbacks_->Value();
-  s.waiting = waiting_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void SingleFlightRegistry::BindMetrics(obs::MetricsRegistry& registry) {
-  registry.Register("hermes_callpipe_singleflight_leader_total",
-                    "Remote calls that executed as single-flight leaders",
-                    {}, leaders_);
-  registry.Register("hermes_callpipe_singleflight_follower_total",
-                    "Remote calls coalesced onto a leader's in-flight "
-                    "execution",
-                    {}, followers_);
-  registry.Register("hermes_callpipe_singleflight_fallback_total",
-                    "Follower waits that fell back to their own call "
-                    "(leader failure or wall-clock timeout)",
-                    {}, fallbacks_);
 }
 
 }  // namespace hermes

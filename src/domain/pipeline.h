@@ -1,17 +1,13 @@
 #ifndef HERMES_DOMAIN_PIPELINE_H_
 #define HERMES_DOMAIN_PIPELINE_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -19,7 +15,6 @@
 #include "domain/cost.h"
 #include "domain/domain.h"
 #include "lang/ast.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace hermes {
@@ -49,7 +44,6 @@ class DriftTracker;
   X(deadline_aborts)                         \
   X(degraded_calls)                          \
   X(failovers)                               \
-  X(coalesced_calls)                         \
   X(load_shed)                               \
   X(hedges)                                  \
   X(hedge_wins)
@@ -85,8 +79,6 @@ struct CallMetrics {
   uint64_t deadline_aborts = 0;  ///< Calls abandoned at a deadline.
   uint64_t degraded_calls = 0;   ///< Calls served from stale/partial material.
   uint64_t failovers = 0;        ///< Calls completed via an alternate site.
-  // Single-flight layer.
-  uint64_t coalesced_calls = 0;  ///< Calls served from another query's flight.
   // Overload layer.
   uint64_t load_shed = 0;    ///< Calls shed by the per-site AIMD limiter.
   uint64_t hedges = 0;       ///< Speculative hedge calls issued.
@@ -359,104 +351,6 @@ class PipelineDomain : public Domain {
   std::string name_;
   std::shared_ptr<Domain> terminal_;
   CallPipeline pipeline_;
-};
-
-/// Knobs of the cross-query single-flight layer. Disabled by default, in
-/// which case the call path is byte-identical to the pre-coalescing code.
-struct SingleFlightOptions {
-  bool enabled = false;
-  /// Wall-clock milliseconds a follower waits for its leader to publish
-  /// before giving up and issuing its own call. Host time only — the
-  /// simulated clock never blocks, so a timeout costs extra host work but
-  /// never changes a query's simulated outcome.
-  double wait_timeout_ms = 2000.0;
-};
-
-/// Cross-query single-flight coalescing, keyed on `(site, domain,
-/// function, normalized args)` — the site name plus DomainCall::ToString(),
-/// whose rendering is the canonical cache-key form of the call.
-///
-/// The first query to arrive at a key becomes the *leader* and executes
-/// the inner call; queries arriving while it is in flight become
-/// *followers*: they wait (host wall clock only) for the leader to publish
-/// and adopt its materialized inner output instead of re-executing the
-/// source call. The inner domains are deterministic functions of the call
-/// arguments, so the adopted output is bit-identical to what the
-/// follower's own call would have produced — coalescing saves host work
-/// and global network traffic but never changes a query's simulated
-/// answers, latencies, or per-query accounting (each follower still plans
-/// its own transfer from its own RNG stream and charges its own simulated
-/// network time). A leader that fails publishes the failure, and every
-/// follower falls back to its own call: leader failure cannot poison
-/// followers, and per-query retry/breaker accounting stays untouched.
-///
-/// Thread-safe. One registry is shared by every site's network layer (the
-/// Mediator owns it); the site name inside the key keeps same-named calls
-/// to different sites apart.
-class SingleFlightRegistry {
- public:
-  /// One in-flight call publication slot.
-  struct Flight {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    Status status = Status::OK();  ///< Leader's inner-call status.
-    CallOutput output;             ///< Leader's inner output when ok.
-    std::string key;
-  };
-
-  struct Join {
-    bool leader = false;
-    std::shared_ptr<Flight> flight;
-  };
-
-  SingleFlightRegistry() = default;
-  SingleFlightRegistry(const SingleFlightRegistry&) = delete;
-  SingleFlightRegistry& operator=(const SingleFlightRegistry&) = delete;
-
-  /// The canonical flight key of `call` at `site`.
-  static std::string KeyFor(const std::string& site, const DomainCall& call);
-
-  /// Joins the in-flight execution of `key`, or starts leading one.
-  /// A leader MUST eventually call Publish() on the returned flight
-  /// (success or failure) — followers block on it.
-  Join JoinOrLead(const std::string& key);
-
-  /// Leader: publishes the inner result and retires the key; every waiting
-  /// follower wakes. Later arrivals at the key lead a fresh flight.
-  void Publish(Flight& flight, const Status& status, CallOutput output);
-
-  /// Follower: waits for the leader's publication. Returns the shared
-  /// inner output, the leader's failure, or DeadlineExceeded on wall-clock
-  /// timeout; callers fall back to their own call on any failure.
-  Result<CallOutput> Await(Flight& flight);
-
-  /// Wiring-time configuration (set before queries run).
-  void set_options(const SingleFlightOptions& options) { options_ = options; }
-  bool enabled() const { return options_.enabled; }
-  const SingleFlightOptions& options() const { return options_; }
-
-  struct Stats {
-    uint64_t leaders = 0;    ///< Calls that executed as flight leaders.
-    uint64_t followers = 0;  ///< Calls served from a leader's publication.
-    uint64_t fallbacks = 0;  ///< Follower waits that fell back to own calls.
-    uint64_t waiting = 0;    ///< Followers currently blocked on a leader.
-  };
-  Stats stats() const;
-
-  /// Registers hermes_callpipe_singleflight_{leader,follower}_total (and
-  /// the fallback counter) with `registry`. The counters exist and count
-  /// whether or not this is ever called.
-  void BindMetrics(obs::MetricsRegistry& registry);
-
- private:
-  SingleFlightOptions options_;
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
-  std::atomic<uint64_t> waiting_{0};
-  std::shared_ptr<obs::Counter> leaders_ = std::make_shared<obs::Counter>();
-  std::shared_ptr<obs::Counter> followers_ = std::make_shared<obs::Counter>();
-  std::shared_ptr<obs::Counter> fallbacks_ = std::make_shared<obs::Counter>();
 };
 
 }  // namespace hermes

@@ -54,7 +54,6 @@ Mediator::Mediator(uint64_t network_seed)
   metrics_->Register("hermes_query_ta_sim_ms",
                      "Simulated time to evaluation completion (Ta) per query",
                      {}, query_ta_sim_ms_);
-  single_flight_->BindMetrics(*metrics_);
   metrics_->Register("hermes_replan_triggers_total",
                      "Mid-query re-optimizations triggered (breaker-open or "
                      "estimate divergence)",
@@ -108,7 +107,6 @@ Status Mediator::RegisterRemoteDomain(const std::string& name,
       std::make_shared<net::NetworkInterceptor>(std::move(site), network_);
   link->BindMetrics(*metrics_, name);
   link->set_fault_injector(fault_injector_);
-  link->set_single_flight(single_flight_);
   auto shield = std::make_shared<resilience::ResilienceInterceptor>(
       link->site().name, network_->seed(), link, default_resilience_policy_);
   shield->BindMetrics(*metrics_, name);
@@ -467,23 +465,21 @@ std::vector<std::string> Mediator::CachedDomains() const {
 
 optimizer::RuleRewriter::Options Mediator::EffectiveRewriterOptions(
     const QueryOptions& options) const {
-  optimizer::RuleRewriter::Options rw = rewriter_options_;
+  optimizer::RuleRewriter::Options rw;
   rw.cim_domains = options.use_cim ? CachedDomains() : std::vector<std::string>{};
   rw.cim_only = options.cim_only && options.use_cim;
-  if (!rw.domain_has_function) {
-    // Selection push-down consults the registry for exported functions.
-    const DomainRegistry* registry = &registry_;
-    rw.domain_has_function = [registry](const std::string& domain,
-                                        const std::string& function,
-                                        size_t arity) {
-      Result<std::shared_ptr<Domain>> d = registry->Get(domain);
-      if (!d.ok()) return false;
-      for (const FunctionInfo& fn : (*d)->Functions()) {
-        if (fn.name == function && fn.arity == arity) return true;
-      }
-      return false;
-    };
-  }
+  // Selection push-down consults the registry for exported functions.
+  const DomainRegistry* registry = &registry_;
+  rw.domain_has_function = [registry](const std::string& domain,
+                                      const std::string& function,
+                                      size_t arity) {
+    Result<std::shared_ptr<Domain>> d = registry->Get(domain);
+    if (!d.ok()) return false;
+    for (const FunctionInfo& fn : (*d)->Functions()) {
+      if (fn.name == function && fn.arity == arity) return true;
+    }
+    return false;
+  };
   return rw;
 }
 
@@ -492,8 +488,7 @@ Result<optimizer::OptimizerResult> Mediator::Plan(
   std::shared_lock lock(wiring_mu_);
   HERMES_ASSIGN_OR_RETURN(lang::Query query,
                           lang::Parser::ParseQuery(query_text));
-  optimizer::QueryOptimizer opt(&dcsm_, EffectiveRewriterOptions(options),
-                                estimator_params_);
+  optimizer::QueryOptimizer opt(&dcsm_, EffectiveRewriterOptions(options));
   return opt.Optimize(program_, query, options.goal);
 }
 
@@ -501,8 +496,7 @@ Result<optimizer::CandidatePlan> Mediator::PickPlan(lang::Query query,
                                                     const QueryOptions& options,
                                                     QueryResult* result) {
   if (options.use_optimizer) {
-    optimizer::QueryOptimizer opt(&dcsm_, EffectiveRewriterOptions(options),
-                                  estimator_params_);
+    optimizer::QueryOptimizer opt(&dcsm_, EffectiveRewriterOptions(options));
     HERMES_ASSIGN_OR_RETURN(
         optimizer::OptimizerResult optimized,
         opt.Optimize(program_, query, options.goal));

@@ -413,18 +413,6 @@ class Mediator {
   void set_async_execution(bool on) { async_execution_ = on; }
   bool async_execution() const { return async_execution_; }
 
-  /// Cross-query single-flight call coalescing: while enabled, concurrent
-  /// queries missing on the identical remote call (same site, domain,
-  /// function and grounded arguments) share one in-flight execution —
-  /// followers wait on the leader's result instead of shipping their own
-  /// request (see SingleFlightRegistry). Off by default. Set at wiring
-  /// time; the registry is shared by every remote link (and, because
-  /// EnableCaching copies layer pointers, by the cim_* paths).
-  void set_single_flight(const SingleFlightOptions& options) {
-    single_flight_->set_options(options);
-  }
-  const SingleFlightRegistry& single_flight() const { return *single_flight_; }
-
   /// Wall-clock pacing: after computing a query, sleep `scale` real
   /// milliseconds per simulated millisecond of the query's latency —
   /// turning the simulated service time into actual wait, so a worker
@@ -460,10 +448,6 @@ class Mediator {
   /// Names of domains with CIM wrappers.
   std::vector<std::string> CachedDomains() const;
 
-  optimizer::RuleRewriter::Options& rewriter_options() {
-    return rewriter_options_;
-  }
-  optimizer::EstimatorParams& estimator_params() { return estimator_params_; }
   engine::ExecutorOptions& executor_options() { return executor_options_; }
 
  private:
@@ -528,8 +512,6 @@ class Mediator {
   bool per_query_net_rng_ = false;
   bool async_execution_ = false;
   double pacing_scale_ = 0.0;
-  std::shared_ptr<SingleFlightRegistry> single_flight_ =
-      std::make_shared<SingleFlightRegistry>();
   std::map<std::string, std::shared_ptr<cim::CimDomain>> cims_;
   resilience::ResiliencePolicy default_resilience_policy_;
   std::shared_ptr<const net::FaultInjector> fault_injector_;
@@ -542,8 +524,6 @@ class Mediator {
       overload_layers_;
   overload::OverloadPolicy default_overload_policy_;
   std::shared_ptr<overload::BrownoutController> brownout_;
-  optimizer::RuleRewriter::Options rewriter_options_;
-  optimizer::EstimatorParams estimator_params_;
   engine::ExecutorOptions executor_options_;
 
   // Adaptive execution (EnablePlanCache / set_replan_options).

@@ -76,12 +76,10 @@ Status DomainCallOp::RunCall(ExecContext& cx, double t_issue) {
   }
   const uint64_t retries_before = cx.ctx->metrics.retries;
   const uint64_t degraded_before = cx.ctx->metrics.degraded_calls;
-  const uint64_t coalesced_before = cx.ctx->metrics.coalesced_calls;
   const size_t errors_before = cx.ctx->source_errors.size();
   Result<CallOutput> run = cx.pipeline->Run(*cx.ctx, call);
   retries_seen_ += cx.ctx->metrics.retries - retries_before;
   degraded_seen_ += cx.ctx->metrics.degraded_calls - degraded_before;
-  coalesced_seen_ += cx.ctx->metrics.coalesced_calls - coalesced_before;
   if (cx.ctx->observed()) {
     if (run.ok()) {
       obs::FlightEvent ev = obs::FlightEvent::End(
@@ -262,9 +260,6 @@ std::string DomainCallOp::ActualExtras() const {
   if (retries_seen_ > 0) extras += " retries=" + std::to_string(retries_seen_);
   if (degraded_seen_ > 0) extras += " degraded";
   if (lost_seen_ > 0) extras += " lost=" + std::to_string(lost_seen_);
-  if (coalesced_seen_ > 0) {
-    extras += " coalesced=" + std::to_string(coalesced_seen_);
-  }
   return extras;
 }
 

@@ -72,14 +72,6 @@ class DomainCallOp final : public PhysicalOp {
   /// when the call is grouped under a ScatterGatherOp).
   void set_async_marker(bool marker) { async_marker_ = marker; }
 
-  void ResetStatsTree() override {
-    PhysicalOp::ResetStatsTree();
-    retries_seen_ = 0;
-    degraded_seen_ = 0;
-    lost_seen_ = 0;
-    coalesced_seen_ = 0;
-  }
-
  protected:
   Status OpenImpl(ExecContext& cx, double t_open) override;
   Result<bool> NextImpl(ExecContext& cx, double t_resume,
@@ -107,10 +99,9 @@ class DomainCallOp final : public PhysicalOp {
   std::optional<BindingFrame> frame_;
 
   // Resilience events accumulated across opens, surfaced by ActualExtras().
-  uint64_t retries_seen_ = 0;    ///< Retry attempts below this call.
-  uint64_t degraded_seen_ = 0;   ///< Calls served degraded from cache.
-  uint64_t lost_seen_ = 0;       ///< Failures tolerated as zero rows.
-  uint64_t coalesced_seen_ = 0;  ///< Calls coalesced onto another query's.
+  uint64_t retries_seen_ = 0;   ///< Retry attempts below this call.
+  uint64_t degraded_seen_ = 0;  ///< Calls served degraded from cache.
+  uint64_t lost_seen_ = 0;      ///< Failures tolerated as zero rows.
 };
 
 }  // namespace hermes::engine::op

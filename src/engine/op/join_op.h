@@ -53,12 +53,6 @@ class NestedLoopJoinOp final : public PhysicalOp {
     replanned_marker_ = std::move(marker);
   }
 
-  void ResetStatsTree() override {
-    PhysicalOp::ResetStatsTree();
-    left_->ResetStatsTree();
-    right_->ResetStatsTree();
-  }
-
  protected:
   Status OpenImpl(ExecContext& cx, double t_open) override;
   Result<bool> NextImpl(ExecContext& cx, double t_resume,

@@ -41,13 +41,6 @@ class RulePredicateOp final : public PhysicalOp {
   std::string label() const override;
   void Explain(ExplainPrinter& printer) override;
 
-  void ResetStatsTree() override {
-    PhysicalOp::ResetStatsTree();
-    for (auto& body : bodies_) {
-      if (body != nullptr) body->ResetStatsTree();
-    }
-  }
-
  protected:
   Status OpenImpl(ExecContext& cx, double t_open) override;
   Result<bool> NextImpl(ExecContext& cx, double t_resume,

@@ -157,7 +157,8 @@ std::string Atom::ToString() const {
           out += args[i].ToString();
         }
         out += ")";
-      } else {
+      } else if (predicate != "in") {
+        // `in(` always opens a domain call, so a bare `in` stays bare.
         out += "()";
       }
       return out;
@@ -165,6 +166,13 @@ std::string Atom::ToString() const {
     case Kind::kDomainCall:
       return "in(" + output.ToString() + ", " + call.ToString() + ")";
     case Kind::kComparison:
+      // `true`, `false` and `null` lex as identifiers: leading an infix
+      // comparison they would reparse as a predicate, so use prefix form.
+      if (lhs.is_constant() &&
+          (lhs.constant.is_bool() || lhs.constant.is_null())) {
+        return std::string(RelOpName(op)) + "(" + lhs.ToString() + ", " +
+               rhs.ToString() + ")";
+      }
       return lhs.ToString() + " " + RelOpName(op) + " " + rhs.ToString();
   }
   return "<?>";

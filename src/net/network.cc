@@ -27,18 +27,6 @@ NetworkSimulator::Transfer NetworkSimulator::PlanWith(const SiteParams& site,
 NetworkSimulator::Transfer NetworkSimulator::PlanCall(const SiteParams& site,
                                                       size_t call_hash) {
   calls_->Add(1);
-  return PlanCallUncounted(site, call_hash);
-}
-
-NetworkSimulator::Transfer NetworkSimulator::PlanCall(const SiteParams& site,
-                                                      size_t call_hash,
-                                                      Rng& stream) {
-  calls_->Add(1);
-  return PlanCallUncounted(site, call_hash, stream);
-}
-
-NetworkSimulator::Transfer NetworkSimulator::PlanCallUncounted(
-    const SiteParams& site, size_t call_hash) {
   // fetch_add(1) + 1 reproduces the historical pre-increment values, so
   // single-threaded draw sequences stay bit-identical to the old code.
   uint64_t seq = sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -47,8 +35,10 @@ NetworkSimulator::Transfer NetworkSimulator::PlanCallUncounted(
   return PlanWith(site, rng);
 }
 
-NetworkSimulator::Transfer NetworkSimulator::PlanCallUncounted(
-    const SiteParams& site, size_t call_hash, Rng& stream) {
+NetworkSimulator::Transfer NetworkSimulator::PlanCall(const SiteParams& site,
+                                                      size_t call_hash,
+                                                      Rng& stream) {
+  calls_->Add(1);
   // Per-query stream: fold the call hash and site into the draw via a
   // sub-stream so distinct calls within the query jitter independently,
   // while the sequence within one (call, site) pair follows the caller's
@@ -59,18 +49,12 @@ NetworkSimulator::Transfer NetworkSimulator::PlanCallUncounted(
   return PlanWith(site, rng);
 }
 
-void NetworkSimulator::RecordCall() { calls_->Add(1); }
-
-double NetworkSimulator::ChargeFor(const SiteParams& site, size_t bytes) {
-  return site.charge_per_call +
-         site.charge_per_kb * (static_cast<double>(bytes) / 1024.0);
-}
-
 double NetworkSimulator::RecordTransfer(const SiteParams& site, size_t bytes,
                                         double network_ms) {
   bytes_->Add(bytes);
   network_ms_->Add(network_ms);
-  double charge = ChargeFor(site, bytes);
+  double charge = site.charge_per_call +
+                  site.charge_per_kb * (static_cast<double>(bytes) / 1024.0);
   charge_->Add(charge);
   return charge;
 }

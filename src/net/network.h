@@ -70,24 +70,6 @@ class NetworkSimulator {
   /// Counts the call in the global statistics.
   Transfer PlanCall(const SiteParams& site, size_t call_hash, Rng& stream);
 
-  /// PlanCall without the global call count: for callers that decide only
-  /// *after* planning whether the call actually ships (a single-flight
-  /// follower adopts its leader's execution and never ships its own
-  /// request). Such callers invoke RecordCall() for the calls that do go
-  /// out. Draw sequences are identical to the counting overloads.
-  Transfer PlanCallUncounted(const SiteParams& site, size_t call_hash);
-  Transfer PlanCallUncounted(const SiteParams& site, size_t call_hash,
-                             Rng& stream);
-
-  /// Counts one attempted remote call in the global statistics (already
-  /// included in PlanCall; pairs with the Uncounted variants).
-  void RecordCall();
-
-  /// The financial charge of shipping `bytes` from `site` — the fee
-  /// formula RecordTransfer accrues, for callers that need the per-query
-  /// figure without touching the global counters.
-  static double ChargeFor(const SiteParams& site, size_t bytes);
-
   /// Records a completed transfer of `bytes` answer bytes to `site`,
   /// accumulating byte counts and financial charges.
   /// Returns the financial charge for this call.

@@ -34,15 +34,10 @@ Result<CallOutput> NetworkInterceptor::Intercept(CallContext& ctx,
                                                  const Next& next) {
   // A context carrying its own RNG stream gets per-query-deterministic
   // jitter; otherwise fall back to the simulator's shared legacy stream.
-  // The transfer is planned (and the RNG draw consumed) for every call —
-  // including ones that later coalesce onto a leader's execution — so a
-  // query's draw sequence never depends on what other queries are in
-  // flight. The global call count is recorded below, once this call is
-  // known to actually ship.
   NetworkSimulator::Transfer transfer =
       ctx.net_rng != nullptr
-          ? network_->PlanCallUncounted(site_, call.Hash(), *ctx.net_rng)
-          : network_->PlanCallUncounted(site_, call.Hash());
+          ? network_->PlanCall(site_, call.Hash(), *ctx.net_rng)
+          : network_->PlanCall(site_, call.Hash());
   // The fault plan overlays the simulator's own availability draw. Its
   // decisions come from streams keyed on (plan seed, query, call, attempt)
   // — never from ctx.net_rng — so an empty/absent plan leaves the legacy
@@ -64,6 +59,7 @@ Result<CallOutput> NetworkInterceptor::Intercept(CallContext& ctx,
         fate.extra_response_ms;
   }
   ++ctx.metrics.remote_calls;
+  site_calls_->Add(1);
   const double t_open = ctx.now_ms;
   uint32_t hop = 0;
   if (ctx.observed()) {
@@ -71,9 +67,8 @@ Result<CallOutput> NetworkInterceptor::Intercept(CallContext& ctx,
         obs::FlightEvent::At(obs::FlightEventKind::kNetworkHopBegin, t_open)
             .set_site(site_.name));
   }
-  // Closes the hop span `network_ms` after it opened. `detail` is the
-  // failure cause when `failed`, else "coalesced" when another query's
-  // flight supplied the `bytes`.
+  // Closes the hop span `network_ms` after it opened; `detail` is the
+  // failure cause when `failed`.
   auto end_hop = [&ctx, hop, t_open](double network_ms, size_t bytes,
                                      const char* detail, bool failed) {
     if (!ctx.observed()) return;
@@ -84,8 +79,6 @@ Result<CallOutput> NetworkInterceptor::Intercept(CallContext& ctx,
     ctx.Emit(ev.set_detail(detail));
   };
   if (!transfer.available) {
-    network_->RecordCall();
-    site_calls_->Add(1);
     last_penalty_ms_.store(transfer.penalty_ms, std::memory_order_relaxed);
     network_->RecordFailure();
     ++ctx.metrics.remote_failures;
@@ -106,58 +99,7 @@ Result<CallOutput> NetworkInterceptor::Intercept(CallContext& ctx,
   }
   last_penalty_ms_.store(0.0, std::memory_order_relaxed);
 
-  // Cross-query single-flight: identical concurrent calls share one inner
-  // execution. A follower adopts the leader's materialized inner output —
-  // bit-identical to what its own call would have produced (the inner
-  // domains are deterministic in the call arguments) — and composes it
-  // with its *own* transfer plan, so its simulated latencies and per-query
-  // accounting match a non-coalesced replay exactly. Only the global
-  // traffic counters (and the host-side domain work) see one call.
-  SingleFlightRegistry* sf = single_flight_.get();
-  std::shared_ptr<SingleFlightRegistry::Flight> lead_flight;
-  if (sf != nullptr && sf->enabled()) {
-    SingleFlightRegistry::Join join =
-        sf->JoinOrLead(SingleFlightRegistry::KeyFor(site_.name, call));
-    auto record_single_flight = [&ctx, this](const char* role) {
-      if (!ctx.observed()) return;
-      ctx.Emit(
-          obs::FlightEvent::At(obs::FlightEventKind::kSingleFlight, ctx.now_ms)
-              .set_site(site_.name)
-              .set_detail(role));
-    };
-    if (join.leader) {
-      lead_flight = std::move(join.flight);
-      record_single_flight("leader");
-    } else {
-      Result<CallOutput> shared = sf->Await(*join.flight);
-      if (!shared.ok()) record_single_flight("fallback");
-      if (shared.ok()) {
-        record_single_flight("follower");
-        ++ctx.metrics.coalesced_calls;
-        size_t total_bytes = AnswerSetByteSize(shared->answers);
-        CallOutput out =
-            ComposeRemoteLatency(transfer, std::move(shared).value());
-        double network_ms = out.all_ms;
-        ctx.metrics.bytes_transferred += total_bytes;
-        ctx.metrics.network_charge += NetworkSimulator::ChargeFor(site_,
-                                                                 total_bytes);
-        ctx.metrics.network_ms += network_ms;
-        end_hop(network_ms, total_bytes, "coalesced", false);
-        return out;
-      }
-      // Leader failure or wall-clock timeout: fall through to our own
-      // call. Per-query retry/breaker accounting proceeds exactly as if
-      // no coalescing had been attempted.
-    }
-  }
-
-  network_->RecordCall();
-  site_calls_->Add(1);
   Result<CallOutput> inner = next(ctx, call);
-  if (lead_flight != nullptr) {
-    sf->Publish(*lead_flight, inner.ok() ? Status::OK() : inner.status(),
-                inner.ok() ? *inner : CallOutput{});
-  }
   if (!inner.ok()) {
     end_hop(0.0, 0, "", false);
     return inner.status();

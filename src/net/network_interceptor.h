@@ -65,14 +65,6 @@ class NetworkInterceptor : public CallInterceptor {
     return faults_;
   }
 
-  /// Installs (or clears) the shared cross-query single-flight registry.
-  /// Wiring-time only; Mediator fans one registry out to every link. While
-  /// the registry is enabled, concurrent identical calls to this site
-  /// coalesce onto one leader execution (see SingleFlightRegistry).
-  void set_single_flight(std::shared_ptr<SingleFlightRegistry> registry) {
-    single_flight_ = std::move(registry);
-  }
-
   /// Simulated time the last call (by any thread) lost to an unavailable
   /// site (0 when the last call succeeded).
   double last_unavailable_penalty_ms() const {
@@ -90,7 +82,6 @@ class NetworkInterceptor : public CallInterceptor {
   SiteParams site_;
   std::shared_ptr<NetworkSimulator> network_;
   std::shared_ptr<const FaultInjector> faults_;
-  std::shared_ptr<SingleFlightRegistry> single_flight_;
   std::atomic<double> last_penalty_ms_{0.0};
 
   // Per-site slice of the traffic, mirrored into the registry on bind.

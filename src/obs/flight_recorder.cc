@@ -38,7 +38,6 @@ const char* FlightEventKindName(FlightEventKind kind) {
     case FlightEventKind::kRetry: return "retry";
     case FlightEventKind::kBreakerTransition: return "breaker_transition";
     case FlightEventKind::kCacheOutcome: return "cache_outcome";
-    case FlightEventKind::kSingleFlight: return "single_flight";
     case FlightEventKind::kScatterFanout: return "scatter_fanout";
     case FlightEventKind::kArenaHighWater: return "arena_high_water";
     case FlightEventKind::kDriftExceeded: return "drift_exceeded";

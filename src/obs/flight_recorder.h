@@ -32,7 +32,7 @@ namespace hermes::obs {
 
 /// What happened. The recorder is a diagnostic black box, not a metrics
 /// pipeline: kinds are coarse and the free-form `detail` field carries the
-/// discriminating information ("open", "follower", "exact-hit", ...).
+/// discriminating information ("open", "exact-hit", ...).
 ///
 /// Spans are event pairs. `kQueryStart`/`kQueryEnd` bracket the query,
 /// `kCallIssued` and `kCallCompleted`/`kCallFailed` a domain call, and the
@@ -47,7 +47,6 @@ enum class FlightEventKind : uint8_t {
   kRetry,
   kBreakerTransition,
   kCacheOutcome,
-  kSingleFlight,
   kScatterFanout,
   kArenaHighWater,
   kDriftExceeded,

@@ -112,9 +112,6 @@ void AddEndArgs(const FlightEvent& ev, double arena_bytes,
       break;
     case Kind::kNetworkHopEnd:
       args.emplace_back("bytes", std::to_string(ev.aux));
-      if (ev.detail_str() == "coalesced") {
-        args.emplace_back("coalesced", "true");
-      }
       break;
     default:
       break;

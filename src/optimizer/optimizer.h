@@ -30,17 +30,14 @@ struct OptimizerResult {
 class QueryOptimizer {
  public:
   QueryOptimizer(const dcsm::Dcsm* dcsm,
-                 RuleRewriter::Options rewriter_options = {},
-                 EstimatorParams estimator_params = {})
+                 RuleRewriter::Options rewriter_options = {})
       : dcsm_(dcsm),
         rewriter_options_(std::move(rewriter_options)),
-        estimator_(dcsm, estimator_params) {}
+        estimator_(dcsm) {}
 
   Result<OptimizerResult> Optimize(const lang::Program& program,
                                    const lang::Query& query,
                                    OptimizationGoal goal) const;
-
-  RuleRewriter::Options& rewriter_options() { return rewriter_options_; }
 
  private:
   const dcsm::Dcsm* dcsm_;

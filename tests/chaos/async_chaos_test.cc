@@ -1,17 +1,13 @@
 // Chaos suite for the async execution path (ctest -L chaos): the rope
-// testbed under the canned fault plan with scatter-gather compilation AND
-// cross-query single-flight coalescing turned on, served through a
-// concurrent QueryPool. On trial:
+// testbed under the canned fault plan with scatter-gather compilation
+// turned on, served through a concurrent QueryPool. On trial:
 //
-//   1. Liveness — every query terminates despite faults, coalesced or not.
-//   2. Determinism — per-query outcomes (answers, virtual times, retry and
-//      breaker counters, completeness) are bit-identical at 1, 4 and 8
-//      worker threads. Coalescing only shares a leader's materialized
-//      inner output — deterministic in the call arguments — while every
-//      query still plans its own transfers from its own RNG stream, so
-//      nothing about a query's outcome depends on what else is in flight.
-//      (The coalesced_calls counter itself is scheduling-dependent by
-//      design and is excluded from the comparison.)
+//   1. Liveness — every query terminates despite faults.
+//   2. Determinism — per-query outcomes (answers, virtual times, every
+//      CallMetrics field, completeness) are bit-identical at 1, 4 and 8
+//      worker threads: every query plans its own transfers from its own
+//      RNG stream, so nothing about its outcome depends on what else is
+//      in flight.
 //
 // CI also runs this binary under ThreadSanitizer as a chaos stress job.
 
@@ -55,53 +51,46 @@ class EchoDomain : public Domain {
 };
 
 /// One query's outcome, flattened for exact comparison across runs.
-/// coalesced_calls is deliberately absent: it varies with scheduling.
 struct Outcome {
   bool ok = false;
   std::string error;
   size_t answers = 0;
   double t_first_ms = 0.0;
   double t_all_ms = 0.0;
-  uint64_t remote_calls = 0;
-  uint64_t bytes = 0;
-  double charge = 0.0;
-  uint64_t retries = 0;
-  uint64_t breaker_shed = 0;
-  uint64_t deadline_aborts = 0;
-  uint64_t degraded_calls = 0;
-  uint64_t remote_failures = 0;
-  double retry_backoff_ms = 0.0;
+  CallMetrics metrics;
   int completeness = 0;
   size_t lost_sources = 0;
 
   bool operator==(const Outcome& other) const {
-    return ok == other.ok && error == other.error &&
-           answers == other.answers && t_first_ms == other.t_first_ms &&
-           t_all_ms == other.t_all_ms && remote_calls == other.remote_calls &&
-           bytes == other.bytes && charge == other.charge &&
-           retries == other.retries && breaker_shed == other.breaker_shed &&
-           deadline_aborts == other.deadline_aborts &&
-           degraded_calls == other.degraded_calls &&
-           remote_failures == other.remote_failures &&
-           retry_backoff_ms == other.retry_backoff_ms &&
-           completeness == other.completeness &&
-           lost_sources == other.lost_sources;
+    bool same = ok == other.ok && error == other.error &&
+                answers == other.answers && t_first_ms == other.t_first_ms &&
+                t_all_ms == other.t_all_ms &&
+                completeness == other.completeness &&
+                lost_sources == other.lost_sources;
+#define HERMES_FIELD(f) same = same && metrics.f == other.metrics.f;
+    HERMES_CALL_METRICS_UINT64_FIELDS(HERMES_FIELD)
+    HERMES_CALL_METRICS_DOUBLE_FIELDS(HERMES_FIELD)
+#undef HERMES_FIELD
+    return same;
   }
 };
 
 std::string Describe(const Outcome& o) {
-  return "ok=" + std::to_string(o.ok) + " answers=" +
-         std::to_string(o.answers) + " t_all=" + std::to_string(o.t_all_ms) +
-         " calls=" + std::to_string(o.remote_calls) + " bytes=" +
-         std::to_string(o.bytes) + " retries=" + std::to_string(o.retries) +
-         " shed=" + std::to_string(o.breaker_shed) + " completeness=" +
-         std::to_string(o.completeness) + " err=" + o.error;
+  std::string out = "ok=" + std::to_string(o.ok) + " answers=" +
+                    std::to_string(o.answers) + " t_first=" +
+                    std::to_string(o.t_first_ms) + " t_all=" +
+                    std::to_string(o.t_all_ms) + " completeness=" +
+                    std::to_string(o.completeness) + " lost=" +
+                    std::to_string(o.lost_sources);
+#define HERMES_FIELD(f) out += " " #f "=" + std::to_string(o.metrics.f);
+  HERMES_CALL_METRICS_UINT64_FIELDS(HERMES_FIELD)
+  HERMES_CALL_METRICS_DOUBLE_FIELDS(HERMES_FIELD)
+#undef HERMES_FIELD
+  return out + " err=" + o.error;
 }
 
 /// Appendix queries over shifting windows interleaved with fan-out echo
-/// queries. The echo pair compiles into a scatter-gather group, and the
-/// repeated windows give the single-flight layer identical concurrent
-/// misses to coalesce at >1 thread.
+/// queries. The echo pair compiles into a scatter-gather group.
 std::vector<std::string> Workload(size_t n) {
   std::vector<std::string> queries;
   for (size_t i = 0; i < n; ++i) {
@@ -141,10 +130,6 @@ std::unique_ptr<Mediator> AsyncChaosMediator() {
   EXPECT_TRUE(med->LoadFaultPlan(CannedPlanPath()).ok());
   med->set_per_query_network_rng(true);
   med->set_async_execution(true);
-  SingleFlightOptions sf;
-  sf.enabled = true;
-  sf.wait_timeout_ms = 30000.0;
-  med->set_single_flight(sf);
   return med;
 }
 
@@ -177,15 +162,7 @@ std::vector<Outcome> RunPool(size_t threads,
       o.answers = res->execution.answers.size();
       o.t_first_ms = res->execution.t_first_ms;
       o.t_all_ms = res->execution.t_all_ms;
-      o.remote_calls = res->metrics.remote_calls;
-      o.bytes = res->metrics.bytes_transferred;
-      o.charge = res->metrics.network_charge;
-      o.retries = res->metrics.retries;
-      o.breaker_shed = res->metrics.breaker_shed;
-      o.deadline_aborts = res->metrics.deadline_aborts;
-      o.degraded_calls = res->metrics.degraded_calls;
-      o.remote_failures = res->metrics.remote_failures;
-      o.retry_backoff_ms = res->metrics.retry_backoff_ms;
+      o.metrics = res->metrics;
       o.completeness = static_cast<int>(res->completeness);
       o.lost_sources = res->lost_sources.size();
     }
@@ -195,7 +172,7 @@ std::vector<Outcome> RunPool(size_t threads,
   return outcomes;
 }
 
-TEST(AsyncChaosTest, EveryQueryTerminatesWithAsyncAndCoalescingOn) {
+TEST(AsyncChaosTest, EveryQueryTerminatesWithAsyncExecutionOn) {
   std::vector<std::string> queries = Workload(24);
   std::vector<Outcome> outcomes = RunPool(8, queries);
   ASSERT_EQ(outcomes.size(), queries.size());

@@ -38,6 +38,8 @@ INSTANTIATE_TEST_SUITE_P(
         // Membership checks (bound output term).
         "m(X) :- in(X, d:f()) & in(X, e:g()).",
         "m() :- in('fixed', d:f()).",
+        // A bare `in` is a predicate, not a domain call.
+        "p :- in.",
         // The paper's Section 2 rule.
         "routetosupplies(From, Sup, To, R) :- "
         "in(T, ingres:select_eq('inventory', item, Sup)) & =(T.loc, To) & "
@@ -80,7 +82,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("?- m(a, C).",
                       "?- in(X, d:f(1, 'two', 3.5)) & X.size > 10.",
                       "?- q(A) & r(A, B) & B != A.",
-                      "?- in([1, 2], d:f())."));
+                      "?- in([1, 2], d:f()).",
+                      // A bare `in` is a predicate, not a domain call.
+                      "?- in.",
+                      // Constants that lex as identifiers on the left.
+                      "?- =(true, X).",
+                      "?- =(false, X).",
+                      "?- =(null, X)."));
 
 TEST(RoundTripTest, CallPatternsPreserveBoundMarkers) {
   for (const char* text :

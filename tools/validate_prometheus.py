@@ -27,8 +27,6 @@ DEFAULT_REQUIRED = [
     "hermes_query_tf_sim_ms",
     "hermes_query_ta_sim_ms",
     "hermes_net_calls_total",
-    "hermes_callpipe_singleflight_leader_total",
-    "hermes_callpipe_singleflight_follower_total",
     "hermes_site_calls_total",
     "hermes_cache_hits_total",
     "hermes_cache_entry_age_sim_ms",
