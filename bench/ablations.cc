@@ -63,10 +63,8 @@ void PrintPredicateTfAblation() {
     Result<QueryResult> actual = med.Query(query_text, direct);
     Result<lang::Query> query = lang::Parser::ParseQuery(query_text);
     if (!actual.ok() || !query.ok()) continue;
-    auto f = formula.EstimateBody(med.program(), query->goals,
-                                  optimizer::BindingEnv());
-    auto l = learned.EstimateBody(med.program(), query->goals,
-                                  optimizer::BindingEnv());
+    auto f = formula.EstimateBody(med.program(), query->goals);
+    auto l = learned.EstimateBody(med.program(), query->goals);
     if (!f.ok() || !l.ok()) continue;
     double tf = actual->execution.t_first_ms;
     std::snprintf(buf, sizeof(buf), "[4,%-4lld]      %12.0f %14.0f %14.0f\n",
@@ -209,8 +207,7 @@ void BM_EstimateWithPredicateStats(benchmark::State& state) {
   Result<lang::Query> query =
       lang::Parser::ParseQuery("?- mismatched(4, 47, Y).");
   for (auto _ : state) {
-    auto est = estimator.EstimateBody(med->program(), query->goals,
-                                      optimizer::BindingEnv());
+    auto est = estimator.EstimateBody(med->program(), query->goals);
     if (!est.ok()) state.SkipWithError(est.status().ToString().c_str());
     benchmark::DoNotOptimize(est);
   }

@@ -60,8 +60,7 @@ void BM_Fig6_PredictFromRawStatistics(benchmark::State& state) {
       lang::Parser::ParseQuery(testbed::AppendixQuery(3, false, 4, 47));
   optimizer::RuleCostEstimator estimator(&fx.med.dcsm());
   for (auto _ : state) {
-    auto est = estimator.EstimateBody(fx.med.program(), query->goals,
-                                      optimizer::BindingEnv());
+    auto est = estimator.EstimateBody(fx.med.program(), query->goals);
     if (!est.ok()) state.SkipWithError(est.status().ToString().c_str());
     benchmark::DoNotOptimize(est);
   }
@@ -76,8 +75,7 @@ void BM_Fig6_PredictFromSummaries(benchmark::State& state) {
       lang::Parser::ParseQuery(testbed::AppendixQuery(3, false, 4, 47));
   optimizer::RuleCostEstimator estimator(&fx.med.dcsm());
   for (auto _ : state) {
-    auto est = estimator.EstimateBody(fx.med.program(), query->goals,
-                                      optimizer::BindingEnv());
+    auto est = estimator.EstimateBody(fx.med.program(), query->goals);
     if (!est.ok()) state.SkipWithError(est.status().ToString().c_str());
     benchmark::DoNotOptimize(est);
   }

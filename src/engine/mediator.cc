@@ -497,17 +497,16 @@ Result<optimizer::CandidatePlan> Mediator::PickPlan(lang::Query query,
                                                     QueryResult* result) {
   if (options.use_optimizer) {
     optimizer::QueryOptimizer opt(&dcsm_, EffectiveRewriterOptions(options));
-    HERMES_ASSIGN_OR_RETURN(
-        optimizer::OptimizerResult optimized,
-        opt.Optimize(program_, query, options.goal));
+    HERMES_ASSIGN_OR_RETURN(optimizer::PlanChoice chosen,
+                            opt.Choose(program_, query, options.goal));
     if (result != nullptr) {
-      result->plan_description = optimized.best.description;
-      result->predicted = optimized.best.estimated;
-      result->predicted_valid = optimized.best.estimatable;
-      result->optimize_ms = optimized.total_estimation_ms;
-      result->candidates = std::move(optimized.candidates);
+      result->plan_description = chosen.best.description;
+      result->predicted = chosen.best.estimated;
+      result->predicted_valid = chosen.best.estimatable;
+      result->optimize_ms = chosen.total_estimation_ms;
+      result->candidates = std::move(chosen.candidates);
     }
-    return std::move(optimized.best);
+    return std::move(chosen.best);
   }
 
   // The as-written plan holds only the rules the query reaches, like every

@@ -145,9 +145,11 @@ struct QueryTraffic {
 /// The answers plus optimizer/engine diagnostics of one query.
 struct QueryResult {
   engine::QueryExecution execution;
-  /// Every candidate plan the optimizer considered (empty when it did not
-  /// run), with estimates filled where estimatable.
-  std::vector<optimizer::CandidatePlan> candidates;
+  /// One entry per candidate plan the optimizer considered (empty when it
+  /// did not run): its description and, where estimatable, its estimate.
+  /// Only the executed plan is materialized; Mediator::Plan returns every
+  /// candidate in full.
+  std::vector<optimizer::CandidateSummary> candidates;
   std::string plan_description;     ///< Which plan was executed.
   CostVector predicted;             ///< DCSM's prediction for that plan.
   bool predicted_valid = false;
@@ -373,7 +375,7 @@ class Mediator {
   Result<QueryResult> Query(const std::string& query_text,
                             const QueryOptions& options = {});
 
-  /// Optimizes without executing (returns the ranked candidates).
+  /// Optimizes without executing (returns every candidate plan in full).
   Result<optimizer::OptimizerResult> Plan(const std::string& query_text,
                                           const QueryOptions& options = {});
 
@@ -459,10 +461,11 @@ class Mediator {
       const QueryOptions& options) const;
 
   /// Picks the plan Query() executes for `query` under `options`: the
-  /// optimizer's best plan, or the as-written program+query (CIM-redirected
-  /// when enabled), which takes over `query` instead of copying it. When
-  /// `result` is non-null its optimizer diagnostics (plan_description,
-  /// predicted, candidates, optimize_ms) are filled.
+  /// optimizer's best plan, the only candidate it materializes, or the
+  /// as-written program+query (CIM-redirected when enabled), which takes
+  /// over `query` instead of copying it. When `result` is non-null its
+  /// optimizer diagnostics (plan_description, predicted, candidate
+  /// summaries, optimize_ms) are filled.
   /// Called with wiring_mu_ held (at least shared).
   Result<optimizer::CandidatePlan> PickPlan(lang::Query query,
                                             const QueryOptions& options,

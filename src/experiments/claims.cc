@@ -54,8 +54,7 @@ Result<optimizer::RuleCostEstimator::Estimate> Predict(
     }
   }
   optimizer::RuleCostEstimator estimator(dcsm);
-  return estimator.EstimateBody(plan_program, query.goals,
-                                optimizer::BindingEnv());
+  return estimator.EstimateBody(plan_program, query.goals);
 }
 
 }  // namespace

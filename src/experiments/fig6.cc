@@ -39,8 +39,7 @@ Result<optimizer::RuleCostEstimator::Estimate> PredictAsWritten(
   HERMES_ASSIGN_OR_RETURN(lang::Query query,
                           lang::Parser::ParseQuery(query_text));
   optimizer::RuleCostEstimator estimator(dcsm);
-  return estimator.EstimateBody(program, query.goals,
-                                optimizer::BindingEnv());
+  return estimator.EstimateBody(program, query.goals);
 }
 
 }  // namespace

@@ -28,13 +28,12 @@ std::string FormatNumber(double v) {
   return std::string(buf, printed.ptr);
 }
 
+/// Parses the whole of `value` as a finite number.
 Status ParseDouble(const std::string& token, const std::string& value,
                    size_t line_no, double* out) {
-  try {
-    size_t used = 0;
-    *out = std::stod(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-  } catch (const std::exception&) {
+  const char* end = value.data() + value.size();
+  auto [used, ec] = std::from_chars(value.data(), end, *out);
+  if (ec != std::errc() || used != end || !std::isfinite(*out)) {
     return Status::ParseError("fault spec line " + std::to_string(line_no) +
                               ": bad number '" + value + "' in '" + token +
                               "'");
@@ -154,6 +153,10 @@ Result<FaultPlan> FaultPlan::Parse(const std::string& text) {
     if (rule.factor <= 0.0) {
       return Status::ParseError("fault spec line " + std::to_string(line_no) +
                                 ": factor must be > 0");
+    }
+    if (rule.extra_ms < 0.0) {
+      return Status::ParseError("fault spec line " + std::to_string(line_no) +
+                                ": extra_ms must be >= 0");
     }
     if (rule.until_ms <= rule.from_ms) {
       return Status::ParseError("fault spec line " + std::to_string(line_no) +

@@ -50,7 +50,8 @@ struct FaultRule {
 ///   slow    site=umd extra_ms=40000 p=0.5
 ///
 /// Every keyword argument is optional except `site`; omitted window bounds
-/// mean "always", omitted p means 1.0.
+/// mean "always", omitted p means 1.0. Each number is one whole, finite
+/// value, and extra_ms is never negative.
 struct FaultPlan {
   uint64_t seed = 0x51713;  ///< Base seed of the plan's RNG streams.
   std::vector<FaultRule> rules;

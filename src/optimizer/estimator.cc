@@ -1,111 +1,231 @@
 #include "optimizer/estimator.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+
+#include "optimizer/rewriter.h"
 
 namespace hermes::optimizer {
 
 namespace {
 
-/// Resolves a term to a static binding description under `env`.
-BindingInfo DescribeTerm(const lang::Term& term, const BindingEnv& env) {
-  if (term.is_constant()) return BindingInfo::Const(term.constant);
-  if (term.is_bound_pattern()) return BindingInfo::Bound();
-  const BindingInfo& base = env.Get(term.var_name);
+/// Static binding knowledge about one variable or term during estimation
+/// (Section 5/6's adornments): free, bound to an unknown value (`$b`), or
+/// bound to a known constant. A constant is not copied: it points into the
+/// plan's own atoms, which outlive the walk.
+struct Binding {
+  enum class Kind : uint8_t { kFree, kBound, kConst };
+  Kind kind = Kind::kFree;
+  const Value* constant = nullptr;  ///< Set when kind == kConst.
+
+  static Binding Bound() { return {Kind::kBound, nullptr}; }
+  static Binding Const(const Value* v) { return {Kind::kConst, v}; }
+
+  bool is_free() const { return kind == Kind::kFree; }
+  bool is_bound() const { return kind != Kind::kFree; }
+  bool is_const() const { return kind == Kind::kConst; }
+
+  /// Marks the variable bound-unknown unless it is already const.
+  void MarkBound() {
+    if (kind == Kind::kFree) kind = Kind::kBound;
+  }
+};
+
+/// Resolves `term`, whose variable (if it has one) is in `slot`, to a
+/// static binding description under the frame `env`.
+Binding Describe(const lang::Term& term, uint32_t slot, const Binding* env) {
+  if (term.is_constant()) return Binding::Const(&term.constant);
+  if (term.is_bound_pattern()) return Binding::Bound();
+  const Binding& base = env[slot];
   if (term.path.empty()) return base;
   if (base.is_const()) {
-    Result<Value> resolved = base.constant.GetPath(term.path);
-    if (resolved.ok()) return BindingInfo::Const(*resolved);
-    return BindingInfo::Bound();
+    Result<const Value*> resolved = base.constant->GetPathPtr(term.path);
+    return resolved.ok() ? Binding::Const(*resolved) : Binding::Bound();
   }
   // A path over a bound-unknown variable is bound-unknown; over a free
   // variable it is free.
-  return base.is_bound() ? BindingInfo::Bound() : BindingInfo::Free();
+  return base.is_bound() ? Binding::Bound() : Binding{};
+}
+
+/// Exact equality: the same type and value, int and double kept apart and
+/// doubles compared bit for bit.
+bool SameValue(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case Value::Type::kDouble:
+      return std::bit_cast<uint64_t>(a.as_double()) ==
+             std::bit_cast<uint64_t>(b.as_double());
+    case Value::Type::kList: {
+      const ValueList& x = a.as_list();
+      const ValueList& y = b.as_list();
+      return std::equal(x.begin(), x.end(), y.begin(), y.end(), SameValue);
+    }
+    case Value::Type::kStruct: {
+      const StructFields& x = a.as_struct();
+      const StructFields& y = b.as_struct();
+      return std::equal(x.begin(), x.end(), y.begin(), y.end(),
+                        [](const auto& f, const auto& g) {
+                          return f.first == g.first &&
+                                 SameValue(f.second, g.second);
+                        });
+    }
+    default:
+      return a == b;
+  }
+}
+
+/// Is `pattern` the pattern of `call` with constant arguments `args`
+/// (null for `$b`)?
+bool SamePattern(const lang::DomainCallSpec& pattern,
+                 const lang::DomainCallSpec& call, const Value* const* args) {
+  if (pattern.args.size() != call.args.size() ||
+      pattern.function != call.function || pattern.domain != call.domain) {
+    return false;
+  }
+  for (size_t a = 0; a < pattern.args.size(); ++a) {
+    const lang::Term& t = pattern.args[a];
+    if (args[a] == nullptr ? !t.is_bound_pattern()
+                           : !t.is_constant() || !SameValue(t.constant,
+                                                            *args[a])) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
 
-Result<lang::DomainCallSpec> RuleCostEstimator::PatternFor(
-    const lang::DomainCallSpec& call, const BindingEnv& env) const {
+const Result<dcsm::CostEstimate>& PatternMemo::Cost(
+    const dcsm::Dcsm& dcsm, const lang::DomainCallSpec& call,
+    const Value* const* args) {
+  for (const Entry& entry : entries_) {
+    if (SamePattern(entry.pattern, call, args)) return entry.answer;
+  }
   lang::DomainCallSpec pattern;
   pattern.domain = call.domain;
   pattern.function = call.function;
   pattern.args.reserve(call.args.size());
-  for (const lang::Term& arg : call.args) {
-    BindingInfo info = DescribeTerm(arg, env);
-    switch (info.kind) {
-      case BindingInfo::Kind::kConst:
-        pattern.args.push_back(lang::Term::Const(info.constant));
-        break;
-      case BindingInfo::Kind::kBound:
-        pattern.args.push_back(lang::Term::Bound());
-        break;
-      case BindingInfo::Kind::kFree:
-        return Status::InvalidArgument(
-            "argument '" + arg.ToString() + "' of " + call.ToString() +
-            " is free at execution time (invalid ordering)");
-    }
+  for (size_t a = 0; a < call.args.size(); ++a) {
+    pattern.args.push_back(args[a] != nullptr ? lang::Term::Const(*args[a])
+                                              : lang::Term::Bound());
   }
-  return pattern;
+  Result<dcsm::CostEstimate> answer = dcsm.Cost(pattern);
+  entries_.push_back({std::move(pattern), std::move(answer)});
+  return entries_.back().answer;
 }
 
-Result<CostVector> RuleCostEstimator::EstimatePredicate(
-    const lang::Program& program, const lang::Atom& atom,
-    const BindingEnv& env, size_t depth,
-    std::set<std::string>* active_predicates, double* estimation_ms) const {
-  std::string key = atom.predicate + "/" + std::to_string(atom.args.size());
-  if (depth >= params_.max_recursion_depth ||
-      active_predicates->count(key) > 0) {
-    return Status::Unimplemented(
-        "recursive predicate '" + key +
-        "' is not supported by the cost estimator (see [33])");
+/// The state of one candidate's walk.
+struct RuleCostEstimator::Walk {
+  Walk(const PlanSpace& space, size_t candidate, PatternMemo* memo,
+       bool describe_failures)
+      : space(space),
+        candidate(candidate),
+        variant(space.variant_of(candidate)),
+        memo(memo),
+        describe_failures(describe_failures) {}
+
+  const PlanSpace& space;
+  size_t candidate;
+  const PlanVariant& variant;
+  PatternMemo* memo;
+  bool describe_failures;
+  double estimation_ms = 0.0;
+  /// The frames of the bodies on the walk, innermost last: a body's
+  /// variables in its slot order.
+  std::vector<Binding> slots;
+  /// Per rule: its predicate is being estimated (marked at the predicate's
+  /// first rule), to reject recursion.
+  std::vector<char> active;
+  /// One domain call's constant arguments, null for `$b`.
+  std::vector<const Value*> args;
+
+  template <typename Message>
+  Status Fail(StatusCode code, Message&& message) const {
+    return Status(code, describe_failures ? message() : std::string());
   }
-  active_predicates->insert(key);
+};
+
+Result<CostVector> RuleCostEstimator::EstimatePredicate(Walk* walk,
+                                                        size_t body,
+                                                        size_t atom_index,
+                                                        size_t frame,
+                                                        size_t depth) const {
+  const PlanVariant& variant = walk->variant;
+  const lang::Atom& atom = variant.atoms(body)[atom_index];
+  const PlanBody& caller = variant.bodies[body];
+  const uint32_t* arg_slot = caller.slots_of(atom_index);
+  const uint32_t* callee =
+      caller.callees.data() + caller.callee_begin[atom_index];
+  const uint32_t* callee_end =
+      caller.callees.data() + caller.callee_begin[atom_index + 1];
+  auto key = [&atom] {
+    return atom.predicate + "/" + std::to_string(atom.args.size());
+  };
+  char* active = callee != callee_end ? &walk->active[*callee] : nullptr;
+  if (depth >= params_.max_recursion_depth ||
+      (active != nullptr && *active != 0)) {
+    return walk->Fail(StatusCode::kUnimplemented, [&key] {
+      return "recursive predicate '" + key() +
+             "' is not supported by the cost estimator (see [33])";
+    });
+  }
+  if (active != nullptr) *active = 1;
 
   bool any_rule = false;
   double t_first = 0, t_all = 0, card = 0;
   bool first_rule = true;
   Status failure = Status::OK();
 
-  for (const lang::Rule& rule : program.rules) {
-    if (rule.head.predicate != atom.predicate ||
-        rule.head.args.size() != atom.args.size()) {
-      continue;
-    }
-    // Build the rule-local environment by unifying head terms with the
-    // caller's argument descriptions.
-    BindingEnv local;
+  for (; callee != callee_end; ++callee) {
+    const size_t r = *callee;
+    const lang::Rule& rule = variant.program.rules[r];
+    const PlanBody& rule_body = variant.bodies[1 + r];
+    // Build the rule-local frame by unifying head terms with the caller's
+    // argument descriptions.
+    const size_t local = walk->slots.size();
+    walk->slots.resize(local + rule_body.slot_count);
+    const Binding* env = walk->slots.data() + frame;
+    Binding* local_env = walk->slots.data() + local;
     bool head_compatible = true;
     for (size_t i = 0; i < atom.args.size(); ++i) {
-      BindingInfo caller = DescribeTerm(atom.args[i], env);
+      Binding from_caller = Describe(atom.args[i], arg_slot[i], env);
       const lang::Term& head_term = rule.head.args[i];
       if (head_term.is_constant()) {
-        if (caller.is_const() && caller.constant != head_term.constant) {
+        if (from_caller.is_const() &&
+            *from_caller.constant != head_term.constant) {
           head_compatible = false;  // this rule can never match the call
           break;
         }
         continue;
       }
-      if (!head_term.is_variable()) continue;
+      // Not a variable, or a variable the body never reads.
+      const uint32_t slot = rule_body.head_slot[i];
+      if (slot == PlanBody::kNoSlot) continue;
       // Join variables repeated in the head: keep the strongest knowledge.
-      const BindingInfo& existing = local.Get(head_term.var_name);
+      Binding& existing = local_env[slot];
       if (!existing.is_bound() ||
-          (caller.is_const() && !existing.is_const())) {
-        local.Set(head_term.var_name, caller);
+          (from_caller.is_const() && !existing.is_const())) {
+        existing = from_caller;
       }
     }
-    if (!head_compatible) continue;
+    if (!head_compatible) {
+      walk->slots.resize(local);
+      continue;
+    }
 
-    Result<CostVector> body = EstimateBodyInternal(
-        program, rule.body, local, depth + 1, active_predicates,
-        estimation_ms);
-    if (!body.ok()) {
+    Result<CostVector> rule_cost =
+        EstimateBodyInternal(walk, 1 + r, local, depth + 1);
+    walk->slots.resize(local);
+    if (!rule_cost.ok()) {
       // Recursion is a hard error (the paper defers recursive mediators to
       // [33]); an infeasible ordering merely disqualifies this rule.
-      if (body.status().code() == StatusCode::kUnimplemented) {
-        active_predicates->erase(key);
-        return body.status();
+      if (rule_cost.status().code() == StatusCode::kUnimplemented) {
+        *active = 0;
+        return rule_cost.status();
       }
-      failure = body.status();
+      failure = rule_cost.status();
       continue;
     }
     any_rule = true;
@@ -113,31 +233,33 @@ Result<CostVector> RuleCostEstimator::EstimatePredicate(
     // produced by each rule." Rules are tried sequentially, so the first
     // answer comes from the first feasible rule.
     if (first_rule) {
-      t_first = body->t_first_ms;
+      t_first = rule_cost->t_first_ms;
       first_rule = false;
     }
-    t_all += body->t_all_ms;
-    card += body->cardinality;
+    t_all += rule_cost->t_all_ms;
+    card += rule_cost->cardinality;
   }
 
-  active_predicates->erase(key);
+  if (active != nullptr) *active = 0;
   if (!any_rule) {
     if (!failure.ok()) return failure;
-    return Status::NotFound("no rule defines predicate '" + key + "'");
+    return walk->Fail(StatusCode::kNotFound, [&key] {
+      return "no rule defines predicate '" + key() + "'";
+    });
   }
 
   // Predicate-Tf caching extension: replace the formula-derived T_f with
   // the observed first-answer time of comparable past invocations.
   if (params_.use_predicate_first_answer_stats) {
+    const Binding* env = walk->slots.data() + frame;
     lang::DomainCallSpec pattern;
     pattern.domain = "idb";
     pattern.function = atom.predicate;
     pattern.args.reserve(atom.args.size());
-    for (const lang::Term& arg : atom.args) {
-      BindingInfo info = DescribeTerm(arg, env);
-      pattern.args.push_back(info.is_const()
-                                 ? lang::Term::Const(info.constant)
-                                 : lang::Term::Bound());
+    for (size_t i = 0; i < atom.args.size(); ++i) {
+      Binding info = Describe(atom.args[i], arg_slot[i], env);
+      pattern.args.push_back(info.is_const() ? lang::Term::Const(*info.constant)
+                                             : lang::Term::Bound());
     }
     Result<dcsm::Aggregate> observed = dcsm_->database().Estimate(pattern);
     if (!observed.ok()) {
@@ -147,53 +269,71 @@ Result<CostVector> RuleCostEstimator::EstimatePredicate(
     }
     if (observed.ok() && observed->has_t_first) {
       t_first = observed->cost.t_first_ms;
-      *estimation_ms += params_.per_predicate_stat_row_ms *
-                        static_cast<double>(observed->rows_scanned);
+      walk->estimation_ms += params_.per_predicate_stat_row_ms *
+                             static_cast<double>(observed->rows_scanned);
     }
   }
   return CostVector(t_first, t_all, card);
 }
 
-Result<CostVector> RuleCostEstimator::EstimateBodyInternal(
-    const lang::Program& program, const std::vector<lang::Atom>& goals,
-    BindingEnv env, size_t depth, std::set<std::string>* active_predicates,
-    double* estimation_ms) const {
+Result<CostVector> RuleCostEstimator::EstimateBodyInternal(Walk* walk,
+                                                           size_t body,
+                                                           size_t frame,
+                                                           size_t depth) const {
+  const PlanBody& prepared = walk->variant.bodies[body];
+  const std::vector<lang::Atom>& goals = walk->variant.atoms(body);
+  const uint32_t* order = walk->space.Order(walk->candidate, body);
   double t_first = 0.0;
   double t_all = 0.0;
-  double card = 1.0;
   double prefix_card = 1.0;  // Π_{j<i} Card_j
 
-  for (const lang::Atom& goal : goals) {
+  for (size_t p = 0; p < goals.size(); ++p) {
+    const size_t index = order[p];
+    const lang::Atom& goal = goals[index];
+    const uint32_t* slot = prepared.slots_of(index);
     CostVector goal_cost;
     double selectivity = 1.0;
 
     switch (goal.kind) {
       case lang::Atom::Kind::kDomainCall: {
-        HERMES_ASSIGN_OR_RETURN(lang::DomainCallSpec pattern,
-                                PatternFor(goal.call, env));
-        HERMES_ASSIGN_OR_RETURN(dcsm::CostEstimate est,
-                                dcsm_->Cost(pattern));
-        *estimation_ms += est.lookup_ms;
-        goal_cost = est.cost;
-        BindingInfo out = DescribeTerm(goal.output, env);
-        if (out.is_bound()) {
+        Binding* env = walk->slots.data() + frame;
+        walk->args.clear();
+        for (size_t a = 0; a < goal.call.args.size(); ++a) {
+          Binding arg = Describe(goal.call.args[a], slot[1 + a], env);
+          if (arg.is_free()) {
+            return walk->Fail(StatusCode::kInvalidArgument, [&] {
+              return "argument '" + goal.call.args[a].ToString() + "' of " +
+                     goal.call.ToString() +
+                     " is free at execution time (invalid ordering)";
+            });
+          }
+          walk->args.push_back(arg.constant);
+        }
+        const Result<dcsm::CostEstimate>& est =
+            walk->memo->Cost(*dcsm_, goal.call, walk->args.data());
+        if (!est.ok()) return est.status();
+        walk->estimation_ms += est->lookup_ms;
+        goal_cost = est->cost;
+        if (Describe(goal.output, slot[0], env).is_bound()) {
           // Membership check: at most one continuation per call.
           goal_cost.cardinality = std::min(
               1.0, goal_cost.cardinality * params_.membership_selectivity);
         } else if (goal.output.is_variable()) {
-          env.MarkBound(goal.output.var_name);
+          env[slot[0]].MarkBound();
         }
         break;
       }
       case lang::Atom::Kind::kComparison: {
         goal_cost = CostVector(params_.comparison_cost_ms,
                                params_.comparison_cost_ms, 1.0);
-        BindingInfo lhs = DescribeTerm(goal.lhs, env);
-        BindingInfo rhs = DescribeTerm(goal.rhs, env);
+        Binding* env = walk->slots.data() + frame;
+        Binding lhs = Describe(goal.lhs, slot[0], env);
+        Binding rhs = Describe(goal.rhs, slot[1], env);
         if (lhs.is_const() && rhs.is_const()) {
           // Statically decidable.
           selectivity =
-              lang::EvalRelOp(goal.op, lhs.constant, rhs.constant) ? 1.0 : 0.0;
+              lang::EvalRelOp(goal.op, *lhs.constant, *rhs.constant) ? 1.0
+                                                                     : 0.0;
         } else if (lhs.is_bound() && rhs.is_bound()) {
           switch (goal.op) {
             case lang::RelOp::kEq:
@@ -208,32 +348,36 @@ Result<CostVector> RuleCostEstimator::EstimateBodyInternal(
           }
         } else if (goal.op == lang::RelOp::kEq) {
           // Assignment: binds the free side.
-          const lang::Term& free_term = lhs.is_bound() ? goal.rhs : goal.lhs;
-          const BindingInfo& known = lhs.is_bound() ? lhs : rhs;
+          const bool binds_rhs = lhs.is_bound();
+          const lang::Term& free_term = binds_rhs ? goal.rhs : goal.lhs;
           if (!free_term.is_variable() || !free_term.path.empty()) {
-            return Status::InvalidArgument(
-                "cannot bind through '" + free_term.ToString() + "' in " +
-                goal.ToString());
+            return walk->Fail(StatusCode::kInvalidArgument, [&] {
+              return "cannot bind through '" + free_term.ToString() +
+                     "' in " + goal.ToString();
+            });
           }
           if (!lhs.is_bound() && !rhs.is_bound()) {
-            return Status::InvalidArgument(
-                "comparison with two free variables: " + goal.ToString());
+            return walk->Fail(StatusCode::kInvalidArgument, [&] {
+              return "comparison with two free variables: " + goal.ToString();
+            });
           }
-          env.Set(free_term.var_name, known);
+          env[binds_rhs ? slot[1] : slot[0]] = binds_rhs ? lhs : rhs;
           selectivity = 1.0;
         } else {
-          return Status::InvalidArgument(
-              "comparison over a free variable: " + goal.ToString());
+          return walk->Fail(StatusCode::kInvalidArgument, [&] {
+            return "comparison over a free variable: " + goal.ToString();
+          });
         }
         goal_cost.cardinality = selectivity;
         break;
       }
       case lang::Atom::Kind::kPredicate: {
         HERMES_ASSIGN_OR_RETURN(
-            goal_cost, EstimatePredicate(program, goal, env, depth,
-                                         active_predicates, estimation_ms));
-        for (const lang::Term& arg : goal.args) {
-          if (arg.is_variable()) env.MarkBound(arg.var_name);
+            goal_cost, EstimatePredicate(walk, body, index, frame, depth));
+        // The callee's frames may have moved the slot array.
+        Binding* env = walk->slots.data() + frame;
+        for (size_t a = 0; a < goal.args.size(); ++a) {
+          if (goal.args[a].is_variable()) env[slot[a]].MarkBound();
         }
         break;
       }
@@ -242,27 +386,40 @@ Result<CostVector> RuleCostEstimator::EstimateBodyInternal(
     t_first += goal_cost.t_first_ms;
     t_all += prefix_card * goal_cost.t_all_ms;
     prefix_card *= std::max(goal_cost.cardinality, 0.0);
-    card = prefix_card;
   }
 
-  return CostVector(t_first, t_all, card);
+  return CostVector(t_first, t_all, prefix_card);
+}
+
+Result<RuleCostEstimator::Estimate> RuleCostEstimator::EstimateCandidate(
+    const PlanSpace& space, size_t k, PatternMemo* memo,
+    bool describe_failures) const {
+  Walk walk(space, k, memo, describe_failures);
+  const PlanVariant& variant = walk.variant;
+  // No body is on the walk twice at once (recursion is rejected), so the
+  // frames never outgrow this.
+  size_t max_slots = 0;
+  for (const PlanBody& body : variant.bodies) max_slots += body.slot_count;
+  walk.slots.reserve(max_slots);
+  walk.slots.resize(variant.bodies[0].slot_count);
+  walk.active.assign(variant.program.rules.size(), 0);
+  Estimate estimate;
+  HERMES_ASSIGN_OR_RETURN(estimate.cost,
+                          EstimateBodyInternal(&walk, 0, 0, 0));
+  estimate.estimation_ms = walk.estimation_ms;
+  return estimate;
 }
 
 Result<RuleCostEstimator::Estimate> RuleCostEstimator::EstimateBody(
-    const lang::Program& program, const std::vector<lang::Atom>& goals,
-    const BindingEnv& env) const {
-  Estimate estimate;
-  std::set<std::string> active;
-  HERMES_ASSIGN_OR_RETURN(
-      estimate.cost,
-      EstimateBodyInternal(program, goals, env, 0, &active,
-                           &estimate.estimation_ms));
-  return estimate;
+    const lang::Program& program, const std::vector<lang::Atom>& goals) const {
+  PlanSpace space = RuleRewriter::AsWritten(program, goals);
+  PatternMemo memo;
+  return EstimateCandidate(space, 0, &memo, /*describe_failures=*/true);
 }
 
 Result<RuleCostEstimator::Estimate> RuleCostEstimator::EstimatePlan(
     const CandidatePlan& plan) const {
-  return EstimateBody(plan.program, plan.query.goals, BindingEnv());
+  return EstimateBody(plan.program, plan.query.goals);
 }
 
 }  // namespace hermes::optimizer

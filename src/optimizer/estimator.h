@@ -1,15 +1,12 @@
 #ifndef HERMES_OPTIMIZER_ESTIMATOR_H_
 #define HERMES_OPTIMIZER_ESTIMATOR_H_
 
-#include <set>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "common/sim_costs.h"
 #include "dcsm/dcsm.h"
 #include "lang/ast.h"
-#include "optimizer/binding_env.h"
 #include "optimizer/plan.h"
 
 namespace hermes::optimizer {
@@ -36,6 +33,29 @@ struct EstimatorParams {
   double per_predicate_stat_row_ms = 0.02;  ///< Simulated lookup charge.
 };
 
+/// The DCSM's answers by exact call pattern: domain, function, and each
+/// argument's kind and value, with int and double kept apart (unlike
+/// `Term::operator==`, which calls `1` and `1.0` equal). One memo serves
+/// one Optimize call, so its candidates ask the DCSM once per distinct
+/// pattern; it is never shared across queries.
+class PatternMemo {
+ public:
+  /// The DCSM's answer for the pattern of `call` whose argument i is the
+  /// constant `*args[i]`, or `$b` where `args[i]` is null. Asks `dcsm` on
+  /// a pattern's first sight only. The reference stays valid until the
+  /// memo is destroyed.
+  const Result<dcsm::CostEstimate>& Cost(const dcsm::Dcsm& dcsm,
+                                         const lang::DomainCallSpec& call,
+                                         const Value* const* args);
+
+ private:
+  struct Entry {
+    lang::DomainCallSpec pattern;
+    Result<dcsm::CostEstimate> answer;
+  };
+  std::vector<Entry> entries_;
+};
+
 /// Section 7's rule cost estimator.
 ///
 /// Walks a fully-ordered plan left to right, obtaining per-call cost
@@ -47,6 +67,11 @@ struct EstimatorParams {
 /// (duplicate elimination is not performed — footnote 2). IDB predicates
 /// are estimated by recursively estimating their defining rules and adding
 /// up cardinalities and execution times.
+///
+/// There is one walk, EstimateCandidate: it follows each body of a
+/// PlanSpace candidate through the candidate's ordering, over a flat array
+/// of the body's variable slots. EstimatePlan and EstimateBody run it on a
+/// one-candidate space in the order the rules are written.
 class RuleCostEstimator {
  public:
   RuleCostEstimator(const dcsm::Dcsm* dcsm, EstimatorParams params = {})
@@ -61,27 +86,28 @@ class RuleCostEstimator {
   };
   Result<Estimate> EstimatePlan(const CandidatePlan& plan) const;
 
-  /// Estimates a body (query goals or rule body) under an initial binding
-  /// environment against `program`'s rules.
+  /// Estimates the query `goals`, all variables initially free, against
+  /// `program`'s rules.
   Result<Estimate> EstimateBody(const lang::Program& program,
-                                const std::vector<lang::Atom>& goals,
-                                const BindingEnv& env) const;
+                                const std::vector<lang::Atom>& goals) const;
+
+  /// Estimates candidate `k` of `space`, with `memo` answering call
+  /// patterns already asked. Every use of an answer charges its simulated
+  /// lookup time, memoized or not. Error messages are built only when
+  /// `describe_failures`; without it a failure carries its code alone.
+  Result<Estimate> EstimateCandidate(const PlanSpace& space, size_t k,
+                                     PatternMemo* memo,
+                                     bool describe_failures) const;
 
  private:
-  Result<CostVector> EstimateBodyInternal(
-      const lang::Program& program, const std::vector<lang::Atom>& goals,
-      BindingEnv env, size_t depth, std::set<std::string>* active_predicates,
-      double* estimation_ms) const;
+  struct Walk;
 
-  Result<CostVector> EstimatePredicate(
-      const lang::Program& program, const lang::Atom& atom,
-      const BindingEnv& env, size_t depth,
-      std::set<std::string>* active_predicates, double* estimation_ms) const;
+  Result<CostVector> EstimateBodyInternal(Walk* walk, size_t body,
+                                          size_t frame,
+                                          size_t depth) const;
 
-  /// Converts a domain-call atom to a DCSM pattern under `env`; fails if
-  /// any argument variable is free.
-  Result<lang::DomainCallSpec> PatternFor(const lang::DomainCallSpec& call,
-                                          const BindingEnv& env) const;
+  Result<CostVector> EstimatePredicate(Walk* walk, size_t body, size_t atom,
+                                       size_t frame, size_t depth) const;
 
   const dcsm::Dcsm* dcsm_;
   EstimatorParams params_;

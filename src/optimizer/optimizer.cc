@@ -4,65 +4,64 @@
 
 namespace hermes::optimizer {
 
-namespace {
+/// Every candidate of one query with its estimate, and the best one.
+struct QueryOptimizer::Ranked {
+  PlanSpace space;
+  std::vector<CandidateSummary> candidates;
+  size_t best = 0;
+  double total_estimation_ms = 0.0;
 
-/// Number of CIM-redirected domain calls in a plan (tie-break preference:
-/// at equal estimated cost, routing through the cache can only help).
-size_t CountCimCalls(const CandidatePlan& plan) {
-  size_t count = 0;
-  auto count_body = [&count](const std::vector<lang::Atom>& atoms) {
-    for (const lang::Atom& atom : atoms) {
-      if (atom.is_domain_call() &&
-          atom.call.domain.rfind("cim_", 0) == 0) {
-        ++count;
-      }
-    }
-  };
-  count_body(plan.query.goals);
-  for (const lang::Rule& rule : plan.program.rules) count_body(rule.body);
-  return count;
-}
+  CandidatePlan Plan(size_t k) const {
+    CandidatePlan plan = space.Materialize(k);
+    static_cast<CandidateSummary&>(plan) = candidates[k];
+    return plan;
+  }
+};
 
-}  // namespace
-
-Result<OptimizerResult> QueryOptimizer::Optimize(
+Result<QueryOptimizer::Ranked> QueryOptimizer::Rank(
     const lang::Program& program, const lang::Query& query,
     OptimizationGoal goal) const {
+  Ranked ranked;
   HERMES_ASSIGN_OR_RETURN(
-      std::vector<CandidatePlan> plans,
-      RuleRewriter::Rewrite(program, query, rewriter_options_));
-
-  OptimizerResult result;
-  int best_index = -1;
-  for (CandidatePlan& plan : plans) {
-    Result<RuleCostEstimator::Estimate> est = estimator_.EstimatePlan(plan);
+      ranked.space, RuleRewriter::Enumerate(program, query, rewriter_options_));
+  const PlanSpace& space = ranked.space;
+  PatternMemo memo;
+  ranked.candidates.resize(space.candidates.size());
+  for (size_t k = 0; k < space.candidates.size(); ++k) {
+    CandidateSummary& c = ranked.candidates[k];
+    c.description = space.Description(k);
+    Result<RuleCostEstimator::Estimate> est = estimator_.EstimateCandidate(
+        space, k, &memo, /*describe_failures=*/false);
     if (est.ok()) {
-      plan.estimated = est->cost;
-      plan.estimation_ms = est->estimation_ms;
-      plan.estimatable = true;
-      result.total_estimation_ms += est->estimation_ms;
-    } else {
-      plan.estimatable = false;
+      c.estimated = est->cost;
+      c.estimation_ms = est->estimation_ms;
+      c.estimatable = true;
+      ranked.total_estimation_ms += est->estimation_ms;
     }
   }
-  for (size_t i = 0; i < plans.size(); ++i) {
-    if (!plans[i].estimatable) continue;
+
+  int best_index = -1;
+  for (size_t i = 0; i < ranked.candidates.size(); ++i) {
+    if (!ranked.candidates[i].estimatable) continue;
     if (best_index < 0) {
       best_index = static_cast<int>(i);
       continue;
     }
-    const CostVector& a = plans[i].estimated;
-    const CostVector& b = plans[best_index].estimated;
+    const CostVector& a = ranked.candidates[i].estimated;
+    const CostVector& b = ranked.candidates[best_index].estimated;
     double ka = goal == OptimizationGoal::kAllAnswers ? a.t_all_ms
                                                       : a.t_first_ms;
     double kb = goal == OptimizationGoal::kAllAnswers ? b.t_all_ms
                                                       : b.t_first_ms;
     double tie_band = 1e-9 * std::max({1.0, ka, kb});
+    // At equal estimated cost, routing through the cache can only help, so
+    // the plan with more CIM-redirected calls wins. A variant's count holds
+    // for all its candidates.
     if (ka < kb - tie_band) {
       best_index = static_cast<int>(i);
     } else if (ka <= kb + tie_band &&
-               CountCimCalls(plans[i]) >
-                   CountCimCalls(plans[best_index])) {
+               space.variant_of(i).cim_calls >
+                   space.variant_of(best_index).cim_calls) {
       best_index = static_cast<int>(i);
     }
   }
@@ -71,9 +70,33 @@ Result<OptimizerResult> QueryOptimizer::Optimize(
         "no candidate plan is estimatable; every ordering leaves some "
         "domain-call argument free");
   }
-  result.best = plans[best_index];
-  result.candidates = std::move(plans);
+  ranked.best = static_cast<size_t>(best_index);
+  return ranked;
+}
+
+Result<OptimizerResult> QueryOptimizer::Optimize(
+    const lang::Program& program, const lang::Query& query,
+    OptimizationGoal goal) const {
+  HERMES_ASSIGN_OR_RETURN(Ranked ranked, Rank(program, query, goal));
+  OptimizerResult result;
+  result.total_estimation_ms = ranked.total_estimation_ms;
+  result.candidates.reserve(ranked.candidates.size());
+  for (size_t k = 0; k < ranked.candidates.size(); ++k) {
+    result.candidates.push_back(ranked.Plan(k));
+  }
+  result.best = result.candidates[ranked.best];
   return result;
+}
+
+Result<PlanChoice> QueryOptimizer::Choose(const lang::Program& program,
+                                          const lang::Query& query,
+                                          OptimizationGoal goal) const {
+  HERMES_ASSIGN_OR_RETURN(Ranked ranked, Rank(program, query, goal));
+  PlanChoice choice;
+  choice.best = ranked.Plan(ranked.best);
+  choice.candidates = std::move(ranked.candidates);
+  choice.total_estimation_ms = ranked.total_estimation_ms;
+  return choice;
 }
 
 }  // namespace hermes::optimizer

@@ -16,7 +16,7 @@ namespace hermes::optimizer {
 /// operation (all answers vs. interactive).
 enum class OptimizationGoal { kAllAnswers, kFirstAnswer };
 
-/// The outcome of optimizing one query.
+/// The outcome of optimizing one query, every candidate in full.
 struct OptimizerResult {
   CandidatePlan best;
   /// Every candidate considered, with `estimated`/`estimatable` filled —
@@ -25,22 +25,39 @@ struct OptimizerResult {
   double total_estimation_ms = 0.0;  ///< Simulated optimizer time.
 };
 
+/// The outcome of optimizing one query, only the chosen plan in full.
+struct PlanChoice {
+  CandidatePlan best;
+  /// One entry per candidate considered, in OptimizerResult's order.
+  std::vector<CandidateSummary> candidates;
+  double total_estimation_ms = 0.0;  ///< Simulated optimizer time.
+};
+
 /// End-to-end query optimizer: rewrite → estimate each plan via DCSM →
-/// pick the cheapest for the requested goal.
+/// pick the cheapest for the requested goal. Candidates are orderings over
+/// shared variants (RuleRewriter::Enumerate), and each Optimize or Choose
+/// asks the DCSM once per distinct call pattern.
 class QueryOptimizer {
  public:
   QueryOptimizer(const dcsm::Dcsm* dcsm,
                  RuleRewriter::Options rewriter_options = {})
-      : dcsm_(dcsm),
-        rewriter_options_(std::move(rewriter_options)),
-        estimator_(dcsm) {}
+      : rewriter_options_(std::move(rewriter_options)), estimator_(dcsm) {}
 
+  /// Optimizes and returns every candidate as a plan.
   Result<OptimizerResult> Optimize(const lang::Program& program,
                                    const lang::Query& query,
                                    OptimizationGoal goal) const;
 
+  /// Optimizes and materializes only the chosen plan.
+  Result<PlanChoice> Choose(const lang::Program& program,
+                            const lang::Query& query,
+                            OptimizationGoal goal) const;
+
  private:
-  const dcsm::Dcsm* dcsm_;
+  struct Ranked;
+  Result<Ranked> Rank(const lang::Program& program, const lang::Query& query,
+                      OptimizationGoal goal) const;
+
   RuleRewriter::Options rewriter_options_;
   RuleCostEstimator estimator_;
 };

@@ -9,48 +9,98 @@ namespace hermes::optimizer {
 
 namespace {
 
-/// Index permutations of one body, `width` indexes per ordering, stored
-/// back to back.
-struct Orderings {
-  size_t width = 0;
-  size_t count = 0;
-  std::vector<uint32_t> index;
-
-  const uint32_t* at(size_t k) const { return index.data() + k * width; }
-  void Add(const uint32_t* order) {
-    index.insert(index.end(), order, order + width);
-    ++count;
+/// Calls `fn` on each term of `atom` in PlanBody's slot order.
+template <typename Fn>
+void ForEachTerm(const lang::Atom& atom, Fn&& fn) {
+  switch (atom.kind) {
+    case lang::Atom::Kind::kPredicate:
+      for (const lang::Term& t : atom.args) fn(t);
+      break;
+    case lang::Atom::Kind::kDomainCall:
+      fn(atom.output);
+      for (const lang::Term& t : atom.call.args) fn(t);
+      break;
+    case lang::Atom::Kind::kComparison:
+      fn(atom.lhs);
+      fn(atom.rhs);
+      break;
   }
-};
+}
 
-/// The valid orderings of one body. Its variables are interned once, and
-/// each atom's prerequisites and bindings become bitmasks over them,
-/// `words_` 64-bit words wide, so no body size needs a special case.
-/// Orderings whose atoms print the same at every position are one; each
-/// atom is printed once, into a class shared by the atoms that print the
-/// same.
+/// Interns the variables of `atoms` into slots in first-occurrence order
+/// and fills `body`'s slot tables, and its head slots for a rule's `head`.
+/// `names` receives each slot's variable name.
+void InternSlots(const std::vector<lang::Atom>& atoms, const lang::Atom* head,
+                 PlanBody* body, std::vector<const std::string*>* names) {
+  names->clear();
+  auto find = [names](const std::string& name) {
+    for (size_t k = 0; k < names->size(); ++k) {
+      if (*(*names)[k] == name) return static_cast<uint32_t>(k);
+    }
+    return PlanBody::kNoSlot;
+  };
+  body->term_begin.reserve(atoms.size());
+  for (const lang::Atom& atom : atoms) {
+    body->term_begin.push_back(static_cast<uint32_t>(body->term_slot.size()));
+    ForEachTerm(atom, [&](const lang::Term& t) {
+      uint32_t slot = PlanBody::kNoSlot;
+      if (t.is_variable()) {
+        slot = find(t.var_name);
+        if (slot == PlanBody::kNoSlot) {
+          slot = static_cast<uint32_t>(names->size());
+          names->push_back(&t.var_name);
+        }
+      }
+      body->term_slot.push_back(slot);
+    });
+  }
+  body->slot_count = static_cast<uint32_t>(names->size());
+  if (head == nullptr) return;
+  body->head_slot.reserve(head->args.size());
+  for (const lang::Term& t : head->args) {
+    body->head_slot.push_back(t.is_variable() ? find(t.var_name)
+                                              : PlanBody::kNoSlot);
+  }
+}
+
+/// Fills `body`'s callee tables: for each predicate goal of `atoms`, the
+/// indexes of the `rules` with its name and arity.
+void LinkCallees(const std::vector<lang::Atom>& atoms,
+                 const std::vector<lang::Rule>& rules, PlanBody* body) {
+  body->callee_begin.reserve(atoms.size() + 1);
+  for (const lang::Atom& atom : atoms) {
+    body->callee_begin.push_back(static_cast<uint32_t>(body->callees.size()));
+    if (!atom.is_predicate()) continue;
+    for (size_t r = 0; r < rules.size(); ++r) {
+      if (rules[r].head.predicate == atom.predicate &&
+          rules[r].head.args.size() == atom.args.size()) {
+        body->callees.push_back(static_cast<uint32_t>(r));
+      }
+    }
+  }
+  body->callee_begin.push_back(static_cast<uint32_t>(body->callees.size()));
+}
+
+/// The valid orderings of one body. Each atom's prerequisites and bindings
+/// become bitmasks over the body's variable slots, `words_` 64-bit words
+/// wide, so no body size needs a special case. Orderings whose atoms print
+/// the same at every position are one; atoms fall into classes of those
+/// that print the same, and only atoms that may have a twin are printed.
 class BodyOrderer {
  public:
-  explicit BodyOrderer(const std::vector<lang::Atom>& body)
-      : body_(body), used_(body.size(), 0), current_(body.size(), 0) {
-    for (const lang::Atom& atom : body) {
-      ForEachTerm(atom, [this](const lang::Term& t) {
-        if (t.is_variable() && Find(t.var_name) == kNone) {
-          names_.push_back(&t.var_name);
-        }
-      });
-    }
-    words_ = std::max<size_t>(1, (names_.size() + 63) / 64);
+  BodyOrderer(const std::vector<lang::Atom>& body, const PlanBody& slots)
+      : body_(body), slots_(slots), used_(body.size(), 0),
+        current_(body.size(), 0) {
+    words_ = std::max<size_t>(1, (slots.slot_count + 63) / 64);
     masks_.assign(body.size() * kMasksPerAtom * words_, 0);
     bound_.assign((body.size() + 1) * words_, 0);
     info_.resize(body.size());
     for (size_t i = 0; i < body.size(); ++i) Describe(i);
   }
 
-  /// Marks `name` bound before the body runs.
-  void Bind(const std::string& name) {
-    size_t bit = Find(name);
-    if (bit != kNone) Set(bound_.data(), bit);
+  /// Marks the variable in `slot` bound before the body runs.
+  void Bind(uint32_t slot) {
+    if (slot != PlanBody::kNoSlot) Set(bound_.data(), slot);
   }
 
   /// At most `max_orderings` valid orderings, the original order first
@@ -90,7 +140,6 @@ class BodyOrderer {
   }
 
  private:
-  static constexpr size_t kNone = static_cast<size_t>(-1);
   // Per atom: the variables side A needs bound (a domain call's arguments,
   // a comparison's lhs), those side B needs (a comparison's rhs), those
   // bound once side A resolves (a call's output, a predicate's arguments,
@@ -104,30 +153,6 @@ class BodyOrderer {
     bool binds_b = false;
   };
 
-  template <typename Fn>
-  static void ForEachTerm(const lang::Atom& atom, Fn&& fn) {
-    switch (atom.kind) {
-      case lang::Atom::Kind::kPredicate:
-        for (const lang::Term& t : atom.args) fn(t);
-        break;
-      case lang::Atom::Kind::kDomainCall:
-        fn(atom.output);
-        for (const lang::Term& t : atom.call.args) fn(t);
-        break;
-      case lang::Atom::Kind::kComparison:
-        fn(atom.lhs);
-        fn(atom.rhs);
-        break;
-    }
-  }
-
-  size_t Find(const std::string& name) const {
-    for (size_t k = 0; k < names_.size(); ++k) {
-      if (*names_[k] == name) return k;
-    }
-    return kNone;
-  }
-
   static void Set(uint64_t* mask, size_t bit) {
     mask[bit / 64] |= uint64_t{1} << (bit % 64);
   }
@@ -140,49 +165,54 @@ class BodyOrderer {
   }
   uint64_t* Level(size_t depth) { return bound_.data() + depth * words_; }
 
-  /// Adds what `term` needs bound to `mask`; false for a `$b` placeholder,
-  /// which never resolves.
-  bool Need(const lang::Term& term, uint64_t* mask) const {
+  /// Adds what `term`, in `slot`, needs bound to `mask`; false for a `$b`
+  /// placeholder, which never resolves.
+  static bool Need(const lang::Term& term, uint32_t slot, uint64_t* mask) {
     if (term.is_bound_pattern()) return false;
-    if (term.is_variable()) Set(mask, Find(term.var_name));
+    if (term.is_variable()) Set(mask, slot);
     return true;
   }
 
   void Describe(size_t i) {
     const lang::Atom& atom = body_[i];
+    const uint32_t* slot = slots_.slots_of(i);
     AtomInfo& info = info_[i];
     switch (atom.kind) {
       case lang::Atom::Kind::kDomainCall:
-        for (const lang::Term& arg : atom.call.args) {
-          if (!Need(arg, MaskOf(i, kNeedA))) info.never_a = true;
+        for (size_t a = 0; a < atom.call.args.size(); ++a) {
+          if (!Need(atom.call.args[a], slot[1 + a], MaskOf(i, kNeedA))) {
+            info.never_a = true;
+          }
         }
         if (atom.output.is_variable()) {
           // Binding through an attribute path needs the base bound.
-          if (!atom.output.path.empty()) Need(atom.output, MaskOf(i, kNeedA));
-          Set(MaskOf(i, kBindA), Find(atom.output.var_name));
+          if (!atom.output.path.empty()) {
+            Need(atom.output, slot[0], MaskOf(i, kNeedA));
+          }
+          Set(MaskOf(i, kBindA), slot[0]);
         }
         break;
       case lang::Atom::Kind::kComparison:
-        info.never_a = !Need(atom.lhs, MaskOf(i, kNeedA));
-        info.never_b = !Need(atom.rhs, MaskOf(i, kNeedB));
+        info.never_a = !Need(atom.lhs, slot[0], MaskOf(i, kNeedA));
+        info.never_b = !Need(atom.rhs, slot[1], MaskOf(i, kNeedB));
         // '=' with exactly one resolvable side binds the other, provided
         // the free side is a plain variable.
         if (atom.op == lang::RelOp::kEq) {
           if (atom.rhs.is_variable() && atom.rhs.path.empty()) {
             info.binds_a = true;
-            Set(MaskOf(i, kBindA), Find(atom.rhs.var_name));
+            Set(MaskOf(i, kBindA), slot[1]);
           }
           if (atom.lhs.is_variable() && atom.lhs.path.empty()) {
             info.binds_b = true;
-            Set(MaskOf(i, kBindB), Find(atom.lhs.var_name));
+            Set(MaskOf(i, kBindB), slot[0]);
           }
         }
         break;
       case lang::Atom::Kind::kPredicate:
         // IDB predicates can generate bindings; feasibility of the chosen
         // adornment is checked later by the cost estimator / executor.
-        for (const lang::Term& arg : atom.args) {
-          if (arg.is_variable()) Set(MaskOf(i, kBindA), Find(arg.var_name));
+        for (size_t a = 0; a < atom.args.size(); ++a) {
+          if (atom.args[a].is_variable()) Set(MaskOf(i, kBindA), slot[a]);
         }
         break;
     }
@@ -250,17 +280,38 @@ class BodyOrderer {
     }
   }
 
-  /// For each atom, the index of the first atom that prints the same.
+  /// Can atoms `a` and `b` print the same? Only if they agree on kind and
+  /// on what is printed before their terms.
+  static bool MayPrintAlike(const lang::Atom& a, const lang::Atom& b) {
+    if (a.kind != b.kind) return false;
+    switch (a.kind) {
+      case lang::Atom::Kind::kPredicate:
+        return a.predicate == b.predicate && a.args.size() == b.args.size();
+      case lang::Atom::Kind::kDomainCall:
+        return a.call.domain == b.call.domain &&
+               a.call.function == b.call.function &&
+               a.call.args.size() == b.call.args.size();
+      case lang::Atom::Kind::kComparison:
+        return a.op == b.op;
+    }
+    return true;
+  }
+
+  /// For each atom, the index of the first atom that prints the same. An
+  /// atom is printed only when another may print alike.
   std::vector<uint32_t> AtomClasses() const {
-    std::vector<std::string> text;
-    text.reserve(body_.size());
-    std::vector<uint32_t> cls(body_.size());
-    for (size_t i = 0; i < body_.size(); ++i) {
-      text.push_back(body_[i].ToString());
-      cls[i] = static_cast<uint32_t>(i);
+    const size_t n = body_.size();
+    std::vector<std::string> text(n);
+    std::vector<uint32_t> cls(n);
+    std::iota(cls.begin(), cls.end(), 0u);
+    for (size_t i = 1; i < n; ++i) {
+      // The first atom of a class is the first to print its text.
       for (size_t j = 0; j < i; ++j) {
+        if (cls[j] != j || !MayPrintAlike(body_[j], body_[i])) continue;
+        if (text[j].empty()) text[j] = body_[j].ToString();
+        if (text[i].empty()) text[i] = body_[i].ToString();
         if (text[j] == text[i]) {
-          cls[i] = cls[j];
+          cls[i] = static_cast<uint32_t>(j);
           break;
         }
       }
@@ -269,7 +320,7 @@ class BodyOrderer {
   }
 
   const std::vector<lang::Atom>& body_;
-  std::vector<const std::string*> names_;
+  const PlanBody& slots_;
   size_t words_ = 1;
   std::vector<uint64_t> masks_;
   std::vector<AtomInfo> info_;
@@ -314,7 +365,66 @@ bool DefaultDomainHasFunction(const std::string& domain,
          function == "select_ge";
 }
 
+/// Prepares every body of `variant` (slots, callees and, when `reorder`,
+/// at most `max_orderings` valid orderings) and counts its CIM calls.
+/// False when the query goals have no executable order.
+bool Prepare(PlanVariant* variant, bool reorder, size_t max_orderings) {
+  const size_t n_bodies = 1 + variant->program.rules.size();
+  variant->bodies.resize(n_bodies);
+  std::vector<const std::string*> names;
+  for (size_t b = 0; b < n_bodies; ++b) {
+    const std::vector<lang::Atom>& atoms = variant->atoms(b);
+    PlanBody& body = variant->bodies[b];
+    InternSlots(atoms, b == 0 ? nullptr : &variant->program.rules[b - 1].head,
+                &body, &names);
+    LinkCallees(atoms, variant->program.rules, &body);
+    for (const lang::Atom& atom : atoms) {
+      if (atom.is_domain_call() && atom.call.domain.rfind("cim_", 0) == 0) {
+        ++variant->cim_calls;
+      }
+    }
+    if (!reorder || (b > 0 && atoms.size() <= 1)) {
+      body.orderings = Orderings::AsWritten(atoms.size());
+      continue;
+    }
+    BodyOrderer orderer(atoms, body);
+    for (uint32_t slot : body.head_slot) orderer.Bind(slot);
+    body.orderings = orderer.Valid(max_orderings);
+    if (b == 0) {
+      if (body.orderings.count == 0) return false;
+    } else if (body.orderings.count <= 1) {
+      // A rule body with one valid ordering, or none, runs as written.
+      body.orderings = Orderings::AsWritten(atoms.size());
+    }
+  }
+  return true;
+}
+
 }  // namespace
+
+Orderings Orderings::AsWritten(size_t width) {
+  Orderings out{width, 1, std::vector<uint32_t>(width)};
+  std::iota(out.index.begin(), out.index.end(), 0u);
+  return out;
+}
+
+std::string PlanSpace::Description(size_t k) const {
+  return variant_of(k).description + " #" + std::to_string(k);
+}
+
+CandidatePlan PlanSpace::Materialize(size_t k) const {
+  const PlanVariant& variant = variant_of(k);
+  CandidatePlan plan;
+  plan.description = Description(k);
+  plan.query.goals = Reordered(variant.query.goals, Order(k, 0));
+  plan.program.rules.reserve(variant.program.rules.size());
+  for (size_t r = 0; r < variant.program.rules.size(); ++r) {
+    lang::Rule& rule = plan.program.rules.emplace_back();
+    rule.head = variant.program.rules[r].head;
+    rule.body = Reordered(variant.program.rules[r].body, Order(k, 1 + r));
+  }
+  return plan;
+}
 
 size_t RuleRewriter::RedirectToCim(std::vector<lang::Atom>* atoms,
                                    const std::vector<std::string>& cim_domains) {
@@ -426,8 +536,15 @@ std::vector<size_t> RuleRewriter::ReachableRules(
 std::vector<std::vector<lang::Atom>> RuleRewriter::ValidOrderings(
     const std::vector<lang::Atom>& body,
     const std::vector<std::string>& initially_bound, size_t max_orderings) {
-  BodyOrderer orderer(body);
-  for (const std::string& name : initially_bound) orderer.Bind(name);
+  PlanBody slots;
+  std::vector<const std::string*> names;
+  InternSlots(body, nullptr, &slots, &names);
+  BodyOrderer orderer(body, slots);
+  for (const std::string& name : initially_bound) {
+    for (size_t k = 0; k < names.size(); ++k) {
+      if (*names[k] == name) orderer.Bind(static_cast<uint32_t>(k));
+    }
+  }
   Orderings valid = orderer.Valid(max_orderings);
   std::vector<std::vector<lang::Atom>> out;
   out.reserve(valid.count);
@@ -437,29 +554,24 @@ std::vector<std::vector<lang::Atom>> RuleRewriter::ValidOrderings(
   return out;
 }
 
-Result<std::vector<CandidatePlan>> RuleRewriter::Rewrite(
-    const lang::Program& program, const lang::Query& query,
-    const Options& options) {
+Result<PlanSpace> RuleRewriter::Enumerate(const lang::Program& program,
+                                          const lang::Query& query,
+                                          const Options& options) {
   // Variants along two axes, selection push-down and CIM redirection, over
   // the rules the query reaches. Neither rewrite touches predicate goals,
   // so every variant reaches the same rules.
-  struct Variant {
-    lang::Program program;
-    lang::Query query;
-    std::string description;
-    std::string query_key, program_key;  ///< Printed once, for dedup.
-  };
+  //
   // The bases: the rules as written, then with selections pushed down. A
   // push-down that pushes nothing would repeat its direct twin, so it
   // makes no base.
-  std::vector<Variant> bases(1);
+  std::vector<PlanVariant> bases(1);
   bases[0].query = query;
   for (size_t r : ReachableRules(program, query.goals)) {
     bases[0].program.rules.push_back(program.rules[r]);
   }
   bases[0].description = "direct";
   if (options.push_selections) {
-    Variant pushed = bases[0];
+    PlanVariant pushed = bases[0];
     size_t n = PushSelections(&pushed.query.goals, options.domain_has_function);
     for (lang::Rule& rule : pushed.program.rules) {
       n += PushSelections(&rule.body, options.domain_has_function);
@@ -470,114 +582,97 @@ Result<std::vector<CandidatePlan>> RuleRewriter::Rewrite(
     }
   }
 
-  // The bases as they are, then each redirected to CIM.
-  std::vector<Variant> variants;
-  auto add = [&variants](Variant v) {
-    v.query_key = v.query.ToString();
-    v.program_key = v.program.ToString();
-    for (const Variant& existing : variants) {
-      if (existing.query_key == v.query_key &&
-          existing.program_key == v.program_key) {
-        return;
-      }
-    }
-    variants.push_back(std::move(v));
-  };
-  if (!options.cim_only) {
-    for (const Variant& base : bases) add(base);
-  }
-  if (!options.cim_domains.empty()) {
-    for (Variant& base : bases) {
+  // The bases as they are, then each redirected to CIM. A redirection that
+  // redirects nothing would repeat its base, so it makes a variant only
+  // when the bases themselves are left out (cim_only). No two variants
+  // print the same: a push-down base drops a comparison, a redirection
+  // renames a domain.
+  std::vector<PlanVariant> variants;
+  if (options.cim_domains.empty()) {
+    if (!options.cim_only) variants = std::move(bases);
+  } else {
+    if (!options.cim_only) variants = bases;
+    for (PlanVariant& base : bases) {
       size_t redirected = RedirectToCim(&base.query.goals, options.cim_domains);
       for (lang::Rule& rule : base.program.rules) {
         redirected += RedirectToCim(&rule.body, options.cim_domains);
       }
-      if (redirected > 0) base.description += "+cim";
-      add(std::move(base));
+      if (redirected > 0) {
+        base.description += "+cim";
+      } else if (!options.cim_only) {
+        continue;
+      }
+      variants.push_back(std::move(base));
     }
   }
 
-  // Expand each variant into ordered plans: orderings of the query goals ×
-  // orderings of every rule body.
-  std::vector<CandidatePlan> plans;
-  for (const Variant& variant : variants) {
-    const std::vector<lang::Atom>& goals = variant.query.goals;
-    Orderings query_orderings{goals.size(), 0, {}};
-    if (options.reorder_subgoals) {
-      query_orderings =
-          BodyOrderer(goals).Valid(options.max_orderings_per_body);
-    } else {
-      std::vector<uint32_t> as_written(goals.size());
-      std::iota(as_written.begin(), as_written.end(), 0u);
-      query_orderings.Add(as_written.data());
+  // Each variant's candidates: orderings of the query goals × orderings of
+  // every rule body, the query goals varying fastest, under a global cap.
+  PlanSpace space;
+  for (PlanVariant& v : variants) {
+    if (space.candidates.size() >= options.max_plans) break;
+    if (!Prepare(&v, options.reorder_subgoals,
+                 options.max_orderings_per_body)) {
+      continue;  // no executable order
     }
-    if (query_orderings.count == 0) continue;  // no executable order
-
-    // Rules with more than one valid ordering, by index into the variant's
-    // program.
-    std::vector<size_t> rule_indexes;
-    std::vector<Orderings> rule_orderings;
-    for (size_t r = 0; r < variant.program.rules.size(); ++r) {
-      const lang::Rule& rule = variant.program.rules[r];
-      if (!options.reorder_subgoals || rule.body.size() <= 1) continue;
-      BodyOrderer orderer(rule.body);
-      for (const lang::Term& arg : rule.head.args) {
-        if (arg.is_variable()) orderer.Bind(arg.var_name);
-      }
-      Orderings orderings = orderer.Valid(options.max_orderings_per_body);
-      if (orderings.count > 1) {
-        rule_indexes.push_back(r);
-        rule_orderings.push_back(std::move(orderings));
-      }
-    }
-
-    // Cartesian product with a global cap.
-    std::vector<size_t> cursor(rule_indexes.size(), 0);
+    const uint32_t index = static_cast<uint32_t>(space.variants.size());
+    const PlanVariant& variant = space.variants.emplace_back(std::move(v));
+    std::vector<uint32_t> cursor(variant.bodies.size(), 0);
     bool exhausted = false;
-    while (!exhausted && plans.size() < options.max_plans) {
-      for (size_t q = 0; q < query_orderings.count; ++q) {
-        if (plans.size() >= options.max_plans) break;
-        CandidatePlan plan;
-        plan.query.goals = Reordered(goals, query_orderings.at(q));
-        plan.program.rules.reserve(variant.program.rules.size());
-        for (size_t r = 0, k = 0; r < variant.program.rules.size(); ++r) {
-          const lang::Rule& rule = variant.program.rules[r];
-          if (k < rule_indexes.size() && rule_indexes[k] == r) {
-            lang::Rule& ordered = plan.program.rules.emplace_back();
-            ordered.head = rule.head;
-            ordered.body =
-                Reordered(rule.body, rule_orderings[k].at(cursor[k]));
-            ++k;
-          } else {
-            plan.program.rules.push_back(rule);
-          }
-        }
-        plan.description = variant.description;
-        plans.push_back(std::move(plan));
+    while (!exhausted && space.candidates.size() < options.max_plans) {
+      for (uint32_t q = 0; q < variant.bodies[0].orderings.count; ++q) {
+        if (space.candidates.size() >= options.max_plans) break;
+        cursor[0] = q;
+        space.candidates.push_back(
+            {index, static_cast<uint32_t>(space.choices.size())});
+        space.choices.insert(space.choices.end(), cursor.begin(),
+                             cursor.end());
       }
-      // Advance the cartesian cursor.
+      // Advance the rule bodies' cartesian cursor.
       exhausted = true;
-      for (size_t k = 0; k < cursor.size(); ++k) {
-        if (++cursor[k] < rule_orderings[k].count) {
+      for (size_t b = 1; b < cursor.size(); ++b) {
+        if (++cursor[b] < variant.bodies[b].orderings.count) {
           exhausted = false;
           break;
         }
-        cursor[k] = 0;
+        cursor[b] = 0;
       }
-      if (cursor.empty()) exhausted = true;
     }
   }
 
-  if (plans.empty()) {
+  if (space.candidates.empty()) {
     return Status::InvalidArgument(
         "no executable ordering exists for the query (a domain call's "
         "arguments can never all be bound)");
   }
-  // Number the plans for readability.
-  for (size_t i = 0; i < plans.size(); ++i) {
-    plans[i].description += " #" + std::to_string(i);
+  return space;
+}
+
+Result<std::vector<CandidatePlan>> RuleRewriter::Rewrite(
+    const lang::Program& program, const lang::Query& query,
+    const Options& options) {
+  HERMES_ASSIGN_OR_RETURN(PlanSpace space,
+                          Enumerate(program, query, options));
+  std::vector<CandidatePlan> plans;
+  plans.reserve(space.candidates.size());
+  for (size_t k = 0; k < space.candidates.size(); ++k) {
+    plans.push_back(space.Materialize(k));
   }
   return plans;
+}
+
+PlanSpace RuleRewriter::AsWritten(const lang::Program& program,
+                                  const std::vector<lang::Atom>& goals) {
+  PlanSpace space;
+  PlanVariant& variant = space.variants.emplace_back();
+  variant.query.goals = goals;
+  for (size_t r : ReachableRules(program, goals)) {
+    variant.program.rules.push_back(program.rules[r]);
+  }
+  Prepare(&variant, /*reorder=*/false, /*max_orderings=*/1);
+  space.candidates.push_back({0, 0});
+  space.choices.assign(variant.bodies.size(), 0);
+  return space;
 }
 
 }  // namespace hermes::optimizer

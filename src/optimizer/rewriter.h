@@ -22,8 +22,9 @@ namespace hermes::optimizer {
 ///   3. subgoal reordering — every permutation of each body that keeps
 ///      domain-call arguments ground at execution time.
 ///
-/// Variants and candidate programs hold only the rules reachable from the
-/// query, in program order; the other rules can never run for it.
+/// Variants hold only the rules reachable from the query, in program
+/// order; the other rules can never run for it. A candidate is a variant
+/// plus one ordering per body, so enumerating copies no rules per plan.
 class RuleRewriter {
  public:
   struct Options {
@@ -44,11 +45,23 @@ class RuleRewriter {
     size_t max_plans = 128;
   };
 
-  /// Enumerates candidate plans. At least one plan (the original ordering)
-  /// is always returned for a well-formed input.
+  /// Enumerates the candidate plans: each variant once, with its bodies
+  /// prepared, and each candidate as orderings of the variant's bodies. At
+  /// least one candidate (the original ordering) exists for a well-formed
+  /// input.
+  static Result<PlanSpace> Enumerate(const lang::Program& program,
+                                     const lang::Query& query,
+                                     const Options& options);
+
+  /// Enumerate, then materialize every candidate.
   static Result<std::vector<CandidatePlan>> Rewrite(
       const lang::Program& program, const lang::Query& query,
       const Options& options);
+
+  /// The plan space of `goals` over `program` exactly as written: one
+  /// variant with the rules the goals reach, one candidate.
+  static PlanSpace AsWritten(const lang::Program& program,
+                             const std::vector<lang::Atom>& goals);
 
   /// Indexes, in program order, of the rules `goals` reach: those whose
   /// head matches a predicate goal by name and arity, and in turn those

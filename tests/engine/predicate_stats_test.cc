@@ -90,8 +90,7 @@ TEST(PredicateStatsTest, ObservedTfFixesBacktrackingUnderPrediction) {
   // blind to the backtracking, so it under-predicts badly.
   optimizer::RuleCostEstimator formula_only(&fx.med.dcsm());
   Result<optimizer::RuleCostEstimator::Estimate> blind =
-      formula_only.EstimateBody(fx.med.program(), query->goals,
-                                optimizer::BindingEnv());
+      formula_only.EstimateBody(fx.med.program(), query->goals);
   ASSERT_TRUE(blind.ok()) << blind.status();
   EXPECT_LT(blind->cost.t_first_ms, actual_tf / 2.0);
 
@@ -100,8 +99,7 @@ TEST(PredicateStatsTest, ObservedTfFixesBacktrackingUnderPrediction) {
   params.use_predicate_first_answer_stats = true;
   optimizer::RuleCostEstimator informed(&fx.med.dcsm(), params);
   Result<optimizer::RuleCostEstimator::Estimate> learned =
-      informed.EstimateBody(fx.med.program(), query->goals,
-                            optimizer::BindingEnv());
+      informed.EstimateBody(fx.med.program(), query->goals);
   ASSERT_TRUE(learned.ok()) << learned.status();
   double learned_error =
       std::fabs(learned->cost.t_first_ms - actual_tf) / actual_tf;
@@ -124,10 +122,8 @@ TEST(PredicateStatsTest, TaAndCardinalityKeepCompositionalFormula) {
   params.use_predicate_first_answer_stats = true;
   optimizer::RuleCostEstimator informed(&fx.med.dcsm(), params);
   optimizer::RuleCostEstimator plain(&fx.med.dcsm());
-  auto a = informed.EstimateBody(fx.med.program(), query->goals,
-                                 optimizer::BindingEnv());
-  auto b = plain.EstimateBody(fx.med.program(), query->goals,
-                              optimizer::BindingEnv());
+  auto a = informed.EstimateBody(fx.med.program(), query->goals);
+  auto b = plain.EstimateBody(fx.med.program(), query->goals);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_DOUBLE_EQ(a->cost.t_all_ms, b->cost.t_all_ms);
   EXPECT_DOUBLE_EQ(a->cost.cardinality, b->cost.cardinality);
@@ -147,8 +143,7 @@ TEST(PredicateStatsTest, RelaxesToAnyInvocationWhenArgsUnseen) {
   optimizer::EstimatorParams params;
   params.use_predicate_first_answer_stats = true;
   optimizer::RuleCostEstimator informed(&fx.med.dcsm(), params);
-  auto est = informed.EstimateBody(fx.med.program(), query->goals,
-                                   optimizer::BindingEnv());
+  auto est = informed.EstimateBody(fx.med.program(), query->goals);
   ASSERT_TRUE(est.ok()) << est.status();
   EXPECT_GT(est->cost.t_first_ms, 1000.0);  // inherited observed Tf
 }

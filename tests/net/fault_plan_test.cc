@@ -62,6 +62,15 @@ TEST(FaultPlanParseTest, RejectsMalformedSpecs) {
   // The seed is a whole unsigned number: no sign, no trailing text.
   EXPECT_TRUE(FaultPlan::Parse("seed -1\n").status().IsParseError());
   EXPECT_TRUE(FaultPlan::Parse("seed 12abc\n").status().IsParseError());
+  // Numbers are finite, whole values; extra_ms is never negative.
+  for (const char* spec : {"flaky site=x p=nan", "latency site=x factor=nan",
+                           "latency site=x factor=inf",
+                           "slow site=x extra_ms=-5",
+                           "slow site=x extra_ms=nan",
+                           "outage site=x from=nan",
+                           "outage site=x until=nan"}) {
+    EXPECT_TRUE(FaultPlan::Parse(spec).status().IsParseError()) << spec;
+  }
   EXPECT_FALSE(FaultPlan::Parse("outage site=x naked-token").ok());
   EXPECT_FALSE(FaultPlan::Parse("outage site=x color=red").ok());
   // The error names the offending line.

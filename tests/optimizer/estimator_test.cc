@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "lang/parser.h"
+#include "obs/metrics.h"
 #include "optimizer/optimizer.h"
 
 namespace hermes::optimizer {
@@ -162,14 +163,36 @@ TEST(EstimatorTest, RecursionIsRejected) {
 
 TEST(EstimatorTest, EstimationTimeAccumulatesDcsmLookups) {
   dcsm::Dcsm dcsm;
+  obs::MetricsRegistry registry;
+  dcsm.BindMetrics(registry);
+  auto lookups = [&registry] {
+    return registry.GetOrAddCounter("hermes_dcsm_estimates_total", "")
+        ->Value();
+  };
   LoadExampleStats(&dcsm);
   RuleCostEstimator estimator(&dcsm);
-  CandidatePlan plan;
-  plan.program = MustProgram("m(C) :- in(C, d2:q_ff()).");
-  plan.query = MustQuery("?- m(C).");
-  Result<RuleCostEstimator::Estimate> est = estimator.EstimatePlan(plan);
-  ASSERT_TRUE(est.ok());
-  EXPECT_GT(est->estimation_ms, 0.0);
+  auto estimate = [&estimator](const std::string& rule) {
+    CandidatePlan plan;
+    plan.program = MustProgram(rule);
+    plan.query = MustQuery("?- m(C).");
+    return estimator.EstimatePlan(plan);
+  };
+  Result<RuleCostEstimator::Estimate> as_int =
+      estimate("m(C) :- in(C, d1:p_bf(1)).");
+  Result<RuleCostEstimator::Estimate> as_double =
+      estimate("m(C) :- in(C, d1:p_bf(1.0)).");
+  ASSERT_TRUE(as_int.ok() && as_double.ok());
+  EXPECT_GT(as_int->estimation_ms, 0.0);
+
+  // A repeated pattern is asked once but charged at every use; 1 and 1.0
+  // are different patterns.
+  const uint64_t before = lookups();
+  Result<RuleCostEstimator::Estimate> est = estimate(
+      "m(C) :- in(A, d1:p_bf(1)) & in(B, d1:p_bf(1.0)) & in(C, d1:p_bf(1)).");
+  ASSERT_TRUE(est.ok()) << est.status();
+  EXPECT_EQ(lookups() - before, 2u);
+  EXPECT_DOUBLE_EQ(est->estimation_ms,
+                   2 * as_int->estimation_ms + as_double->estimation_ms);
 }
 
 TEST(OptimizerTest, PicksCheaperPlanForAllAnswers) {

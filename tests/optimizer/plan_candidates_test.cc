@@ -7,6 +7,10 @@
 // enumeration or costing with:
 //
 //   HERMES_UPDATE_GOLDENS=1 ./tests/optimizer_plan_candidates_test
+//
+// The other tests check that the query path, which materializes only the
+// chosen plan, agrees with Plan() on the same cases, and count the DCSM
+// lookups one Plan() makes.
 
 #include <gtest/gtest.h>
 
@@ -100,12 +104,10 @@ void Warm(Mediator* med) {
   }
 }
 
-TEST(PlanCandidatesGolden, AppendixQueriesMatchGolden) {
-  Mediator med;
-  ASSERT_TRUE(testbed::SetupRopeScenario(&med, {}).ok());
-  Warm(&med);
-
-  std::string actual;
+/// Calls `fn(query, options)` for each of the golden's 24 cases: every
+/// appendix query over frames 10..300, CIM on and off, both goals.
+template <typename Fn>
+void ForEachGoldenCase(Fn&& fn) {
   for (int number = 1; number <= 4; ++number) {
     for (bool primed : {false, true}) {
       if (primed && number > 2) continue;
@@ -118,26 +120,36 @@ TEST(PlanCandidatesGolden, AppendixQueriesMatchGolden) {
           QueryOptions options;
           options.use_cim = use_cim;
           options.goal = goal;
-          Result<optimizer::OptimizerResult> planned =
-              med.Plan(query, options);
-          ASSERT_TRUE(planned.ok()) << query << ": " << planned.status();
-          actual += "== " + query + " cim=" + (use_cim ? "on" : "off") +
-                    " goal=" +
-                    (goal == optimizer::OptimizationGoal::kAllAnswers
-                         ? "all"
-                         : "first") +
-                    " candidates=" +
-                    std::to_string(planned->candidates.size()) +
-                    " total_estimation_ms=" +
-                    Num(planned->total_estimation_ms) + "\n";
-          for (const optimizer::CandidatePlan& c : planned->candidates) {
-            actual += RenderCandidate(c);
-          }
-          actual += "chosen " + RenderCandidate(planned->best);
+          fn(query, options);
         }
       }
     }
   }
+}
+
+TEST(PlanCandidatesGolden, AppendixQueriesMatchGolden) {
+  Mediator med;
+  ASSERT_TRUE(testbed::SetupRopeScenario(&med, {}).ok());
+  Warm(&med);
+
+  std::string actual;
+  ForEachGoldenCase([&](const std::string& query,
+                        const QueryOptions& options) {
+    Result<optimizer::OptimizerResult> planned = med.Plan(query, options);
+    ASSERT_TRUE(planned.ok()) << query << ": " << planned.status();
+    actual += "== " + query + " cim=" + (options.use_cim ? "on" : "off") +
+              " goal=" +
+              (options.goal == optimizer::OptimizationGoal::kAllAnswers
+                   ? "all"
+                   : "first") +
+              " candidates=" + std::to_string(planned->candidates.size()) +
+              " total_estimation_ms=" + Num(planned->total_estimation_ms) +
+              "\n";
+    for (const optimizer::CandidatePlan& c : planned->candidates) {
+      actual += RenderCandidate(c);
+    }
+    actual += "chosen " + RenderCandidate(planned->best);
+  });
 
   const std::string path =
       std::string(HERMES_TEST_SRCDIR) + "/golden/plan_candidates_appendix.txt";
@@ -151,6 +163,59 @@ TEST(PlanCandidatesGolden, AppendixQueriesMatchGolden) {
   EXPECT_EQ(*expected, actual) << "candidate list drifted from " << path
                                << "; regenerate with HERMES_UPDATE_GOLDENS=1 "
                                   "if the change is intentional";
+}
+
+// The query path materializes only the chosen plan. It must still choose
+// and report exactly what Plan() does: the same plan, prediction and
+// optimizer time, and one summary per candidate in the same order.
+// record_statistics=false keeps the DCSM the same for both calls, and with
+// no plan memo every Query plans afresh.
+TEST(PlanCandidatesTest, QueryPicksWhatPlanPicks) {
+  Mediator med;
+  ASSERT_TRUE(testbed::SetupRopeScenario(&med, {}).ok());
+  Warm(&med);
+
+  ForEachGoldenCase([&](const std::string& query, QueryOptions options) {
+    options.record_statistics = false;
+    Result<optimizer::OptimizerResult> planned = med.Plan(query, options);
+    Result<QueryResult> res = med.Query(query, options);
+    ASSERT_TRUE(planned.ok()) << query << ": " << planned.status();
+    ASSERT_TRUE(res.ok()) << query << ": " << res.status();
+    ASSERT_FALSE(res->plan_cache_hit);
+    EXPECT_EQ(res->plan_description, planned->best.description) << query;
+    EXPECT_TRUE(res->predicted_valid) << query;
+    EXPECT_EQ(res->predicted, planned->best.estimated) << query;
+    EXPECT_EQ(res->optimize_ms, planned->total_estimation_ms) << query;
+    ASSERT_EQ(res->candidates.size(), planned->candidates.size()) << query;
+    for (size_t k = 0; k < res->candidates.size(); ++k) {
+      const optimizer::CandidateSummary& lean = res->candidates[k];
+      const optimizer::CandidatePlan& full = planned->candidates[k];
+      EXPECT_EQ(lean.description, full.description) << query;
+      EXPECT_EQ(lean.estimatable, full.estimatable) << query;
+      EXPECT_EQ(lean.estimated, full.estimated) << query;
+      EXPECT_EQ(lean.estimation_ms, full.estimation_ms) << query;
+    }
+  });
+}
+
+uint64_t EstimatesTotal(Mediator& med) {
+  return med.metrics()
+      .GetOrAddCounter("hermes_dcsm_estimates_total", "")
+      ->Value();
+}
+
+// One Optimize asks the DCSM once per distinct call pattern, however many
+// candidates price it; each use still charges the simulated lookup time.
+TEST(PlanCandidatesTest, PlanAsksTheDcsmOncePerDistinctPattern) {
+  Mediator med;
+  ASSERT_TRUE(testbed::SetupRopeScenario(&med, {}).ok());
+  for (auto [number, lookups] : {std::pair{4, 4u}, std::pair{2, 6u}}) {
+    const uint64_t before = EstimatesTotal(med);
+    Result<optimizer::OptimizerResult> planned =
+        med.Plan(testbed::AppendixQuery(number, false, 10, 300), {});
+    ASSERT_TRUE(planned.ok()) << planned.status();
+    EXPECT_EQ(EstimatesTotal(med) - before, lookups) << "query" << number;
+  }
 }
 
 }  // namespace

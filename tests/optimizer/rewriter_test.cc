@@ -248,6 +248,18 @@ TEST(RewriteTest, CimVariantsGenerated) {
   }
   EXPECT_TRUE(direct);
   EXPECT_TRUE(cim);
+
+  // A redirection that redirects nothing would repeat its base: it makes a
+  // variant only when the bases are left out.
+  lang::Program uncached = MustProgram("m(A) :- in(A, d:f(1)).");
+  for (bool cim_only : {false, true}) {
+    options.cim_only = cim_only;
+    Result<std::vector<CandidatePlan>> one =
+        RuleRewriter::Rewrite(uncached, query, options);
+    ASSERT_TRUE(one.ok()) << one.status();
+    ASSERT_EQ(one->size(), 1u);
+    EXPECT_EQ((*one)[0].description, "direct #0");
+  }
 }
 
 TEST(RewriteTest, CimOnlySuppressesDirectPlans) {

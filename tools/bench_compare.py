@@ -4,8 +4,14 @@
 Prints a per-benchmark table of real time (or items/s for throughput
 benchmarks that report it) and the relative delta, and writes the same
 table to a file when --out is given. Optionally enforces a regression
-gate: --max-regression 0.10 fails (exit 1) if any compared benchmark got
-more than 10% slower.
+gate: --max-regression 0.10 fails (exit 1) if any compared benchmark's
+median got more than 10% slower.
+
+Each side may hold several repetitions of a benchmark
+(--benchmark_repetitions=N): they are grouped by name and compared by
+their medians. A delta is marked `~` when the contender's median lies
+inside the baseline's interquartile range: a shift that small is not
+told apart from the baseline's own run-to-run spread.
 
 Matching is by full benchmark name (including /threads:N suffixes); names
 present in only one file are listed as new/removed (with their one-sided
@@ -20,17 +26,19 @@ Usage: bench_compare.py BASELINE.json CONTENDER.json
 import argparse
 import json
 import re
+import statistics
 import sys
 
 
 def load(path):
+    """Benchmark name -> its repetitions, in run order."""
     with open(path) as f:
         doc = json.load(f)
     out = {}
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
-        out[bench["name"]] = bench
+        out.setdefault(bench["name"], []).append(bench)
     return out
 
 
@@ -47,13 +55,27 @@ def metric_of(bench):
     return None
 
 
-def format_metric(bench):
-    """One-sided display of an entry's measurement ('-' when it has none)."""
-    metric = metric_of(bench)
-    if metric is None:
+def summarize(reps):
+    """(median, q1, q3, unit, higher_is_better) over a benchmark's
+    repetitions, or None when any of them has no usable measurement or
+    they disagree on the unit."""
+    metrics = [metric_of(bench) for bench in reps]
+    if any(m is None for m in metrics) or len({m[1] for m in metrics}) != 1:
+        return None
+    values = [m[0] for m in metrics]
+    q1, q3 = values[0], values[0]
+    if len(values) > 1:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return statistics.median(values), q1, q3, metrics[0][1], metrics[0][2]
+
+
+def format_metric(reps):
+    """One-sided display of a benchmark's median ('-' when it has none)."""
+    summary = summarize(reps)
+    if summary is None:
         return "-"
-    value, unit, _ = metric
-    return f"{value:.4g} {unit}"
+    median, _, _, unit, _ = summary
+    return f"{median:.4g} {unit}"
 
 
 def main():
@@ -83,14 +105,14 @@ def main():
         if name not in cont:
             rows.append((name, format_metric(base[name]), "-", "removed"))
             continue
-        b_metric = metric_of(base[name])
-        c_metric = metric_of(cont[name])
-        if b_metric is None or c_metric is None:
+        b_summary = summarize(base[name])
+        c_summary = summarize(cont[name])
+        if b_summary is None or c_summary is None:
             rows.append((name, format_metric(base[name]),
                          format_metric(cont[name]), "error"))
             continue
-        b_val, b_unit, higher_better = b_metric
-        c_val, c_unit, _ = c_metric
+        b_val, b_q1, b_q3, b_unit, higher_better = b_summary
+        c_val, _, _, c_unit, _ = c_summary
         if b_unit != c_unit or b_val == 0:
             rows.append((name, format_metric(base[name]),
                          format_metric(cont[name]), "incomparable"))
@@ -98,8 +120,9 @@ def main():
         # delta > 0 always means "contender worse".
         delta = (b_val - c_val) / b_val if higher_better \
             else (c_val - b_val) / b_val
+        noise = " ~" if b_q1 <= c_val <= b_q3 else ""
         rows.append((name, f"{b_val:.4g} {b_unit}", f"{c_val:.4g} {c_unit}",
-                     f"{delta:+.1%}"))
+                     f"{delta:+.1%}{noise}"))
         if args.max_regression is not None and delta > args.max_regression:
             regressions.append((name, delta))
 
@@ -110,6 +133,8 @@ def main():
     header = ("benchmark", "baseline", "contender", "delta")
     for row in [header] + rows:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+    lines.append("(medians over repetitions; ~ marks a contender median "
+                 "inside the baseline's interquartile range)")
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)
     if args.out:

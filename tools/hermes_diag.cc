@@ -24,6 +24,7 @@
 #include "engine/diagnostics.h"
 #include "engine/mediator.h"
 #include "testbed/scenario.h"
+#include "tools/numeric_flag.h"
 
 namespace hermes {
 namespace {
@@ -43,9 +44,16 @@ int Run(int argc, char** argv) {
     } else if (arg.rfind("--faults=", 0) == 0) {
       faults_file = value("--faults=");
     } else if (arg.rfind("--queries=", 0) == 0) {
-      num_queries = static_cast<size_t>(std::stoul(value("--queries=")));
+      if (!tools::ParseNumericFlag("--queries", value("--queries="),
+                                   &num_queries)) {
+        return 1;
+      }
     } else if (arg.rfind("--slow-threshold=", 0) == 0) {
-      slow_threshold_ms = std::stod(value("--slow-threshold="));
+      if (!tools::ParseNumericFlag("--slow-threshold",
+                                   value("--slow-threshold="),
+                                   &slow_threshold_ms)) {
+        return 1;
+      }
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--out=DIR] [--faults=FILE] [--queries=N] "

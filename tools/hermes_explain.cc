@@ -23,12 +23,12 @@
 // replanned@ marker and the before/after re-plan decision record.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "engine/mediator.h"
 #include "testbed/scenario.h"
+#include "tools/numeric_flag.h"
 
 namespace hermes {
 namespace {
@@ -48,13 +48,20 @@ int Run(int argc, char** argv) {
     if (arg.rfind("--query=", 0) == 0) {
       query_text = value("--query=");
     } else if (arg.rfind("--appendix=", 0) == 0) {
-      appendix = std::atoi(value("--appendix=").c_str());
+      if (!tools::ParseNumericFlag("--appendix", value("--appendix="),
+                                   &appendix)) {
+        return 1;
+      }
     } else if (arg == "--primed") {
       primed = true;
     } else if (arg.rfind("--first=", 0) == 0) {
-      first = std::atoll(value("--first=").c_str());
+      if (!tools::ParseNumericFlag("--first", value("--first="), &first)) {
+        return 1;
+      }
     } else if (arg.rfind("--last=", 0) == 0) {
-      last = std::atoll(value("--last=").c_str());
+      if (!tools::ParseNumericFlag("--last", value("--last="), &last)) {
+        return 1;
+      }
     } else if (arg == "--no-optimize") {
       optimize = false;
     } else if (arg == "--no-cim") {
