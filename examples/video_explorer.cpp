@@ -8,7 +8,7 @@
 
 #include "avis/avis_domain.h"
 #include "engine/mediator.h"
-#include "net/remote_domain.h"
+#include "net/network_interceptor.h"
 #include "testbed/scenario.h"
 
 using namespace hermes;

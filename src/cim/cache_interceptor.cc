@@ -43,16 +43,6 @@ Result<CallOutput> CacheInterceptor::Intercept(CallContext& ctx,
   } else {
     ++ctx.metrics.cache_hits;
   }
-  if (ctx.observed()) {
-    obs::FlightEvent ev =
-        obs::FlightEvent::At(obs::FlightEventKind::kCacheOutcome, t_open);
-    ev.set_domain(call.domain).set_detail(OutcomeName(outcome));
-    if (out.ok()) {
-      ev.value = out->all_ms;
-      ev.aux = out->answers.size();
-    }
-    ctx.Emit(ev);
-  }
   if (out.ok() && out->degraded) {
     // Cached answers stood in for an unreachable source: the query still
     // succeeds, but its completeness is reported as degraded. Flip the
@@ -83,13 +73,19 @@ Result<CallOutput> CacheInterceptor::Intercept(CallContext& ctx,
     }
   }
   if (ctx.observed()) {
+    // The lookup's end event carries its outcome; a failed lookup's detail
+    // is "<outcome>:<cause>".
     obs::FlightEvent end = obs::FlightEvent::End(
         obs::FlightEventKind::kCacheLookupEnd, lookup, t_open);
+    end.set_domain(call.domain);
     if (out.ok()) {
       end.sim_ms = t_open + out->all_ms;
+      end.set_detail(OutcomeName(outcome));
       end.aux = out->degraded ? 1 : 0;
     } else {
-      end.set_failed(ctx.failure_cause(), ctx.last_failure_site);
+      end.set_failed(std::string(OutcomeName(outcome)) + ":" +
+                         std::string(ctx.failure_cause()),
+                     ctx.last_failure_site);
     }
     ctx.Emit(end);
   }

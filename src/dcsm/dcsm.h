@@ -68,9 +68,9 @@ struct CostEstimate {
 /// Concurrency: guarded by one reader/writer lock — estimation (`Cost`,
 /// the optimizer's hot path) takes it shared, ingestion and summary
 /// management take it exclusive. Queries do not contend on it per call:
-/// the statistics layer buffers observations in the query's CallContext
-/// and flushes them in one `RecordBatch` when the query ends, so the lock
-/// is taken once per query, not once per domain call. The `database()`
+/// the executor buffers a query's observations and flushes them in one
+/// `RecordBatch` when the query ends, so the lock is taken once per query,
+/// not once per domain call. The `database()`
 /// accessors are the exception: they expose unguarded internals for
 /// wiring- and report-time use only (no concurrent queries in flight).
 class Dcsm {

@@ -65,7 +65,7 @@ class Domain {
   virtual std::vector<FunctionInfo> Functions() const = 0;
 
   /// Executes a ground call. The call's `domain` field may differ from
-  /// name() when the domain is wrapped (by RemoteDomain or CIM);
+  /// name() when the domain is wrapped (in a PipelineDomain or a CIM);
   /// implementations should dispatch on `call.function`/`call.args` only.
   virtual Result<CallOutput> Run(const DomainCall& call) = 0;
 

@@ -10,16 +10,31 @@ namespace hermes::overload {
 
 namespace {
 
-/// Flight-recorder note of an overload decision on `site` at `sim_ms`.
-void RecordOverloadEvent(CallContext& ctx, obs::FlightEventKind kind,
-                         const std::string& site, const std::string& domain,
-                         const char* detail, double sim_ms, double value,
-                         uint64_t aux) {
-  if (!ctx.observed()) return;
+/// Opens the span of an overload action (a load shed or a hedge) at
+/// `sim_ms`: its begin event names the site and domain and carries the
+/// action's `value` (shed limit, hedge trigger) and `aux` (window size,
+/// hedges issued).
+uint32_t BeginOverloadSpan(CallContext& ctx, obs::FlightEventKind kind,
+                           const std::string& site, const std::string& domain,
+                           double sim_ms, double value, uint64_t aux) {
+  if (!ctx.observed()) return 0;
   obs::FlightEvent ev = obs::FlightEvent::At(kind, sim_ms);
-  ev.set_site(site).set_domain(domain).set_detail(detail);
+  ev.set_site(site).set_domain(domain);
   ev.value = value;
   ev.aux = aux;
+  return ctx.Emit(ev);
+}
+
+/// Closes a hedge span at `sim_ms` with its result, `win` or `cancelled`.
+/// `value` is the adopted answer's latency after a rescue, the time a
+/// speculative win saved, or the primary's latency when cancelled.
+void EndHedgeSpan(CallContext& ctx, uint32_t span, const char* result,
+                  double sim_ms, double value) {
+  if (!ctx.observed()) return;
+  obs::FlightEvent ev =
+      obs::FlightEvent::End(obs::FlightEventKind::kHedgeEnd, span, sim_ms);
+  ev.set_detail(result);
+  ev.value = value;
   ctx.Emit(ev);
 }
 
@@ -181,11 +196,10 @@ Result<CallOutput> OverloadInterceptor::Intercept(CallContext& ctx,
       ++ctx.metrics.load_shed;
       shed_->Add(1);
       if (brownout_ != nullptr) brownout_->RecordOutcome(true);
-      RecordOverloadEvent(ctx, obs::FlightEventKind::kLoadShed, site_key,
-                          call.domain, "limit", t_open, limit, window.size());
       if (ctx.observed()) {
-        const uint32_t span =
-            ctx.Emit(obs::FlightEventKind::kLoadShedBegin, t_open);
+        const uint32_t span = BeginOverloadSpan(
+            ctx, obs::FlightEventKind::kLoadShedBegin, site_key, call.domain,
+            t_open, limit, window.size());
         ctx.Emit(obs::FlightEvent::End(obs::FlightEventKind::kLoadShedEnd,
                                        span, t_open)
                      .set_failed("limit"));
@@ -247,11 +261,9 @@ Result<CallOutput> OverloadInterceptor::Intercept(CallContext& ctx,
         ++st.hedges_issued;
         ++ctx.metrics.hedges;
         hedges_->Add(1);
-        RecordOverloadEvent(ctx, obs::FlightEventKind::kHedge, site_key,
-                            call.domain, "issued", t_open + trigger, trigger,
-                            st.hedges_issued);
-        const uint32_t span =
-            ctx.Emit(obs::FlightEventKind::kHedgeBegin, t_open + trigger);
+        const uint32_t span = BeginOverloadSpan(
+            ctx, obs::FlightEventKind::kHedgeBegin, site_key, call.domain,
+            t_open + trigger, trigger, st.hedges_issued);
         ctx.now_ms = t_open + trigger;
         Result<CallOutput> alt = hedge_route_(ctx, call);
         ctx.now_ms = t_open;
@@ -259,12 +271,9 @@ Result<CallOutput> OverloadInterceptor::Intercept(CallContext& ctx,
           CallOutput won = std::move(alt).value();
           won.first_ms += trigger;
           won.all_ms += trigger;
-          ctx.Emit(obs::FlightEventKind::kHedgeEnd, t_open + won.all_ms, span);
+          EndHedgeSpan(ctx, span, "win", t_open + won.all_ms, won.all_ms);
           ++ctx.metrics.hedge_wins;
           hedge_wins_->Add(1);
-          RecordOverloadEvent(ctx, obs::FlightEventKind::kHedge, site_key,
-                              call.domain, "win", t_open + won.all_ms,
-                              won.all_ms, st.hedges_issued);
           // The hedge answered for the failed primary: mask its source
           // error (mirrors the failover and cache-degradation paths).
           for (auto it = ctx.source_errors.rbegin();
@@ -285,9 +294,6 @@ Result<CallOutput> OverloadInterceptor::Intercept(CallContext& ctx,
                                    ctx.last_failure_site));
         }
         hedge_cancelled_->Add(1);
-        RecordOverloadEvent(ctx, obs::FlightEventKind::kHedge, site_key,
-                            call.domain, "cancelled", t_open + trigger, 0.0,
-                            st.hedges_issued);
       }
     }
     return run;
@@ -333,11 +339,9 @@ Result<CallOutput> OverloadInterceptor::Intercept(CallContext& ctx,
       ++st.hedges_issued;
       ++ctx.metrics.hedges;
       hedges_->Add(1);
-      RecordOverloadEvent(ctx, obs::FlightEventKind::kHedge, site_key,
-                          call.domain, "issued", t_open + trigger, trigger,
-                          st.hedges_issued);
-      const uint32_t span =
-          ctx.Emit(obs::FlightEventKind::kHedgeBegin, t_open + trigger);
+      const uint32_t span = BeginOverloadSpan(
+          ctx, obs::FlightEventKind::kHedgeBegin, site_key, call.domain,
+          t_open + trigger, trigger, st.hedges_issued);
       // The hedge opens at trigger time on the simulated clock; the route
       // runs the replica's full pipeline under this query's context, so
       // its traffic and latency are charged to this query (the ≤ budget %
@@ -351,21 +355,17 @@ Result<CallOutput> OverloadInterceptor::Intercept(CallContext& ctx,
         CallOutput won = std::move(alt).value();
         won.first_ms = std::min(out.first_ms, trigger + won.first_ms);
         won.all_ms = trigger + won.all_ms;
-        ctx.Emit(obs::FlightEventKind::kHedgeEnd, t_open + won.all_ms, span);
+        EndHedgeSpan(ctx, span, "win", t_open + won.all_ms,
+                     primary_ms - won.all_ms);
         ++ctx.metrics.hedge_wins;
         hedge_wins_->Add(1);
-        RecordOverloadEvent(ctx, obs::FlightEventKind::kHedge, site_key,
-                            call.domain, "win", t_open + won.all_ms,
-                            primary_ms - won.all_ms, st.hedges_issued);
         out = std::move(won);
       } else {
         // The primary won (or the hedge failed): the hedge is cancelled at
         // the primary's completion time.
-        ctx.Emit(obs::FlightEventKind::kHedgeEnd, t_open + primary_ms, span);
+        EndHedgeSpan(ctx, span, "cancelled", t_open + primary_ms,
+                     primary_ms);
         hedge_cancelled_->Add(1);
-        RecordOverloadEvent(ctx, obs::FlightEventKind::kHedge, site_key,
-                            call.domain, "cancelled", t_open + primary_ms,
-                            primary_ms, st.hedges_issued);
       }
     }
   }

@@ -81,30 +81,12 @@ uint32_t CallContext::Emit(obs::FlightEvent ev) {
   return ev.seq;
 }
 
-Result<CallOutput> CallPipeline::Run(CallContext& ctx,
-                                     const DomainCall& call) const {
-  return RunFrom(0, ctx, call);
-}
-
-Result<CallOutput> CallPipeline::RunFrom(size_t index, CallContext& ctx,
-                                         const DomainCall& call) const {
-  if (index == stack_.size()) return terminal_(ctx, call);
-  return stack_[index]->Intercept(
-      ctx, call,
-      [this, index](CallContext& c, const DomainCall& k) {
-        return RunFrom(index + 1, c, k);
-      });
-}
-
 PipelineDomain::PipelineDomain(
     std::string name, std::vector<std::shared_ptr<CallInterceptor>> stack,
     std::shared_ptr<Domain> terminal)
     : name_(std::move(name)),
-      terminal_(std::move(terminal)),
-      pipeline_(std::move(stack),
-                [this](CallContext& ctx, const DomainCall& call) {
-                  return terminal_->Run(ctx, call);
-                }) {}
+      stack_(std::move(stack)),
+      terminal_(std::move(terminal)) {}
 
 Result<CallOutput> PipelineDomain::Run(const DomainCall& call) {
   CallContext scratch;
@@ -113,13 +95,21 @@ Result<CallOutput> PipelineDomain::Run(const DomainCall& call) {
 
 Result<CallOutput> PipelineDomain::Run(CallContext& ctx,
                                        const DomainCall& call) {
-  return pipeline_.Run(ctx, call);
+  return RunFrom(0, ctx, call);
+}
+
+Result<CallOutput> PipelineDomain::RunFrom(size_t index, CallContext& ctx,
+                                           const DomainCall& call) const {
+  if (index == stack_.size()) return terminal_->Run(ctx, call);
+  return stack_[index]->Intercept(
+      ctx, call, [this, index](CallContext& c, const DomainCall& k) {
+        return RunFrom(index + 1, c, k);
+      });
 }
 
 bool PipelineDomain::HasCostModel() const {
   bool has = terminal_->HasCostModel();
-  const auto& stack = pipeline_.stack();
-  for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
+  for (auto it = stack_.rbegin(); it != stack_.rend(); ++it) {
     has = (*it)->HasCostModel(has);
   }
   return has;
@@ -133,8 +123,7 @@ Result<CostVector> PipelineDomain::EstimateCost(
       [this](const lang::DomainCallSpec& p) -> Result<CostVector> {
     return terminal_->EstimateCost(p);
   };
-  const auto& stack = pipeline_.stack();
-  for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
+  for (auto it = stack_.rbegin(); it != stack_.rend(); ++it) {
     const CallInterceptor* layer = it->get();
     CallInterceptor::EstimateNext inner = std::move(next);
     next = [layer, inner = std::move(inner)](
@@ -146,7 +135,7 @@ Result<CostVector> PipelineDomain::EstimateCost(
 }
 
 CallInterceptor* PipelineDomain::FindLayer(const std::string& layer) const {
-  for (const auto& interceptor : pipeline_.stack()) {
+  for (const auto& interceptor : stack_) {
     if (interceptor->name() == layer) return interceptor.get();
   }
   return nullptr;

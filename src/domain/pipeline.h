@@ -55,7 +55,8 @@ class DriftTracker;
 
 /// Per-layer counters accumulated along one query's call path. Each
 /// interceptor owns a slice: the cache layer counts hit/miss outcomes, the
-/// network layer traffic and charges. The engine counts dispatched calls.
+/// network layer traffic and charges. The engine counts dispatched calls
+/// and recorded cost samples.
 /// Metrics are additive, so a caller can attribute exactly what one query
 /// consumed without diffing any global statistics (the old
 /// QueryTraffic-by-NetworkStats-delta bug).
@@ -64,7 +65,7 @@ class DriftTracker;
 struct CallMetrics {
   // Dispatch layer (the executor charging calls against the budget).
   uint64_t domain_calls = 0;
-  // Statistics layer (cost vectors recorded into the DCSM).
+  // Cost samples recorded into the DCSM (calls and predicate invocations).
   uint64_t stats_records = 0;
   // Cache layer (exact + equality + partial hits vs. actual-call misses).
   uint64_t cache_hits = 0;
@@ -109,16 +110,6 @@ struct SourceError {
   std::string ToString() const;
 };
 
-/// One cost observation buffered in the query's context instead of being
-/// written straight into the shared DCSM. The statistics layer appends to
-/// the buffer lock-free (it is per-query state); the executor flushes the
-/// whole batch into the DCSM under one short lock when the query ends.
-struct PendingCostSample {
-  DomainCall call;
-  CostVector cost;
-  bool complete = true;
-};
-
 /// Per-query state threaded from the executor through the registry down to
 /// the leaf domain. Every layer reads the simulated clock from it and
 /// accumulates its metrics into it; the caller that created the context
@@ -132,15 +123,6 @@ struct CallContext {
   uint64_t call_budget = std::numeric_limits<uint64_t>::max();
   /// Counters accumulated by every layer the call path crossed.
   CallMetrics metrics;
-  /// When true the statistics layer appends observations to
-  /// `pending_stats` instead of writing the shared DCSM per call; whoever
-  /// set the flag owns flushing the buffer (Executor::Execute does both).
-  /// Off by default so standalone pipeline calls with scratch contexts
-  /// keep recording directly — a scratch buffer would be silently dropped.
-  bool buffer_stats = false;
-  /// Cost observations buffered by the statistics layer, flushed into the
-  /// shared DCSM in one batch when the query ends (see StatsInterceptor).
-  std::vector<PendingCostSample> pending_stats;
   /// Per-query network RNG stream. When non-null the network simulator
   /// draws this query's jitter/availability from it (seeded from the base
   /// seed and query id), so simulated latencies replay identically at any
@@ -255,8 +237,8 @@ struct CallContext {
 ///
 /// An interceptor wraps the call on its way down to the domain (and the
 /// answers on their way back up): it may serve the call itself (cache hit),
-/// decorate latencies (network link), or observe the outcome (statistics).
-/// `next` continues with the remainder of the stack; not
+/// decorate latencies (network link), or retry and reroute it (resilience,
+/// overload). `next` continues with the remainder of the stack; not
 /// invoking it short-circuits the call.
 class CallInterceptor {
  public:
@@ -267,7 +249,7 @@ class CallInterceptor {
 
   virtual ~CallInterceptor() = default;
 
-  /// Layer name for diagnostics ("stats", "cache", "network").
+  /// Layer name for diagnostics ("cache", "network", ...).
   virtual const std::string& name() const = 0;
 
   virtual Result<CallOutput> Intercept(CallContext& ctx,
@@ -286,34 +268,10 @@ class CallInterceptor {
   }
 };
 
-/// An ordered interceptor stack over a terminal call handler.
-class CallPipeline {
- public:
-  using Handler =
-      std::function<Result<CallOutput>(CallContext&, const DomainCall&)>;
-
-  CallPipeline() = default;
-  CallPipeline(std::vector<std::shared_ptr<CallInterceptor>> stack,
-               Handler terminal)
-      : stack_(std::move(stack)), terminal_(std::move(terminal)) {}
-
-  /// Runs `call` through the stack, top first, ending at the terminal.
-  Result<CallOutput> Run(CallContext& ctx, const DomainCall& call) const;
-
-  const std::vector<std::shared_ptr<CallInterceptor>>& stack() const {
-    return stack_;
-  }
-
- private:
-  Result<CallOutput> RunFrom(size_t index, CallContext& ctx,
-                             const DomainCall& call) const;
-
-  std::vector<std::shared_ptr<CallInterceptor>> stack_;
-  Handler terminal_;
-};
-
-/// An interceptor stack over a terminal domain, packaged as a Domain so it
-/// registers like any other (the paper's "behaves like any other domain").
+/// An ordered interceptor stack over a terminal domain, packaged as a
+/// Domain so it registers like any other (the paper's "behaves like any
+/// other domain"). A call runs through the stack top first and ends at the
+/// terminal.
 ///
 /// Context-aware callers (DomainRegistry::Run with a CallContext) thread
 /// their context through the stack; legacy callers get a scratch context,
@@ -339,7 +297,7 @@ class PipelineDomain : public Domain {
       const lang::DomainCallSpec& pattern) const override;
 
   const std::vector<std::shared_ptr<CallInterceptor>>& stack() const {
-    return pipeline_.stack();
+    return stack_;
   }
   const std::shared_ptr<Domain>& terminal() const { return terminal_; }
 
@@ -348,9 +306,13 @@ class PipelineDomain : public Domain {
   CallInterceptor* FindLayer(const std::string& layer) const;
 
  private:
+  /// Runs `call` through the stack from layer `index` down.
+  Result<CallOutput> RunFrom(size_t index, CallContext& ctx,
+                             const DomainCall& call) const;
+
   std::string name_;
+  std::vector<std::shared_ptr<CallInterceptor>> stack_;
   std::shared_ptr<Domain> terminal_;
-  CallPipeline pipeline_;
 };
 
 }  // namespace hermes

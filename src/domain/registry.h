@@ -16,7 +16,7 @@ namespace hermes {
 ///
 /// The registry owns its domains via shared_ptr so the same underlying
 /// domain object can be registered under several names (e.g. a raw domain
-/// plus a RemoteDomain wrapper around it for a different site).
+/// plus a PipelineDomain that puts it behind a simulated site).
 class DomainRegistry {
  public:
   DomainRegistry() = default;

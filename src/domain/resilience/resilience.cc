@@ -151,20 +151,18 @@ Result<CallOutput> ResilienceInterceptor::AttemptWithRetries(
             1.0 + policy_.retry.backoff_jitter * (2.0 * jitter.NextDouble() - 1.0);
       }
       if (ctx.observed()) {
+        // The wait's begin names the retry; its end gives the cause and
+        // the backoff.
         obs::FlightEvent wait = obs::FlightEvent::At(
             obs::FlightEventKind::kRetryWaitBegin, t_call + waited);
+        wait.set_site(site_name_).set_domain(call.domain);
         wait.aux = static_cast<uint64_t>(attempt) + 1;
-        const uint32_t span = ctx.Emit(wait);
-        ctx.Emit(obs::FlightEventKind::kRetryWaitEnd,
-                 t_call + waited + backoff, span);
-        obs::FlightEvent retry = obs::FlightEvent::At(
-            obs::FlightEventKind::kRetry, t_call + (waited + backoff));
-        retry.set_site(site_name_)
-            .set_domain(call.domain)
-            .set_detail(ctx.last_failure_cause);
-        retry.value = backoff;
-        retry.aux = wait.aux;
-        ctx.Emit(retry);
+        obs::FlightEvent end =
+            obs::FlightEvent::End(obs::FlightEventKind::kRetryWaitEnd,
+                                  ctx.Emit(wait), t_call + waited + backoff);
+        end.set_detail(ctx.last_failure_cause);
+        end.value = backoff;
+        ctx.Emit(end);
       }
       waited += backoff;
       ++ctx.metrics.retries;

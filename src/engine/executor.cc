@@ -10,11 +10,7 @@ namespace hermes::engine {
 
 Executor::Executor(const DomainRegistry* registry, dcsm::Dcsm* dcsm,
                    ExecutorOptions options)
-    : registry_(registry),
-      options_(options),
-      stats_layer_(dcsm == nullptr
-                       ? nullptr
-                       : std::make_shared<dcsm::StatsInterceptor>(dcsm)) {}
+    : registry_(registry), dcsm_(dcsm), options_(options) {}
 
 std::string QueryExecution::ToString() const {
   std::string out = std::to_string(answers.size()) + " answer(s), Tf=" +
@@ -45,38 +41,24 @@ Result<QueryExecution> Executor::ExecuteCompiled(const lang::Program& program,
   QueryExecution exec;
   exec.var_names = compiled.var_names;
 
-  // Executor-level layers of the call pipeline; the registry continues
-  // into the target domain's own stack (cache, network).
-  std::vector<std::shared_ptr<CallInterceptor>> layers;
-  if (stats_layer_ != nullptr && options_.record_statistics) {
-    layers.push_back(stats_layer_);
-  }
-  CallPipeline pipeline(
-      std::move(layers),
-      [this](CallContext& c, const DomainCall& call) {
-        return registry_->Run(c, call);
-      });
-
   // The budget covers this execution on top of whatever the caller's
   // context already consumed.
   const uint64_t calls_before = ctx->metrics.domain_calls;
   ctx->call_budget = calls_before + options_.max_domain_calls;
 
-  // Buffer DCSM samples in the (query-private) context and merge them in
-  // one batch when evaluation ends — the shared statistics lock is taken
-  // once per query instead of once per domain call. The guard flushes on
-  // error exits too, so failed queries still contribute the statistics of
-  // the calls they did execute (matching the old per-call behaviour).
-  struct StatsFlushGuard {
-    dcsm::StatsInterceptor* layer;
-    CallContext* ctx;
-    bool previous;
-    ~StatsFlushGuard() {
-      if (layer != nullptr) layer->Flush(*ctx);
-      ctx->buffer_stats = previous;
+  // The operators buffer this query's DCSM samples here; they reach the
+  // DCSM in one batch when evaluation ends, so the shared statistics lock
+  // is taken once per query instead of once per domain call. The guard
+  // flushes on error exits too: a failed query still contributes the
+  // statistics of the calls it did execute.
+  std::vector<dcsm::CostRecord> samples;
+  struct SampleFlush {
+    dcsm::Dcsm* dcsm;
+    std::vector<dcsm::CostRecord>* samples;
+    ~SampleFlush() {
+      if (!samples->empty()) dcsm->RecordBatch(std::move(*samples));
     }
-  } stats_guard{stats_layer_.get(), ctx, ctx->buffer_stats};
-  if (stats_layer_ != nullptr) ctx->buffer_stats = true;
+  } flush{dcsm_, &samples};
 
   op::ExecParams params;
   params.mode = options_.mode;
@@ -96,8 +78,9 @@ Result<QueryExecution> Executor::ExecuteCompiled(const lang::Program& program,
   op::ExecContext cx;
   cx.program = &program;
   cx.ctx = ctx;
-  cx.pipeline = &pipeline;
-  cx.stats = stats_layer_.get();
+  cx.registry = registry_;
+  cx.samples =
+      dcsm_ != nullptr && options_.record_statistics ? &samples : nullptr;
   cx.params = &params;
   cx.bindings = &bindings;
   cx.op_metrics = options_.op_metrics.get();

@@ -8,7 +8,7 @@
 
 #include "common/result.h"
 #include "common/sim_costs.h"
-#include "dcsm/stats_interceptor.h"
+#include "dcsm/dcsm.h"
 #include "domain/pipeline.h"
 #include "domain/registry.h"
 #include "engine/bindings.h"
@@ -36,12 +36,13 @@ struct ExecutorOptions {
   size_t max_recursion_depth = 64;
   uint64_t max_domain_calls = 1000000;  ///< Runaway-query guard.
   bool record_statistics = true;  ///< Feed executed-call cost vectors to DCSM.
-  /// Also record per-predicate invocation statistics (under the pseudo
-  /// domain "idb") — the paper's Section 8 remedy for the estimator's
-  /// blindness to backtracking: "cache, especially the time for the first
-  /// answer of predicates in the same way we cache statistics for domain
-  /// calls". Unresolvable (output) arguments are recorded as null and act
-  /// as wildcards during estimation.
+  /// With record_statistics, also record per-predicate invocation
+  /// statistics (under the pseudo domain "idb") — the paper's Section 8
+  /// remedy for the estimator's blindness to backtracking: "cache,
+  /// especially the time for the first answer of predicates in the same
+  /// way we cache statistics for domain calls". Unresolvable (output)
+  /// arguments are recorded as null and act as wildcards during
+  /// estimation.
   bool record_predicate_statistics = true;
   /// Emit an op_begin/op_end event pair per physical operator (an
   /// "operator" span in the derived trace). Off by default: the walker-era
@@ -85,15 +86,15 @@ struct QueryExecution {
 /// backtracking effects Section 8 discusses) without ever sleeping.
 class Executor {
  public:
-  /// `dcsm` may be null; when set and record_statistics is on, the stats
-  /// layer (dcsm::StatsInterceptor) records every executed call's cost
-  /// vector.
+  /// `dcsm` may be null; when set and record_statistics is on, every
+  /// successful call's cost vector (and each finished predicate
+  /// invocation's, with record_predicate_statistics) is buffered per query
+  /// and recorded into it with one Dcsm::RecordBatch when the query ends.
   Executor(const DomainRegistry* registry, dcsm::Dcsm* dcsm,
            ExecutorOptions options = {});
 
-  /// Evaluates `query` against `program`, with domain calls routed through
-  /// the call pipeline: executor → stats → (per-domain stack via the
-  /// registry) → domain.
+  /// Evaluates `query` against `program`; each domain call goes through
+  /// the registry into its domain's interceptor stack.
   Result<QueryExecution> Execute(const lang::Program& program,
                                  const lang::Query& query);
 
@@ -116,10 +117,8 @@ class Executor {
 
  private:
   const DomainRegistry* registry_;
+  dcsm::Dcsm* dcsm_;  ///< May be null: then nothing is recorded.
   ExecutorOptions options_;
-  /// The stats layer; also receives predicate-invocation samples (the
-  /// Section 8 predicate-Tf extension). Null when no DCSM was supplied.
-  std::shared_ptr<dcsm::StatsInterceptor> stats_layer_;
 };
 
 /// Query variables in order of first occurrence (plain variables only;

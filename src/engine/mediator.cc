@@ -539,8 +539,7 @@ Result<std::string> Mediator::Explain(const std::string& query_text,
       optimizer::CandidatePlan plan,
       PickPlan(std::move(query), options, /*result=*/nullptr));
   engine::op::CompileOptions compile_options;
-  compile_options.async_scatter_gather =
-      options.async_scatter_gather || async_execution_;
+  compile_options.async_scatter_gather = async_execution_;
   optimizer::PlanCompiler compiler(&dcsm_, compile_options);
   optimizer::CompiledPlan compiled = compiler.Compile(std::move(plan));
   return compiled.Explain(/*actuals=*/false);
@@ -575,8 +574,7 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
 
   engine::op::CompileOptions compile_options;
   compile_options.async_scatter_gather =
-      (options.async_scatter_gather || async_execution_) &&
-      !brownout_force_sync;
+      async_execution_ && !brownout_force_sync;
   compile_options.record_spine = replan_options_.enabled;
 
   // Plan choice. With the plan cache on, a repeat of a query text (under
@@ -641,10 +639,6 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
   exec_options.mode = options.mode;
   exec_options.interactive_batch = options.interactive_batch;
   exec_options.record_statistics = options.record_statistics;
-  // Predicate statistics are a sub-category of statistics recording.
-  exec_options.record_predicate_statistics =
-      options.record_statistics &&
-      executor_options_.record_predicate_statistics;
   exec_options.tolerate_source_failures =
       options.partial_results || executor_options_.tolerate_source_failures;
   engine::Executor executor(&registry_, &dcsm_, exec_options);

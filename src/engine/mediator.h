@@ -111,12 +111,6 @@ struct QueryOptions {
   /// failing. Off by default (the historical contract: lost source →
   /// failed query).
   bool partial_results = false;
-  /// Compile runs of independent domain calls (no shared bound variables)
-  /// into a ScatterGatherOp that issues them concurrently on the simulated
-  /// clock, so the group costs max-over-branches instead of sum. Off by
-  /// default — the historical sequential tree; Mediator::set_async_execution
-  /// turns it on for every query. EXPLAIN marks grouped calls `async`.
-  bool async_scatter_gather = false;
   /// Priority class: drives pool queue order and what the overload
   /// machinery sheds first under brownout.
   QueryPriority priority = QueryPriority::kNormal;
@@ -189,12 +183,11 @@ struct QueryResult {
 /// the DCSM, per-domain CIM state, the optimizer and the executor.
 ///
 /// Domains are registered as declarative interceptor stacks (PipelineDomain):
-/// RegisterRemoteDomain installs [resilience → network → domain],
-/// EnableCaching installs [cache → resilience → network → domain] under
-/// "cim_<name>". At query time the executor
-/// prepends its trace and stats layers and threads a per-query CallContext
-/// through the whole stack, which is where QueryResult::traffic/metrics
-/// come from.
+/// RegisterRemoteDomain installs [resilience → overload → network →
+/// domain], EnableCaching installs [cache → resilience → overload → network
+/// → domain] under "cim_<name>". At query time each DomainCallOp sends its
+/// call through the registry into that stack with the query's CallContext,
+/// which is where QueryResult::traffic/metrics come from.
 ///
 /// Concurrency model (see DESIGN.md): `Query`/`Plan` are safe to call from
 /// many threads at once — every query runs on a private CallContext, and
@@ -409,9 +402,12 @@ class Mediator {
   void set_per_query_network_rng(bool on) { per_query_net_rng_ = on; }
   bool per_query_network_rng() const { return per_query_net_rng_; }
 
-  /// Default for QueryOptions::async_scatter_gather: when on, every query
-  /// compiles independent domain-call runs into concurrent scatter-gather
-  /// groups (simulated cost = max over branches). Set at wiring time.
+  /// Async execution: when on, every query compiles runs of independent
+  /// domain calls (no shared bound variables) into a ScatterGatherOp that
+  /// issues them concurrently on the simulated clock, so the group costs
+  /// max-over-branches instead of sum. Off by default — the historical
+  /// sequential tree. EXPLAIN marks grouped calls `async`. Set between
+  /// queries, not while any run.
   void set_async_execution(bool on) { async_execution_ = on; }
   bool async_execution() const { return async_execution_; }
 
@@ -420,7 +416,8 @@ class Mediator {
   /// turning the simulated service time into actual wait, so a worker
   /// pool's threads overlap waits exactly as a real mediator's would while
   /// blocked on remote sources. 0 (default) never sleeps. Set at wiring
-  /// time; used by the concurrent-throughput benchmarks.
+  /// time. The open-loop overload driver (bench/overload.cc) is its only
+  /// caller outside the admission tests.
   void set_service_pacing(double scale) { pacing_scale_ = scale; }
   double service_pacing() const { return pacing_scale_; }
 

@@ -19,8 +19,11 @@ struct CallEstimate {
   std::optional<dcsm::CostEstimate> answer;  ///< Unset: the DCSM had none.
 };
 
-/// Executes one `in(Output, domain:function(args))` goal through the call
-/// pipeline (executor layers → registry → per-domain cache/network stack).
+/// Executes one `in(Output, domain:function(args))` goal: the registry
+/// routes the call into the target domain's own interceptor stack (cache,
+/// resilience, overload, network). The op is the one observer of the
+/// finished call: it emits the call span, feeds the replan trigger and the
+/// drift tracker, and records the call's cost sample for the DCSM.
 ///
 /// The call itself runs at Open time — that is when the walker issued it —
 /// and the rows stream out of the already-materialized CallOutput with the

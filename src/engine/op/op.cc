@@ -1,6 +1,7 @@
 #include "engine/op/op.h"
 
 #include <cstdio>
+#include <utility>
 
 #include "engine/op/explain.h"
 #include "engine/op/op_metrics.h"
@@ -28,6 +29,16 @@ const char* OpKindName(OpKind kind) {
       return "unit";
   }
   return "unknown";
+}
+
+void ExecContext::RecordSample(DomainCall call, const CostVector& cost,
+                               bool complete) {
+  dcsm::CostRecord& record = samples->emplace_back();
+  record.call = std::move(call);
+  record.cost = cost;
+  record.has_t_all = complete;
+  record.has_cardinality = complete;
+  ++ctx->metrics.stats_records;
 }
 
 Status PhysicalOp::Open(ExecContext& cx, double t_open) {

@@ -12,13 +12,14 @@
 #include "common/row.h"
 #include "common/sim_costs.h"
 #include "common/value.h"
+#include "dcsm/cost_record.h"
 #include "domain/pipeline.h"
 #include "engine/bindings.h"
 #include "lang/ast.h"
 
-namespace hermes::dcsm {
-class StatsInterceptor;
-}  // namespace hermes::dcsm
+namespace hermes {
+class DomainRegistry;
+}  // namespace hermes
 
 namespace hermes::engine::op {
 
@@ -60,8 +61,8 @@ struct ExecParams {
   double comparison_cost_ms = kDefaultComparisonCostMs;
   double unification_cost_ms = kDefaultUnificationCostMs;
   size_t max_recursion_depth = 64;
-  /// Feed per-predicate invocation cost vectors to the stats layer (the
-  /// Section 8 predicate-Tf extension), recorded by RulePredicateOp.
+  /// Record per-predicate invocation cost vectors as DCSM samples (the
+  /// Section 8 predicate-Tf extension), taken by RulePredicateOp.
   bool record_predicate_statistics = true;
   /// Emit an op_begin/op_end event pair per operator open/close (an
   /// "operator" span in the derived trace). Off by default so the trace
@@ -77,8 +78,9 @@ struct ExecParams {
 };
 
 /// Everything one query's operators share while the tree runs: the plan's
-/// program, the per-query CallContext, the executor-level call pipeline,
-/// the stats sink, the tuning knobs, and the single mutable binding scope.
+/// program, the per-query CallContext, the registry that routes domain
+/// calls, the DCSM sample buffer, the tuning knobs, and the single mutable
+/// binding scope.
 ///
 /// `bindings` points at the scope of the *currently executing* subtree;
 /// RulePredicateOp swaps it to the rule's local scope around body calls and
@@ -86,9 +88,13 @@ struct ExecParams {
 /// `Bindings local` threading.
 struct ExecContext {
   const lang::Program* program = nullptr;
-  CallContext* ctx = nullptr;              ///< Per-query call context.
-  const CallPipeline* pipeline = nullptr;  ///< Executor-level call path.
-  dcsm::StatsInterceptor* stats = nullptr; ///< May be null.
+  CallContext* ctx = nullptr;                ///< Per-query call context.
+  const DomainRegistry* registry = nullptr;  ///< Routes each domain call.
+  /// Cost samples of this query's successful domain calls and finished
+  /// predicate invocations, in the order they finished. The executor owns
+  /// the buffer and flushes it into the DCSM in one batch when the query
+  /// ends. Null when nothing is recorded (no DCSM, or statistics off).
+  std::vector<dcsm::CostRecord>* samples = nullptr;
   const ExecParams* params = nullptr;
   Bindings* bindings = nullptr;
   ExecOpMetrics* op_metrics = nullptr;     ///< May be null.
@@ -111,6 +117,11 @@ struct ExecContext {
   /// Spine joins consult it before opening their right subtree and splice
   /// in a replanned suffix when it fires. Owned by the mediator.
   ReplanManager* replan = nullptr;
+
+  /// Appends one cost sample to `samples` (which must be set) and counts
+  /// it in the query's CallMetrics::stats_records. `complete` false marks
+  /// Ta and the cardinality as partially observed.
+  void RecordSample(DomainCall call, const CostVector& cost, bool complete);
 };
 
 /// Per-instance execution counters, folded into EXPLAIN "actual" output.

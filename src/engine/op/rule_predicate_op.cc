@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "dcsm/stats_interceptor.h"
 #include "engine/op/compile.h"
 #include "engine/op/explain.h"
 #include "obs/flight_recorder.h"
@@ -202,7 +201,9 @@ Result<bool> RulePredicateOp::NextImpl(ExecContext& cx, double t_resume,
 }
 
 void RulePredicateOp::RecordInvocation(ExecContext& cx) {
-  if (cx.stats == nullptr || !cx.params->record_predicate_statistics) return;
+  if (cx.samples == nullptr || !cx.params->record_predicate_statistics) {
+    return;
+  }
   DomainCall invocation;
   invocation.domain = "idb";
   invocation.function = atom_->predicate;
@@ -213,8 +214,8 @@ void RulePredicateOp::RecordInvocation(ExecContext& cx) {
                           : Result<Value>(Value::Null());
     invocation.args.push_back(v.ok() ? *v : Value::Null());
   }
-  cx.stats->RecordSample(
-      *cx.ctx, invocation,
+  cx.RecordSample(
+      std::move(invocation),
       CostVector((first_solution_t_ < 0 ? cursor_ : first_solution_t_) -
                      t_open_,
                  cursor_ - t_open_, static_cast<double>(solutions_)),

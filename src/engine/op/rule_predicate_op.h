@@ -24,8 +24,8 @@ namespace hermes::engine::op {
 ///
 /// Rules run sequentially on the virtual clock: rule k+1's body opens at
 /// the time rule k's body completed (the walker's t_cursor). On clean
-/// exhaustion the operator reports the invocation's measured cost vector
-/// to the stats layer under the pseudo-domain "idb" — the paper's
+/// exhaustion the operator records the invocation's measured cost vector
+/// as a DCSM sample under the pseudo-domain "idb" — the paper's
 /// Section 8 predicate-Tf caching extension (early termination skips the
 /// sample, exactly as the walker's `!state->stop` guard did).
 class RulePredicateOp final : public PhysicalOp {
@@ -63,7 +63,7 @@ class RulePredicateOp final : public PhysicalOp {
   /// when the rule is inapplicable.
   Result<bool> UnifyHead(ExecContext& cx, const lang::Rule& rule);
 
-  /// Reports the finished invocation to the stats layer (pseudo-domain
+  /// Records the finished invocation as a DCSM sample (pseudo-domain
   /// "idb"); unresolvable (output) arguments become null wildcards.
   void RecordInvocation(ExecContext& cx);
 

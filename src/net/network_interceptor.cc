@@ -6,6 +6,13 @@
 
 namespace hermes::net {
 
+namespace {
+
+/// Folds a planned transfer into an inner call's latency profile:
+///   first_ms = connect + request flight + inner first_ms
+///            + return flight + first answer transfer
+///   all_ms   = connect + request flight + inner all_ms
+///            + return flight + full answer-set transfer
 CallOutput ComposeRemoteLatency(const NetworkSimulator::Transfer& transfer,
                                 CallOutput inner_out) {
   size_t total_bytes = AnswerSetByteSize(inner_out.answers);
@@ -23,6 +30,21 @@ CallOutput ComposeRemoteLatency(const NetworkSimulator::Transfer& transfer,
   out.answers = std::move(inner_out.answers);
   return out;
 }
+
+/// Expected (jitter-free) network cost on top of the inner model's
+/// estimate: request/response flight plus ~64 bytes per answer.
+CostVector DecorateRemoteEstimate(const SiteParams& site,
+                                  const CostVector& inner_cost) {
+  double request = site.connect_ms + site.rtt_ms;
+  double per_byte = site.bytes_per_ms > 0 ? 1.0 / site.bytes_per_ms : 0.0;
+  // Without knowing answer sizes, assume ~64 bytes per answer.
+  double transfer = per_byte * 64.0 * inner_cost.cardinality;
+  return CostVector(inner_cost.t_first_ms + request + per_byte * 64.0,
+                    inner_cost.t_all_ms + request + transfer,
+                    inner_cost.cardinality);
+}
+
+}  // namespace
 
 const std::string& NetworkInterceptor::name() const {
   static const std::string kName = "network";
@@ -87,9 +109,7 @@ Result<CallOutput> NetworkInterceptor::Intercept(CallContext& ctx,
     ctx.last_failure_cause = cause;
     ctx.last_call_penalty_ms = transfer.penalty_ms;
     end_hop(transfer.penalty_ms, 0, cause, /*failed=*/true);
-    // The plain availability draw keeps the legacy wrapper's exact message
-    // (NetworkDeterminismTest pins the two paths byte-identical); only
-    // fault-plan causes annotate it.
+    // Only fault-plan causes annotate the plain availability message.
     std::string msg = "site '" + site_.name + "' is temporarily unavailable";
     if (std::string(cause) != "unavailable") {
       msg += " (" + std::string(cause) + ")";
@@ -145,18 +165,6 @@ Result<CostVector> NetworkInterceptor::EstimateCost(
     const lang::DomainCallSpec& pattern, const EstimateNext& next) const {
   HERMES_ASSIGN_OR_RETURN(CostVector inner_cost, next(pattern));
   return DecorateRemoteEstimate(site_, inner_cost);
-}
-
-CostVector DecorateRemoteEstimate(const SiteParams& site,
-                                  const CostVector& inner_cost) {
-  // Add expected (jitter-free) network time on top of the inner model.
-  double request = site.connect_ms + site.rtt_ms;
-  double per_byte = site.bytes_per_ms > 0 ? 1.0 / site.bytes_per_ms : 0.0;
-  // Without knowing answer sizes, assume ~64 bytes per answer.
-  double transfer = per_byte * 64.0 * inner_cost.cardinality;
-  return CostVector(inner_cost.t_first_ms + request + per_byte * 64.0,
-                    inner_cost.t_all_ms + request + transfer,
-                    inner_cost.cardinality);
 }
 
 }  // namespace hermes::net

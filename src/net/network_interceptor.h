@@ -13,16 +13,6 @@
 
 namespace hermes::net {
 
-/// Folds a planned transfer into an inner call's latency profile:
-///   first_ms = connect + request flight + inner first_ms
-///            + return flight + first answer transfer
-///   all_ms   = connect + request flight + inner all_ms
-///            + return flight + full answer-set transfer
-/// Shared by RemoteDomain (the legacy wrapper) and NetworkInterceptor so
-/// both paths produce bit-identical simulated times.
-CallOutput ComposeRemoteLatency(const NetworkSimulator::Transfer& transfer,
-                                CallOutput inner_out);
-
 /// The network layer of the call pipeline: plans each call's transfer over
 /// a simulated wide-area link, composes the latency profile onto the inner
 /// result, and attributes traffic (calls, bytes, charges, failures) to the
@@ -44,7 +34,7 @@ class NetworkInterceptor : public CallInterceptor {
                                const Next& next) override;
 
   /// Cost estimation decorates the inner model with expected (jitter-free)
-  /// network time — same formula as RemoteDomain::EstimateCost.
+  /// network time: request/response flight plus ~64 bytes per answer.
   Result<CostVector> EstimateCost(const lang::DomainCallSpec& pattern,
                                   const EstimateNext& next) const override;
 
@@ -94,11 +84,6 @@ class NetworkInterceptor : public CallInterceptor {
   std::shared_ptr<obs::Histogram> hop_sim_ms_ = std::make_shared<obs::Histogram>(
       obs::Histogram::ExponentialBounds(1.0, 2.0, 16));
 };
-
-/// Expected (jitter-free) network cost decoration shared by the interceptor
-/// and RemoteDomain: request/response flight plus ~64 bytes per answer.
-CostVector DecorateRemoteEstimate(const SiteParams& site,
-                                  const CostVector& inner_cost);
 
 }  // namespace hermes::net
 

@@ -35,9 +35,7 @@ const char* FlightEventKindName(FlightEventKind kind) {
     case FlightEventKind::kCallIssued: return "call_issued";
     case FlightEventKind::kCallCompleted: return "call_completed";
     case FlightEventKind::kCallFailed: return "call_failed";
-    case FlightEventKind::kRetry: return "retry";
     case FlightEventKind::kBreakerTransition: return "breaker_transition";
-    case FlightEventKind::kCacheOutcome: return "cache_outcome";
     case FlightEventKind::kScatterFanout: return "scatter_fanout";
     case FlightEventKind::kArenaHighWater: return "arena_high_water";
     case FlightEventKind::kDriftExceeded: return "drift_exceeded";
@@ -45,8 +43,6 @@ const char* FlightEventKindName(FlightEventKind kind) {
     case FlightEventKind::kPlanCacheMiss: return "plan_cache_miss";
     case FlightEventKind::kPlanCacheInvalidate: return "plan_cache_invalidate";
     case FlightEventKind::kReplan: return "replan";
-    case FlightEventKind::kLoadShed: return "load_shed";
-    case FlightEventKind::kHedge: return "hedge";
     case FlightEventKind::kBrownout: return "brownout";
 #define HERMES_SPAN_KIND(id, stem, label, cat)          \
   case FlightEventKind::k##id##Begin: return stem "_begin"; \

@@ -37,16 +37,20 @@ namespace hermes::obs {
 /// Spans are event pairs. `kQueryStart`/`kQueryEnd` bracket the query,
 /// `kCallIssued` and `kCallCompleted`/`kCallFailed` a domain call, and the
 /// HERMES_SPAN_KINDS pairs the rest. An end event names its opener by
-/// `begin_seq`; obs::Tracer derives the span tree from that.
+/// `begin_seq`; obs::Tracer derives the span tree from that. Each action on
+/// a call's path is one span whose own two events carry what happened to
+/// it: the begin event what was known when it started (site, domain, the
+/// retry attempt, the shed limit, the hedge trigger), the end event the
+/// result (the cache outcome, the retry cause and backoff, `win` or
+/// `cancelled`). Begin events of these spans leave `detail` empty, since
+/// it would extend the span's name.
 enum class FlightEventKind : uint8_t {
   kQueryStart = 0,
   kQueryEnd,
   kCallIssued,
   kCallCompleted,
   kCallFailed,
-  kRetry,
   kBreakerTransition,
-  kCacheOutcome,
   kScatterFanout,
   kArenaHighWater,
   kDriftExceeded,
@@ -54,8 +58,6 @@ enum class FlightEventKind : uint8_t {
   kPlanCacheMiss,
   kPlanCacheInvalidate,
   kReplan,
-  kLoadShed,
-  kHedge,
   kBrownout,
 #define HERMES_SPAN_KIND(id, stem, label, cat) k##id##Begin, k##id##End,
   HERMES_SPAN_KINDS(HERMES_SPAN_KIND)

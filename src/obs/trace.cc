@@ -73,19 +73,25 @@ bool OpenSpan(const FlightEvent& ev, const std::string& query_text,
   return true;
 }
 
-/// Arguments a span takes from its end event and from the point events
-/// inside it: the query's arena high-water mark (negative when none was
-/// seen) and the cache outcome the cache layer reports just before it
-/// closes its lookup span.
-void AddEndArgs(const FlightEvent& ev, double arena_bytes,
-                const std::string& cache_outcome, Span* span) {
+/// Arguments a span takes from its end event, and for the query span from
+/// the arena high-water event inside it (negative when none was seen).
+void AddEndArgs(const FlightEvent& ev, double arena_bytes, Span* span) {
   auto& args = span->args;
-  if (ev.kind == Kind::kCacheLookupEnd && !cache_outcome.empty()) {
-    args.emplace_back("outcome", cache_outcome);
+  std::string detail = ev.detail_str();
+  if (ev.kind == Kind::kCacheLookupEnd) {
+    // A lookup's end carries its outcome, followed by ":<cause>" when the
+    // lookup failed.
+    const size_t colon = detail.find(':');
+    if (!ev.failed || colon != std::string::npos) {
+      if (!detail.empty()) {
+        args.emplace_back("outcome", detail.substr(0, colon));
+      }
+      detail = colon == std::string::npos ? "" : detail.substr(colon + 1);
+    }
   }
   if (ev.failed) {
     span->failed = true;
-    if (ev.detail[0] != '\0') args.emplace_back("error", ev.detail_str());
+    if (!detail.empty()) args.emplace_back("error", detail);
     if (ev.site[0] != '\0') args.emplace_back("site", ev.site_str());
     return;
   }
@@ -132,11 +138,9 @@ std::vector<Span> Tracer::spans() const {
     return static_cast<double>(ev.host_ns - epoch_ns) / 1000.0;
   };
   double arena_bytes = -1.0;
-  std::string cache_outcome;
 
   for (const FlightEvent& ev : events_) {
     if (ev.kind == Kind::kArenaHighWater) arena_bytes = ev.value;
-    if (ev.kind == Kind::kCacheOutcome) cache_outcome = ev.detail_str();
     if (ev.begin_seq != 0) {
       // Events arrive in seq order, so begin_seqs is sorted. An end whose
       // begin is missing (evicted from a ring) closes nothing.
@@ -150,7 +154,7 @@ std::vector<Span> Tracer::spans() const {
       span.wall_end_us = wall_us(ev);
       // Ending a closed span only extends it.
       if (span.closed) continue;
-      AddEndArgs(ev, arena_bytes, cache_outcome, &span);
+      AddEndArgs(ev, arena_bytes, &span);
       span.closed = true;
       open.erase(std::find(open.begin(), open.end(), index));
       if (span.parent != 0) {

@@ -6,11 +6,45 @@
 #include <vector>
 
 #include "domain/pipeline.h"
+#include "obs/flight_recorder.h"
 
 namespace hermes::overload {
 namespace {
 
 DomainCall TheCall() { return DomainCall{"video", "frames", {Value::Int(4)}}; }
+
+/// A context whose events land in `tracer`.
+struct TracedContext {
+  obs::Tracer tracer;
+  obs::EventSinks sinks{&tracer};
+  CallContext ctx;
+  TracedContext() { ctx.sinks = &sinks; }
+};
+
+/// Expects `events` to be exactly one span opened by `begin_kind` at
+/// `begin_ms` that names site umd and domain video and carries `value` and
+/// `aux`, and returns its end event.
+const obs::FlightEvent& ExpectOneSpan(
+    const std::vector<obs::FlightEvent>& events,
+    obs::FlightEventKind begin_kind, double begin_ms, double value,
+    uint64_t aux) {
+  static const obs::FlightEvent kNone;
+  if (events.size() != 2) {
+    ADD_FAILURE() << "expected one span's two events, got " << events.size();
+    return kNone;
+  }
+  const obs::FlightEvent& begin = events.front();
+  EXPECT_EQ(begin.kind, begin_kind);
+  EXPECT_DOUBLE_EQ(begin.sim_ms, begin_ms);
+  EXPECT_EQ(begin.site_str(), "umd");
+  EXPECT_EQ(begin.domain_str(), "video");
+  EXPECT_EQ(begin.detail_str(), "");
+  EXPECT_DOUBLE_EQ(begin.value, value);
+  EXPECT_EQ(begin.aux, aux);
+  const obs::FlightEvent& end = events.back();
+  EXPECT_EQ(end.begin_seq, begin.seq);
+  return end;
+}
 
 /// Fake inner layer (network + domain below the overload layer): answers
 /// with a scripted latency per attempt, or fails when the script says so.
@@ -107,7 +141,8 @@ TEST(OverloadTest, CallPastTheWindowLimitIsShedTyped) {
   OverloadPolicy pinned = LimiterOnly(2.0);
   pinned.limiter.additive_increase = 0.0;  // pin the limit at 2 for the test
   governor.set_policy(pinned);
-  CallContext ctx;
+  TracedContext traced;
+  CallContext& ctx = traced.ctx;
   ASSERT_TRUE(governor.Intercept(ctx, TheCall(), site.AsNext()).ok());
   ASSERT_TRUE(governor.Intercept(ctx, TheCall(), site.AsNext()).ok());
   Result<CallOutput> shed = governor.Intercept(ctx, TheCall(), site.AsNext());
@@ -121,6 +156,15 @@ TEST(OverloadTest, CallPastTheWindowLimitIsShedTyped) {
   // Once the window drains on the simulated clock, admission resumes.
   ctx.now_ms = 60.0;
   EXPECT_TRUE(governor.Intercept(ctx, TheCall(), site.AsNext()).ok());
+
+  // The shed is one load-shed span: its begin carries the limit and the
+  // window size, its end the failure.
+  const obs::FlightEvent& end =
+      ExpectOneSpan(traced.tracer.events(),
+                    obs::FlightEventKind::kLoadShedBegin, 0.0, 2.0, 2);
+  EXPECT_EQ(end.kind, obs::FlightEventKind::kLoadShedEnd);
+  EXPECT_TRUE(end.failed);
+  EXPECT_EQ(end.detail_str(), "limit");
 }
 
 TEST(OverloadTest, OpenBreakerClampsTheLimitToTheFloor) {
@@ -194,7 +238,8 @@ TEST(OverloadTest, HedgeWinAdoptsTheFasterReplicaAnswer) {
   OverloadInterceptor governor("umd");
   governor.set_policy(HedgeOnly());
   governor.set_hedge_route(replica.AsRoute());
-  CallContext ctx;
+  TracedContext traced;
+  CallContext& ctx = traced.ctx;
   ASSERT_TRUE(governor.Intercept(ctx, TheCall(), site.AsNext()).ok());
   ASSERT_TRUE(governor.Intercept(ctx, TheCall(), site.AsNext()).ok());
   Result<CallOutput> run = governor.Intercept(ctx, TheCall(), site.AsNext());
@@ -205,6 +250,17 @@ TEST(OverloadTest, HedgeWinAdoptsTheFasterReplicaAnswer) {
   ASSERT_EQ(replica.asked_at_ms.size(), 1u);
   EXPECT_DOUBLE_EQ(replica.asked_at_ms[0], 10.0);  // opened at the trigger
   EXPECT_DOUBLE_EQ(ctx.now_ms, 0.0);  // the clock was restored
+
+  // One hedge span: opened at the 10ms trigger as the first hedge issued,
+  // closed by the win at 15ms with the 85ms it saved.
+  const obs::FlightEvent& end =
+      ExpectOneSpan(traced.tracer.events(), obs::FlightEventKind::kHedgeBegin,
+                    10.0, 10.0, 1);
+  EXPECT_EQ(end.kind, obs::FlightEventKind::kHedgeEnd);
+  EXPECT_FALSE(end.failed);
+  EXPECT_EQ(end.detail_str(), "win");
+  EXPECT_DOUBLE_EQ(end.sim_ms, 15.0);
+  EXPECT_DOUBLE_EQ(end.value, 85.0);
 }
 
 TEST(OverloadTest, SlowReplicaLosesAndThePrimaryAnswerStands) {
@@ -214,7 +270,8 @@ TEST(OverloadTest, SlowReplicaLosesAndThePrimaryAnswerStands) {
   OverloadInterceptor governor("umd");
   governor.set_policy(HedgeOnly());
   governor.set_hedge_route(replica.AsRoute());
-  CallContext ctx;
+  TracedContext traced;
+  CallContext& ctx = traced.ctx;
   ASSERT_TRUE(governor.Intercept(ctx, TheCall(), site.AsNext()).ok());
   ASSERT_TRUE(governor.Intercept(ctx, TheCall(), site.AsNext()).ok());
   Result<CallOutput> run = governor.Intercept(ctx, TheCall(), site.AsNext());
@@ -222,6 +279,16 @@ TEST(OverloadTest, SlowReplicaLosesAndThePrimaryAnswerStands) {
   EXPECT_DOUBLE_EQ(run->all_ms, 100.0);  // the primary stood
   EXPECT_EQ(ctx.metrics.hedges, 1u);
   EXPECT_EQ(ctx.metrics.hedge_wins, 0u);
+
+  // One hedge span, cancelled when the primary answered at 100ms.
+  const obs::FlightEvent& end =
+      ExpectOneSpan(traced.tracer.events(), obs::FlightEventKind::kHedgeBegin,
+                    10.0, 10.0, 1);
+  EXPECT_EQ(end.kind, obs::FlightEventKind::kHedgeEnd);
+  EXPECT_FALSE(end.failed);
+  EXPECT_EQ(end.detail_str(), "cancelled");
+  EXPECT_DOUBLE_EQ(end.sim_ms, 100.0);
+  EXPECT_DOUBLE_EQ(end.value, 100.0);
 }
 
 TEST(OverloadTest, HedgeBudgetCapsSpeculativeHedges) {
@@ -266,7 +333,8 @@ TEST(OverloadTest, FailedPrimaryIsRescuedByTheHedgeAndMasked) {
   OverloadInterceptor governor("umd");
   governor.set_policy(HedgeOnly());
   governor.set_hedge_route(replica.AsRoute());
-  CallContext ctx;
+  TracedContext traced;
+  CallContext& ctx = traced.ctx;
   ASSERT_TRUE(governor.Intercept(ctx, TheCall(), site.AsNext()).ok());
   ASSERT_TRUE(governor.Intercept(ctx, TheCall(), site.AsNext()).ok());
   Result<CallOutput> run = governor.Intercept(ctx, TheCall(), site.AsNext());
@@ -275,6 +343,16 @@ TEST(OverloadTest, FailedPrimaryIsRescuedByTheHedgeAndMasked) {
   EXPECT_EQ(ctx.metrics.hedge_wins, 1u);
   ASSERT_EQ(ctx.source_errors.size(), 1u);
   EXPECT_TRUE(ctx.source_errors[0].masked);
+
+  // The rescue is one hedge span that wins with the replica's answer.
+  const obs::FlightEvent& end =
+      ExpectOneSpan(traced.tracer.events(), obs::FlightEventKind::kHedgeBegin,
+                    10.0, 10.0, 1);
+  EXPECT_EQ(end.kind, obs::FlightEventKind::kHedgeEnd);
+  EXPECT_FALSE(end.failed);
+  EXPECT_EQ(end.detail_str(), "win");
+  EXPECT_DOUBLE_EQ(end.sim_ms, 15.0);
+  EXPECT_DOUBLE_EQ(end.value, 15.0);
 }
 
 TEST(OverloadTest, LoadShedCallsAreNeverHedged) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "domain/pipeline.h"
+#include "obs/flight_recorder.h"
 
 namespace hermes::resilience {
 namespace {
@@ -72,7 +74,10 @@ TEST(ResilienceTest, BackoffRidesOutAnOutageWindow) {
   FlakySite site;
   site.recover_at_ms = 2500.0;
   ResilienceInterceptor shield("umd", 1996, nullptr, NoJitterRetries(3));
+  obs::Tracer tracer;
+  obs::EventSinks sinks{&tracer};
   CallContext ctx;
+  ctx.sinks = &sinks;
   Result<CallOutput> run = shield.Intercept(ctx, TheCall(), site.AsNext());
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_EQ(site.attempts, 3);
@@ -82,6 +87,28 @@ TEST(ResilienceTest, BackoffRidesOutAnOutageWindow) {
   EXPECT_DOUBLE_EQ(run->all_ms, 4300.0 + 10.0);
   EXPECT_DOUBLE_EQ(run->first_ms, 4300.0 + 5.0);
   EXPECT_TRUE(ctx.source_errors.empty());  // it recovered: nothing lost
+
+  // Each retry is one retry-wait span and nothing else: its begin names
+  // the site, the domain and the attempt, its end the cause and backoff.
+  const std::vector<obs::FlightEvent>& events = tracer.events();
+  ASSERT_EQ(events.size(), 4u);
+  const double begin_ms[] = {2000.0, 4100.0};
+  const double backoff_ms[] = {100.0, 200.0};
+  for (size_t i = 0; i < 2; ++i) {
+    const obs::FlightEvent& begin = events[2 * i];
+    const obs::FlightEvent& end = events[2 * i + 1];
+    EXPECT_EQ(begin.kind, obs::FlightEventKind::kRetryWaitBegin);
+    EXPECT_EQ(begin.site_str(), "umd");
+    EXPECT_EQ(begin.domain_str(), "video");
+    EXPECT_EQ(begin.detail_str(), "");
+    EXPECT_EQ(begin.aux, i + 1);
+    EXPECT_DOUBLE_EQ(begin.sim_ms, begin_ms[i]);
+    EXPECT_EQ(end.kind, obs::FlightEventKind::kRetryWaitEnd);
+    EXPECT_EQ(end.begin_seq, begin.seq);
+    EXPECT_EQ(end.detail_str(), "outage");
+    EXPECT_DOUBLE_EQ(end.value, backoff_ms[i]);
+    EXPECT_DOUBLE_EQ(end.sim_ms, begin_ms[i] + backoff_ms[i]);
+  }
 }
 
 TEST(ResilienceTest, BackoffJitterIsDeterministicPerQueryAndCall) {

@@ -63,11 +63,14 @@ void SetupFanout(Mediator* med) {
 
 const char* kFanoutQuery = "?- in(A, d1:id(1)) & in(B, d2:id(2)) & in(C, d3:id(3)).";
 
-QueryOptions AsWritten(bool async) {
+/// As-written query options. `async` switches the mediator's async
+/// execution, which holds until it is switched again; these tests run one
+/// query at a time.
+QueryOptions AsWritten(Mediator& med, bool async) {
+  med.set_async_execution(async);
   QueryOptions q;
   q.use_optimizer = false;
   q.record_statistics = false;
-  q.async_scatter_gather = async;
   return q;
 }
 
@@ -80,16 +83,16 @@ TEST(AsyncExecTest, IndependentCallsCostMaxNotSum) {
   const char* singles[] = {"?- in(A, d1:id(1)).", "?- in(B, d2:id(2)).",
                            "?- in(C, d3:id(3))."};
   for (int i = 0; i < 3; ++i) {
-    Result<QueryResult> res = med.Query(singles[i], AsWritten(false));
+    Result<QueryResult> res = med.Query(singles[i], AsWritten(med, false));
     ASSERT_TRUE(res.ok()) << res.status();
     branch_ta[i] = res->execution.t_all_ms;
   }
   const double max_branch = std::max({branch_ta[0], branch_ta[1], branch_ta[2]});
   const double sum_branch = branch_ta[0] + branch_ta[1] + branch_ta[2];
 
-  Result<QueryResult> sync = med.Query(kFanoutQuery, AsWritten(false));
+  Result<QueryResult> sync = med.Query(kFanoutQuery, AsWritten(med, false));
   ASSERT_TRUE(sync.ok()) << sync.status();
-  Result<QueryResult> async = med.Query(kFanoutQuery, AsWritten(true));
+  Result<QueryResult> async = med.Query(kFanoutQuery, AsWritten(med, true));
   ASSERT_TRUE(async.ok()) << async.status();
 
   // Sequential chain: the three waits add up. Scatter-gather: all three
@@ -110,9 +113,9 @@ TEST(AsyncExecTest, IndependentCallsCostMaxNotSum) {
 TEST(AsyncExecTest, AsyncAndSyncPlansProduceIdenticalAnswers) {
   Mediator med;
   SetupFanout(&med);
-  Result<QueryResult> sync = med.Query(kFanoutQuery, AsWritten(false));
+  Result<QueryResult> sync = med.Query(kFanoutQuery, AsWritten(med, false));
   ASSERT_TRUE(sync.ok()) << sync.status();
-  Result<QueryResult> async = med.Query(kFanoutQuery, AsWritten(true));
+  Result<QueryResult> async = med.Query(kFanoutQuery, AsWritten(med, true));
   ASSERT_TRUE(async.ok()) << async.status();
 
   ASSERT_EQ(sync->execution.answers.size(), async->execution.answers.size());
@@ -133,14 +136,14 @@ TEST(AsyncExecTest, DependentCallsStaySequential) {
   // d2's argument is d1's output: not independent, so no group forms and
   // the async option changes nothing.
   const char* dependent = "?- in(A, d1:id(1)) & in(B, d2:id(A)).";
-  Result<QueryResult> sync = med.Query(dependent, AsWritten(false));
+  Result<QueryResult> sync = med.Query(dependent, AsWritten(med, false));
   ASSERT_TRUE(sync.ok()) << sync.status();
-  Result<QueryResult> async = med.Query(dependent, AsWritten(true));
+  Result<QueryResult> async = med.Query(dependent, AsWritten(med, true));
   ASSERT_TRUE(async.ok()) << async.status();
   EXPECT_DOUBLE_EQ(sync->execution.t_all_ms, async->execution.t_all_ms);
   EXPECT_EQ(sync->execution.answers.size(), async->execution.answers.size());
 
-  Result<std::string> plan = med.Explain(dependent, AsWritten(true));
+  Result<std::string> plan = med.Explain(dependent, AsWritten(med, true));
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_EQ(plan->find("ScatterGather"), std::string::npos) << *plan;
   EXPECT_EQ(plan->find("async"), std::string::npos) << *plan;
@@ -150,19 +153,21 @@ TEST(AsyncExecTest, ExplainMarksGroupedCallsAsync) {
   Mediator med;
   SetupFanout(&med);
 
-  Result<std::string> sync_plan = med.Explain(kFanoutQuery, AsWritten(false));
+  Result<std::string> sync_plan =
+      med.Explain(kFanoutQuery, AsWritten(med, false));
   ASSERT_TRUE(sync_plan.ok()) << sync_plan.status();
   EXPECT_EQ(sync_plan->find("ScatterGather"), std::string::npos) << *sync_plan;
   EXPECT_EQ(sync_plan->find("async"), std::string::npos) << *sync_plan;
 
-  Result<std::string> async_plan = med.Explain(kFanoutQuery, AsWritten(true));
+  Result<std::string> async_plan =
+      med.Explain(kFanoutQuery, AsWritten(med, true));
   ASSERT_TRUE(async_plan.ok()) << async_plan.status();
   EXPECT_NE(async_plan->find("ScatterGather"), std::string::npos) << *async_plan;
   EXPECT_NE(async_plan->find("fanout=3"), std::string::npos) << *async_plan;
   EXPECT_NE(async_plan->find("async"), std::string::npos) << *async_plan;
 
   // The executed tree renders the same markers with actuals.
-  QueryOptions options = AsWritten(true);
+  QueryOptions options = AsWritten(med, true);
   options.explain = true;
   Result<QueryResult> res = med.Query(kFanoutQuery, options);
   ASSERT_TRUE(res.ok()) << res.status();
@@ -176,8 +181,7 @@ TEST(AsyncExecTest, MediatorDefaultEnablesAsyncForEveryQuery) {
   Mediator med;
   SetupFanout(&med);
   med.set_async_execution(true);
-  // QueryOptions left at its default (async_scatter_gather=false): the
-  // wiring-time default applies.
+  // Plain QueryOptions: the mediator setting alone turns async on.
   QueryOptions q;
   q.use_optimizer = false;
   q.record_statistics = false;
@@ -196,9 +200,9 @@ TEST(AsyncExecTest, GroupInsideRuleBodyReissuesPerOuterRow) {
       med.LoadProgram("pair(X, B, C) :- in(B, d2:id(X)) & in(C, d3:id(X)).")
           .ok());
   const char* query = "?- in(A, d1:id(5)) & pair(A, B, C).";
-  Result<QueryResult> sync = med.Query(query, AsWritten(false));
+  Result<QueryResult> sync = med.Query(query, AsWritten(med, false));
   ASSERT_TRUE(sync.ok()) << sync.status();
-  Result<QueryResult> async = med.Query(query, AsWritten(true));
+  Result<QueryResult> async = med.Query(query, AsWritten(med, true));
   ASSERT_TRUE(async.ok()) << async.status();
   ASSERT_EQ(sync->execution.answers.size(), async->execution.answers.size());
   EXPECT_GT(async->execution.answers.size(), 0u);

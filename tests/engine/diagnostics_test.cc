@@ -156,6 +156,40 @@ uint64_t LookupsPerHit(Mediator& med, int64_t first, int64_t last,
   return EstimatesTotal(med) - before;
 }
 
+// With diagnostics on, each call of a warm query3 CIM hit records exactly
+// four events: its call span's two and, inside it, the cache-lookup span's
+// two, whose end carries the hit's outcome.
+TEST(Diagnostics, WarmCimHitRecordsFourEventsPerCall) {
+  std::unique_ptr<Mediator> med = RopeMediator();
+  ASSERT_TRUE(med->EnableDiagnostics({}).ok());
+  QueryOptions hit;
+  hit.use_optimizer = false;
+  hit.record_statistics = false;
+  const std::string query = testbed::AppendixQuery(3, false, 4, 47);
+  ASSERT_TRUE(med->Query(query, hit).ok());  // warm the CIM
+  Result<QueryResult> res = med->Query(query, hit);
+  ASSERT_TRUE(res.ok()) << res.status();
+  ASSERT_GT(res->execution.domain_calls, 2u);
+
+  std::vector<obs::FlightEvent> events =
+      med->flight_recorder()->SnapshotQuery(res->query_id);
+  uint64_t calls = 0;
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (events[i].kind != obs::FlightEventKind::kCallIssued) continue;
+    ++calls;
+    ASSERT_LT(i + 3, events.size());
+    EXPECT_EQ(events[i + 1].kind, obs::FlightEventKind::kCacheLookupBegin);
+    const obs::FlightEvent& lookup_end = events[i + 2];
+    EXPECT_EQ(lookup_end.kind, obs::FlightEventKind::kCacheLookupEnd);
+    EXPECT_EQ(lookup_end.begin_seq, events[i + 1].seq);
+    EXPECT_NE(lookup_end.detail_str().find("hit"), std::string::npos)
+        << lookup_end.ToString();
+    EXPECT_EQ(events[i + 3].kind, obs::FlightEventKind::kCallCompleted);
+    EXPECT_EQ(events[i + 3].begin_seq, events[i].seq);
+  }
+  EXPECT_EQ(calls, res->execution.domain_calls);
+}
+
 // Each call site is estimated once, as its op is compiled, and only when
 // something reads the stamp. Drift observes every call against that stamp
 // and EXPLAIN prints it, so neither adds a lookup of its own: a

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "lang/parser.h"
 
@@ -293,20 +295,86 @@ TEST(ExecutorTest, ZeroAnswerTfEqualsTa) {
   EXPECT_DOUBLE_EQ(exec->t_first_ms, exec->t_all_ms);
 }
 
+/// A source that is always down: the executor can lose it.
+class DownDomain : public Domain {
+ public:
+  const std::string& name() const override { return name_; }
+  std::vector<FunctionInfo> Functions() const override { return {}; }
+  Result<CallOutput> Run(const DomainCall&) override {
+    return Status::Unavailable("site is down");
+  }
+
+ private:
+  std::string name_ = "down";
+};
+
+/// Every record in `dcsm`, in the order it was recorded.
+std::vector<dcsm::CostRecord> RecordsInOrder(const dcsm::Dcsm& dcsm) {
+  std::vector<dcsm::CostRecord> records;
+  for (const dcsm::CallGroupKey& key : dcsm.database().Groups()) {
+    for (const dcsm::CostRecord& r : *dcsm.database().GetGroup(key)) {
+      records.push_back(r);
+    }
+  }
+  std::sort(records.begin(), records.end(),
+            [](const dcsm::CostRecord& a, const dcsm::CostRecord& b) {
+              return a.record_time < b.record_time;
+            });
+  return records;
+}
+
 TEST(ExecutorTest, StatisticsRecordedIntoDcsm) {
+  // p's body calls d:f, the join calls d:g once per solution of p, and
+  // down:h is lost twice (once per d:g answer) under tolerance.
   Fixture fx;
   fx.d->Set(C("f", {}), {Value::Int(1)}, 2, 4);
+  fx.d->Set(C("g", {Value::Int(1)}), {Value::Str("a"), Value::Str("b")}, 1, 3);
+  ASSERT_TRUE(
+      fx.registry.Register("down", std::make_shared<DownDomain>()).ok());
+  Result<lang::Program> program =
+      lang::Parser::ParseProgram("p(X) :- in(X, d:f()).");
+  ASSERT_TRUE(program.ok()) << program.status();
+  Result<lang::Query> query = lang::Parser::ParseQuery(
+      "?- p(X) & in(Y, d:g(X)) & in(Z, down:h()).");
+  ASSERT_TRUE(query.ok()) << query.status();
+  ExecutorOptions options;
+  options.tolerate_source_failures = true;
   dcsm::Dcsm dcsm;
-  Result<lang::Program> program = lang::Parser::ParseProgram("");
-  Result<lang::Query> query = lang::Parser::ParseQuery("?- in(X, d:f()).");
-  Executor executor(&fx.registry, &dcsm, ExecutorOptions{});
-  ASSERT_TRUE(executor.Execute(*program, *query).ok());
-  EXPECT_EQ(dcsm.database().TotalRecords(), 1u);
-  const std::vector<dcsm::CostRecord>* group =
-      dcsm.database().GetGroup(dcsm::CallGroupKey{"d", "f", 0});
-  ASSERT_NE(group, nullptr);
-  EXPECT_DOUBLE_EQ((*group)[0].cost.t_all_ms, 4.0);
-  EXPECT_DOUBLE_EQ((*group)[0].cost.cardinality, 1.0);
+
+  // One record per successful call, in call order, and one "idb" record
+  // when p finishes; the lost calls add none.
+  Executor executor(&fx.registry, &dcsm, options);
+  CallContext ctx;
+  Result<QueryExecution> exec = executor.Execute(*program, *query, &ctx);
+  ASSERT_TRUE(exec.ok()) << exec.status();
+  EXPECT_EQ(exec->domain_calls, 4u);
+  std::vector<dcsm::CostRecord> records = RecordsInOrder(dcsm);
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].call.ToString(), "d:f()");
+  EXPECT_DOUBLE_EQ(records[0].cost.t_all_ms, 4.0);
+  EXPECT_DOUBLE_EQ(records[0].cost.cardinality, 1.0);
+  EXPECT_EQ(records[1].call.ToString(), "d:g(1)");
+  EXPECT_DOUBLE_EQ(records[1].cost.cardinality, 2.0);
+  EXPECT_EQ(records[2].call.domain, "idb");
+  EXPECT_EQ(records[2].call.function, "p");
+  EXPECT_EQ(ctx.metrics.stats_records, 3u);
+
+  // record_statistics=false adds none.
+  ExecutorOptions quiet = options;
+  quiet.record_statistics = false;
+  CallContext quiet_ctx;
+  ASSERT_TRUE(Executor(&fx.registry, &dcsm, quiet)
+                  .Execute(*program, *query, &quiet_ctx)
+                  .ok());
+  EXPECT_EQ(dcsm.database().TotalRecords(), 3u);
+  EXPECT_EQ(quiet_ctx.metrics.stats_records, 0u);
+
+  // Nor does an executor without a DCSM count any.
+  CallContext bare_ctx;
+  ASSERT_TRUE(Executor(&fx.registry, nullptr, options)
+                  .Execute(*program, *query, &bare_ctx)
+                  .ok());
+  EXPECT_EQ(bare_ctx.metrics.stats_records, 0u);
 }
 
 }  // namespace

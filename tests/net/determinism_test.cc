@@ -3,7 +3,6 @@
 #include "domain/pipeline.h"
 #include "net/network.h"
 #include "net/network_interceptor.h"
-#include "net/remote_domain.h"
 #include "net/site.h"
 
 namespace hermes::net {
@@ -73,47 +72,6 @@ TEST(NetworkDeterminismTest, StatsRecordingDoesNotPerturbReplay) {
     EXPECT_EQ(tc.request_ms, tn.request_ms);
     EXPECT_EQ(tc.per_byte_ms, tn.per_byte_ms);
   }
-}
-
-TEST(NetworkDeterminismTest, InterceptorAndLegacyWrapperAgreeExactly) {
-  // The pipeline's network layer and the legacy RemoteDomain wrapper must
-  // produce bit-identical simulated latencies for the same seed and call
-  // sequence — both delegate to ComposeRemoteLatency.
-  SiteParams site = ItalySite("milan");
-  site.availability = 0.95;
-  auto stub = std::make_shared<StubDomain>("stub");
-
-  auto sim_a = std::make_shared<NetworkSimulator>(1996);
-  PipelineDomain piped("stub@milan",
-                       {std::make_shared<NetworkInterceptor>(site, sim_a)},
-                       stub);
-  auto sim_b = std::make_shared<NetworkSimulator>(1996);
-  RemoteDomain legacy(stub, site, sim_b);
-
-  CallContext ctx;
-  for (int i = 0; i < 100; ++i) {
-    Result<CallOutput> p = piped.Run(ctx, F(i % 5));
-    Result<CallOutput> l = legacy.Run(F(i % 5));
-    ASSERT_EQ(p.ok(), l.ok()) << "call " << i;
-    if (!p.ok()) {
-      EXPECT_TRUE(p.status().IsUnavailable());
-      EXPECT_EQ(p.status().ToString(), l.status().ToString());
-      continue;
-    }
-    EXPECT_EQ(p->answers, l->answers);
-    EXPECT_EQ(p->first_ms, l->first_ms) << "call " << i;
-    EXPECT_EQ(p->all_ms, l->all_ms) << "call " << i;
-  }
-  // Identical traffic accounted globally... and the interceptor also
-  // attributed every byte to the context.
-  EXPECT_EQ(sim_a->stats().calls, sim_b->stats().calls);
-  EXPECT_EQ(sim_a->stats().failures, sim_b->stats().failures);
-  EXPECT_EQ(sim_a->stats().bytes_transferred, sim_b->stats().bytes_transferred);
-  EXPECT_EQ(sim_a->stats().total_charge, sim_b->stats().total_charge);
-  EXPECT_EQ(ctx.metrics.remote_calls, sim_a->stats().calls);
-  EXPECT_EQ(ctx.metrics.remote_failures, sim_a->stats().failures);
-  EXPECT_EQ(ctx.metrics.bytes_transferred, sim_a->stats().bytes_transferred);
-  EXPECT_DOUBLE_EQ(ctx.metrics.network_charge, sim_a->stats().total_charge);
 }
 
 TEST(NetworkDeterminismTest, UnavailableSiteChargesPenaltyAndFails) {

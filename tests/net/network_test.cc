@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "net/remote_domain.h"
+#include "domain/pipeline.h"
+#include "net/network_interceptor.h"
 #include "net/site.h"
 
 namespace hermes::net {
@@ -106,13 +107,24 @@ TEST(NetworkSimulatorTest, StatsAccumulate) {
   EXPECT_EQ(sim.stats().calls, 0u);
 }
 
+/// A remote domain as the mediator wires one: `inner` behind a network
+/// layer for `site`.
+PipelineDomain Remote(std::shared_ptr<Domain> inner, SiteParams site,
+                      std::shared_ptr<NetworkSimulator> sim) {
+  std::string name = inner->name() + "@" + site.name;
+  return PipelineDomain(
+      std::move(name),
+      {std::make_shared<NetworkInterceptor>(std::move(site), std::move(sim))},
+      std::move(inner));
+}
+
 TEST(RemoteDomainTest, AddsNetworkLatency) {
   auto sim = std::make_shared<NetworkSimulator>(42);
   auto inner = std::make_shared<StubDomain>(
       "stub", AnswerSet{Value::Int(1), Value::Int(2)}, 5.0, 10.0);
   SiteParams site = UsaSite();
   site.jitter = 0.0;
-  RemoteDomain remote(inner, site, sim);
+  PipelineDomain remote = Remote(inner, site, sim);
 
   DomainCall call{"stub", "f", {}};
   Result<CallOutput> out = remote.Run(call);
@@ -130,38 +142,18 @@ TEST(RemoteDomainTest, LocalSiteIsNearlyFree) {
   auto sim = std::make_shared<NetworkSimulator>(42);
   auto inner =
       std::make_shared<StubDomain>("stub", AnswerSet{Value::Int(1)}, 2.0, 2.0);
-  RemoteDomain remote(inner, LocalSite(), sim);
+  PipelineDomain remote = Remote(inner, LocalSite(), sim);
   Result<CallOutput> out = remote.Run(DomainCall{"stub", "f", {}});
   ASSERT_TRUE(out.ok());
   EXPECT_LT(out->all_ms, 3.0);
-}
-
-TEST(RemoteDomainTest, UnavailableSiteFailsWithPenalty) {
-  auto sim = std::make_shared<NetworkSimulator>(11);
-  auto inner =
-      std::make_shared<StubDomain>("stub", AnswerSet{Value::Int(1)}, 1, 1);
-  SiteParams site = UsaSite();
-  site.availability = 0.0;  // always down
-  RemoteDomain remote(inner, site, sim);
-  Result<CallOutput> out = remote.Run(DomainCall{"stub", "f", {}});
-  EXPECT_TRUE(out.status().IsUnavailable());
-  EXPECT_EQ(remote.last_unavailable_penalty_ms(), site.retry_timeout_ms);
-  EXPECT_EQ(sim->stats().failures, 1u);
-}
-
-TEST(RemoteDomainTest, NameCombinesInnerAndSite) {
-  auto sim = std::make_shared<NetworkSimulator>(1);
-  auto inner = std::make_shared<StubDomain>("avis", AnswerSet{}, 1, 1);
-  RemoteDomain remote(inner, ItalySite("milan"), sim);
-  EXPECT_EQ(remote.name(), "avis@milan");
 }
 
 TEST(RemoteDomainTest, ItalyCostsFarMoreThanUsa) {
   auto sim = std::make_shared<NetworkSimulator>(2);
   auto inner =
       std::make_shared<StubDomain>("stub", AnswerSet{Value::Int(1)}, 50, 100);
-  RemoteDomain usa(inner, UsaSite(), sim);
-  RemoteDomain italy(inner, ItalySite(), sim);
+  PipelineDomain usa = Remote(inner, UsaSite(), sim);
+  PipelineDomain italy = Remote(inner, ItalySite(), sim);
   Result<CallOutput> u = usa.Run(DomainCall{"stub", "f", {}});
   Result<CallOutput> i = italy.Run(DomainCall{"stub", "f", {}});
   ASSERT_TRUE(u.ok() && i.ok());

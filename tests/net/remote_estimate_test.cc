@@ -1,20 +1,33 @@
 #include <gtest/gtest.h>
 
+#include "domain/pipeline.h"
 #include "lang/parser.h"
-#include "net/remote_domain.h"
+#include "net/network_interceptor.h"
 #include "relational/relational_domain.h"
 #include "testbed/scenario.h"
 
 namespace hermes::net {
 namespace {
 
+/// `inner` behind a network layer over `link`, as the mediator wires a
+/// remote domain.
+PipelineDomain Remote(std::shared_ptr<Domain> inner,
+                      std::shared_ptr<NetworkInterceptor> link) {
+  std::string name = inner->name() + "@" + link->site().name;
+  return PipelineDomain(std::move(name), {std::move(link)}, std::move(inner));
+}
+
+std::shared_ptr<NetworkInterceptor> Link(SiteParams site) {
+  return std::make_shared<NetworkInterceptor>(
+      std::move(site), std::make_shared<NetworkSimulator>(3));
+}
+
 TEST(RemoteEstimateTest, PassthroughAddsNetworkTime) {
-  auto sim = std::make_shared<NetworkSimulator>(3);
   auto inner = std::make_shared<relational::RelationalDomain>(
       "ingres", testbed::MakeCastDatabase(), relational::RelationalCostParams{},
       /*provide_cost_model=*/true);
   SiteParams site = UsaSite();
-  RemoteDomain remote(inner, site, sim);
+  PipelineDomain remote = Remote(inner, Link(site));
   EXPECT_TRUE(remote.HasCostModel());
 
   Result<lang::DomainCallSpec> pattern =
@@ -29,10 +42,9 @@ TEST(RemoteEstimateTest, PassthroughAddsNetworkTime) {
 }
 
 TEST(RemoteEstimateTest, NoInnerModelMeansNoModel) {
-  auto sim = std::make_shared<NetworkSimulator>(3);
   auto inner = std::make_shared<relational::RelationalDomain>(
       "ingres", testbed::MakeCastDatabase());
-  RemoteDomain remote(inner, UsaSite(), sim);
+  PipelineDomain remote = Remote(inner, Link(UsaSite()));
   EXPECT_FALSE(remote.HasCostModel());
   Result<lang::DomainCallSpec> pattern =
       lang::Parser::ParseCallPattern("ingres:all('cast')");
@@ -40,23 +52,22 @@ TEST(RemoteEstimateTest, NoInnerModelMeansNoModel) {
 }
 
 TEST(RemoteEstimateTest, MutableSiteInjectsFailures) {
-  auto sim = std::make_shared<NetworkSimulator>(3);
   auto inner = std::make_shared<relational::RelationalDomain>(
       "ingres", testbed::MakeCastDatabase());
-  RemoteDomain remote(inner, UsaSite(), sim);
+  std::shared_ptr<NetworkInterceptor> link = Link(UsaSite());
+  PipelineDomain remote = Remote(inner, link);
   DomainCall call{"relation", "count", {Value::Str("cast")}};
   EXPECT_TRUE(remote.Run(call).ok());
-  remote.mutable_site().availability = 0.0;
+  link->mutable_site().availability = 0.0;
   EXPECT_TRUE(remote.Run(call).status().IsUnavailable());
-  remote.mutable_site().availability = 1.0;
+  link->mutable_site().availability = 1.0;
   EXPECT_TRUE(remote.Run(call).ok());
 }
 
 TEST(RemoteEstimateTest, FunctionsPassThrough) {
-  auto sim = std::make_shared<NetworkSimulator>(3);
   auto inner = std::make_shared<relational::RelationalDomain>(
       "ingres", testbed::MakeCastDatabase());
-  RemoteDomain remote(inner, UsaSite(), sim);
+  PipelineDomain remote = Remote(inner, Link(UsaSite()));
   EXPECT_EQ(remote.Functions().size(), inner->Functions().size());
 }
 

@@ -32,7 +32,7 @@ TEST(FlightEvent, TruncatesOverlongStringsInsteadOfOverflowing) {
 }
 
 TEST(FlightEvent, JsonCarriesEveryField) {
-  FlightEvent ev = Event(42, 7, 123.5, FlightEventKind::kRetry);
+  FlightEvent ev = Event(42, 7, 123.5, FlightEventKind::kRetryWaitEnd);
   ev.set_site("umd");
   ev.set_domain("video");
   ev.set_detail("flaky");
@@ -41,7 +41,7 @@ TEST(FlightEvent, JsonCarriesEveryField) {
   std::string json = ev.ToJson();
   EXPECT_NE(json.find("\"query_id\":42"), std::string::npos);
   EXPECT_NE(json.find("\"seq\":7"), std::string::npos);
-  EXPECT_NE(json.find("\"kind\":\"retry\""), std::string::npos);
+  EXPECT_NE(json.find("\"kind\":\"retry_wait_end\""), std::string::npos);
   EXPECT_NE(json.find("\"site\":\"umd\""), std::string::npos);
   EXPECT_NE(json.find("\"domain\":\"video\""), std::string::npos);
   EXPECT_NE(json.find("\"detail\":\"flaky\""), std::string::npos);
