@@ -8,7 +8,9 @@
 #include <cstdio>
 #include <string>
 
+#include "avis/avis_domain.h"
 #include "bench/bench_util.h"
+#include "cim/cim.h"
 #include "engine/mediator.h"
 #include "lang/parser.h"
 #include "testbed/scenario.h"
@@ -205,6 +207,48 @@ BENCHMARK(BM_ConcurrentQuery_PlanCacheHitMix)
     ->ArgNames({"plan_cache"})->Args({0})->Args({1})
     ->Threads(1)->Threads(2)->Threads(4)->Threads(8)
     ->UseRealTime()->Unit(benchmark::kMicrosecond);
+
+// Section 4.1's search, alone: one CimDomain::RunWith of a
+// frames_to_objects window whose exact key misses, over a rope-video CIM
+// holding N windows none of which the request contains. The ⊇ invariant
+// scans all N entries, the clamp equality fails on its condition, and a
+// stub stands in for the actual call, so the time is the CIM's own host
+// cost. cache_results=false keeps the cache at N entries.
+void BM_CimInvariantProbe(benchmark::State& state) {
+  const int64_t entries = state.range(0);
+  cim::CimOptions options;
+  options.cache_results = false;
+  cim::CimDomain cim("cim_video", "video",
+                     std::make_shared<avis::AvisDomain>(
+                         "avis", testbed::MakeRopeVideoDatabase()),
+                     options, {}, /*cache_max_entries=*/128);
+  (void)cim.AddInvariants(R"(
+    F2 <= F1 & L1 <= L2 =>
+        video:frames_to_objects(V, F2, L2) >=
+        video:frames_to_objects(V, F1, L1).
+    L >= 130000 =>
+        video:frames_to_objects('rope', F, L) =
+        video:frames_to_objects('rope', F, 129999).
+  )");
+  for (int64_t i = 0; i < entries; ++i) {
+    cim.cache().Put(DomainCall{"video",
+                               "frames_to_objects",
+                               {Value::Str("rope"), Value::Int(100 + 10 * i),
+                                Value::Int(105 + 10 * i)}},
+                    AnswerSet{Value::Str("rupert"), Value::Str("brandon")});
+  }
+  const cim::CimDomain::ActualCallFn stub = [](const DomainCall&) {
+    return Result<CallOutput>(CallOutput{});
+  };
+  const DomainCall call{"cim_video",
+                        "frames_to_objects",
+                        {Value::Str("rope"), Value::Int(4), Value::Int(47)}};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cim.RunWith(call, stub));
+  }
+}
+BENCHMARK(BM_CimInvariantProbe)->Arg(8)->Arg(128)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_DcsmCostLookup(benchmark::State& state) {
   Mediator* med = SharedMediator();
