@@ -66,6 +66,18 @@ Result<QueryOptimizer::Ranked> QueryOptimizer::Rank(
     }
   }
   if (best_index < 0) {
+    // The walks above build no messages. When the first candidate fails on
+    // an undefined or a recursive predicate, its described failure names
+    // the cause better than the message below.
+    if (!space.candidates.empty()) {
+      Result<RuleCostEstimator::Estimate> first = estimator_.EstimateCandidate(
+          space, 0, &memo, /*describe_failures=*/true);
+      if (!first.ok() && (first.status().IsNotFound() ||
+                          first.status().code() ==
+                              StatusCode::kUnimplemented)) {
+        return first.status();
+      }
+    }
     return Status::InvalidArgument(
         "no candidate plan is estimatable; every ordering leaves some "
         "domain-call argument free");

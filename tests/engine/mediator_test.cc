@@ -165,6 +165,23 @@ TEST(MediatorTest, ParseErrorsSurfaceFromQuery) {
   EXPECT_TRUE(med.LoadProgram("junk :-").IsParseError());
 }
 
+TEST(MediatorTest, UndefinedPredicateIsNotFoundWithTheOptimizer) {
+  Mediator med;
+  ASSERT_TRUE(testbed::SetupRopeScenario(&med, FastSites()).ok());
+  // Only queries 1 and 2 have primed rules.
+  const std::string query = testbed::AppendixQuery(3, true, 4, 47);
+  Result<QueryResult> res = med.Query(query, QueryOptions{});
+  ASSERT_FALSE(res.ok());
+  EXPECT_TRUE(res.status().IsNotFound()) << res.status();
+  EXPECT_NE(res.status().message().find("query3p/4"), std::string::npos)
+      << res.status();
+  Result<std::string> explain = med.Explain(query);
+  ASSERT_FALSE(explain.ok());
+  EXPECT_TRUE(explain.status().IsNotFound()) << explain.status();
+  EXPECT_NE(explain.status().message().find("query3p/4"), std::string::npos)
+      << explain.status();
+}
+
 TEST(MediatorTest, OutOfRangeLiteralIsParseErrorNotException) {
   Mediator med;
   ASSERT_TRUE(testbed::SetupRopeScenario(&med, FastSites()).ok());
