@@ -7,10 +7,18 @@
 
 namespace hermes::cim {
 
+void CimDomain::AddInvariant(const lang::Invariant& invariant) {
+  const CompiledInvariant& inv = invariants_.emplace_back(invariant);
+  search_pointers_ = std::max(
+      search_pointers_,
+      inv.num_slots() + std::max({inv.num_slots(), inv.lhs().args.size(),
+                                  inv.rhs().args.size()}));
+}
+
 Status CimDomain::AddInvariants(const std::string& text) {
   HERMES_ASSIGN_OR_RETURN(std::vector<lang::Invariant> parsed,
                           lang::Parser::ParseInvariants(text));
-  for (lang::Invariant& inv : parsed) AddInvariant(std::move(inv));
+  for (const lang::Invariant& inv : parsed) AddInvariant(inv);
   return Status::OK();
 }
 
@@ -81,7 +89,7 @@ CallOutput CimDomain::ServeFromCache(CacheEntry entry, double lead_ms,
   return out;
 }
 
-Result<CallOutput> CimDomain::RunActual(const DomainCall& call,
+Result<CallOutput> CimDomain::RunActual(DomainCall call,
                                         const ActualCallFn& actual) {
   stats_.actual_calls->Add(1);
   HERMES_ASSIGN_OR_RETURN(CallOutput out, actual(call));
@@ -89,7 +97,7 @@ Result<CallOutput> CimDomain::RunActual(const DomainCall& call,
   // call moves the clock its own service time forward.
   cache_.AdvanceSimClock(out.all_ms);
   if (options_.cache_results && out.complete) {
-    cache_.Put(call, out.answers, /*complete=*/true,
+    cache_.Put(std::move(call), out.answers, /*complete=*/true,
                tick_.load(std::memory_order_relaxed));
   }
   return out;
@@ -101,100 +109,80 @@ bool CimDomain::IsStale(const CacheEntry& entry) const {
              options_.max_entry_age;
 }
 
-std::optional<CacheEntry> CimDomain::ProbeForSpec(
-    const lang::DomainCallSpec& target, const Substitution& theta,
-    const std::vector<lang::Atom>& conditions, double* search_ms,
+std::optional<CacheEntry> CimDomain::ProbeTarget(
+    const CompiledInvariant& inv, const CompiledInvariant::Direction& dir,
+    const Value* const* theta, const Value** scratch, double* search_ms,
     bool allow_stale) const {
-  lang::DomainCallSpec substituted = ApplySubstitution(target, theta);
-
-  if (substituted.is_ground()) {
-    Result<bool> holds = EvalConditions(conditions, theta);
-    if (!holds.ok() || !*holds) return std::nullopt;
+  const CompiledInvariant::Side& target = inv.target(dir);
+  if (dir.target_bound) {
+    if (!inv.ConditionsHold(theta)) return std::nullopt;
     *search_ms += params_.per_cache_probe_ms;
-    Result<DomainCall> target_call = DomainCall::FromSpec(substituted);
-    if (!target_call.ok()) return std::nullopt;
-    std::optional<CacheEntry> entry = cache_.Peek(*target_call);
+    CompiledInvariant::Gather(target, theta, scratch);
+    std::optional<CacheEntry> entry = cache_.Peek(
+        CallKey(target.domain, target.function, scratch, target.args.size()));
     if (entry.has_value() && !allow_stale && IsStale(*entry)) {
       return std::nullopt;
     }
     return entry;
   }
 
-  // The target still has free variables (e.g. the V_1 of the paper's
-  // select_< invariant): scan the cache for an entry that unifies with it
-  // and satisfies the conditions.
+  // The target still has free slots (e.g. the V_1 of the paper's select_<
+  // invariant): scan the cache for an entry that matches it and satisfies
+  // the conditions. Each entry is matched in place, on a fresh copy of θ
+  // whose new bindings view the entry's own arguments.
+  const size_t num_slots = inv.num_slots();
   std::optional<CacheEntry> found;
-  cache_.ForEach([&](const CacheEntry& entry) {
+  cache_.ForEach([&](const DomainCall& call, const CacheEntry& entry) {
     *search_ms += params_.per_cache_probe_ms;
     if (!allow_stale && IsStale(entry)) return true;
-    Substitution extended = theta;
-    if (!MatchCallAgainstSpec(substituted, entry.call, &extended)) return true;
-    Result<bool> holds = EvalConditions(conditions, extended);
-    if (!holds.ok() || !*holds) return true;
-    found = entry;   // snapshot by value; `entry` dies with the shard lock
-    return false;    // stop scanning
+    std::copy_n(theta, num_slots, scratch);
+    if (!CompiledInvariant::Match(target, call, scratch) ||
+        !inv.ConditionsHold(scratch)) {
+      return true;
+    }
+    found = entry;  // the one copy; the views die with the shard lock
+    return false;   // stop scanning
   });
   return found;
 }
 
 std::optional<CimDomain::InvariantHit> CimDomain::FindViaInvariants(
-    const DomainCall& call, double* search_ms, bool allow_stale) {
+    const CallKey& call, double* search_ms, bool allow_stale) const {
+  // θ, then the scratch pointers ProbeTarget needs after it.
+  std::vector<const Value*> pointers(search_pointers_);
+  const Value** theta = pointers.data();
   std::optional<InvariantHit> best_partial;
 
-  for (const lang::Invariant& inv : invariants_) {
+  for (const CompiledInvariant& inv : invariants_) {
     *search_ms += params_.per_invariant_attempt_ms;
-
-    if (inv.relation == lang::InvariantRelation::kEqual) {
-      // Equality is symmetric: the requested call may match either side.
-      const lang::DomainCallSpec* sides[2][2] = {{&inv.lhs, &inv.rhs},
-                                                 {&inv.rhs, &inv.lhs}};
-      for (auto& [pattern, target] : sides) {
-        Substitution theta;
-        if (!MatchCallAgainstSpec(*pattern, call, &theta)) continue;
-        *search_ms += params_.per_invariant_ms;
-        std::optional<CacheEntry> entry =
-            ProbeForSpec(*target, theta, inv.conditions, search_ms,
-                         allow_stale);
-        if (entry.has_value() && entry->complete) {
-          InvariantHit hit;
-          hit.entry = std::move(*entry);
-          hit.equality = true;
-          hit.search_ms = *search_ms;
-          return hit;
+    const Value** scratch = theta + inv.num_slots();
+    // Equality is symmetric: the requested call may match either side.
+    // Containment serves cached answers as a *partial* result: the cached
+    // call is on the ⊆ side and the requested call on the ⊇ side.
+    for (const CompiledInvariant::Direction& dir : inv.directions()) {
+      std::fill_n(theta, inv.num_slots(), nullptr);
+      if (!CompiledInvariant::Match(inv.pattern(dir), call, theta)) continue;
+      *search_ms += params_.per_invariant_ms;
+      std::optional<CacheEntry> entry =
+          ProbeTarget(inv, dir, theta, scratch, search_ms, allow_stale);
+      if (!entry.has_value()) continue;
+      if (inv.equality()) {
+        if (entry->complete) {
+          return InvariantHit{std::move(*entry), true, *search_ms};
         }
+        continue;
       }
-      continue;
-    }
-
-    // Containment: we can serve cached answers as a *partial* result when
-    // the cached call is on the ⊆ side and the requested call on the ⊇
-    // side of the invariant.
-    const lang::DomainCallSpec& pattern =
-        inv.relation == lang::InvariantRelation::kSuperset ? inv.lhs
-                                                           : inv.rhs;
-    const lang::DomainCallSpec& target =
-        inv.relation == lang::InvariantRelation::kSuperset ? inv.rhs
-                                                           : inv.lhs;
-    Substitution theta;
-    if (!MatchCallAgainstSpec(pattern, call, &theta)) continue;
-    *search_ms += params_.per_invariant_ms;
-    std::optional<CacheEntry> entry =
-        ProbeForSpec(target, theta, inv.conditions, search_ms, allow_stale);
-    if (!entry.has_value()) continue;
-    if (!best_partial.has_value() ||
-        entry->bytes > best_partial->entry.bytes) {
-      InvariantHit hit;
-      hit.entry = std::move(*entry);
-      hit.equality = false;
-      hit.search_ms = *search_ms;
-      best_partial = std::move(hit);
+      if (!best_partial.has_value() ||
+          entry->bytes > best_partial->entry.bytes) {
+        best_partial = InvariantHit{std::move(*entry), false, *search_ms};
+      }
     }
   }
   return best_partial;
 }
 
-std::optional<CacheEntry> CimDomain::FindStaleFallback(const DomainCall& call,
-                                                       double* search_ms) {
+std::optional<CacheEntry> CimDomain::FindStaleFallback(
+    const CallKey& call, double* search_ms) const {
   // Exact key first — even a stale or incomplete entry names the right
   // answer set, which beats no answers at all when the source is down.
   *search_ms += params_.exact_lookup_ms;
@@ -216,9 +204,13 @@ Result<CallOutput> CimDomain::RunWith(const DomainCall& raw_call,
                                       const ActualCallFn& actual,
                                       CimOutcome* outcome,
                                       bool prefer_stale) {
-  // Normalize to the logical domain name used by rules/invariants/cache.
-  DomainCall call = raw_call;
-  call.domain = target_domain_;
+  // Rules, invariants and cache keys use the logical domain name. The call
+  // is read under it in place; only a call that reaches the source is
+  // copied under it, for the source and for the cache.
+  const CallKey call(target_domain_, raw_call.function, raw_call.args);
+  auto renamed = [&] {
+    return DomainCall{target_domain_, raw_call.function, raw_call.args};
+  };
 
   tick_.fetch_add(1, std::memory_order_relaxed);
   if (outcome != nullptr) *outcome = CimOutcome::kMiss;
@@ -282,7 +274,7 @@ Result<CallOutput> CimDomain::RunWith(const DomainCall& raw_call,
 
     // All-answers mode: issue the actual call "in parallel" with serving
     // the cached subset, then merge with duplicate elimination.
-    Result<CallOutput> full = RunActual(call, actual);
+    Result<CallOutput> full = RunActual(renamed(), actual);
     if (!full.ok()) {
       if (full.status().IsUnavailable() && options_.mask_unavailability) {
         stats_.unavailable_masked->Add(1);
@@ -318,7 +310,7 @@ Result<CallOutput> CimDomain::RunWith(const DomainCall& raw_call,
 
   // Step 4: miss — the actual call must be made.
   stats_.misses->Add(1);
-  Result<CallOutput> full = RunActual(call, actual);
+  Result<CallOutput> full = RunActual(renamed(), actual);
   if (!full.ok()) {
     // Under brownout the stale fallback also masks load-shed calls — the
     // limiter turned the source away, the cache keeps the query whole.

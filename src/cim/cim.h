@@ -9,8 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "cim/compiled_invariant.h"
 #include "cim/result_cache.h"
-#include "cim/substitution.h"
 #include "domain/domain.h"
 #include "lang/ast.h"
 
@@ -97,10 +97,15 @@ enum class CimOutcome {
 ///      with the actual call executed in parallel to complete the set,
 ///   4. the actual domain call, whose result is then cached.
 ///
+/// Each invariant is compiled once, when it is added (CompiledInvariant).
+/// A lookup reads the call in place under the logical domain name; only a
+/// call that reaches the source is copied under that name.
+///
 /// Concurrency: `RunWith`/`Run` are safe to call from many threads at once.
 /// The result cache is internally lock-striped, outcome counters and the
 /// staleness tick are relaxed atomics, and lookups operate on value
-/// snapshots of cache entries (never on pointers into the cache). The
+/// snapshots of cache entries. An invariant scan views an entry's call only
+/// while its shard lock is held and copies only the entry that matches. The
 /// invariant list is the one piece of configuration state with no internal
 /// lock: AddInvariant(s) must happen before concurrent serving starts
 /// (Mediator enforces this by freezing wiring while a QueryPool serves).
@@ -121,11 +126,10 @@ class CimDomain : public Domain {
         params_(params),
         cache_(cache_max_entries, cache_max_bytes, cache_shards) {}
 
-  /// Registers an invariant. Invariants whose calls mention other domains
-  /// are accepted and simply never match calls routed to this CIM.
-  void AddInvariant(lang::Invariant invariant) {
-    invariants_.push_back(std::move(invariant));
-  }
+  /// Compiles and registers an invariant. Invariants whose calls mention
+  /// other domains are accepted and simply never match calls routed to
+  /// this CIM.
+  void AddInvariant(const lang::Invariant& invariant);
 
   /// Parses and registers every invariant in `text`.
   Status AddInvariants(const std::string& text);
@@ -183,31 +187,31 @@ class CimDomain : public Domain {
   /// invariants prove equal to — or a subset of — `call`'s answer set.
   /// Accumulates simulated search time in `*search_ms` even on failure.
   /// `allow_stale` admits aged-out entries (the stale-fallback ladder).
-  std::optional<InvariantHit> FindViaInvariants(const DomainCall& call,
+  std::optional<InvariantHit> FindViaInvariants(const CallKey& call,
                                                 double* search_ms,
-                                                bool allow_stale = false);
+                                                bool allow_stale = false) const;
 
-  /// Attempts to find a cached entry matching `target` (which may still
-  /// contain free variables) under `theta`, such that the invariant's
-  /// conditions hold. Adds probe costs to `*search_ms`.
-  std::optional<CacheEntry> ProbeForSpec(
-      const lang::DomainCallSpec& target, const Substitution& theta,
-      const std::vector<lang::Atom>& conditions, double* search_ms,
-      bool allow_stale = false) const;
+  /// Attempts to find a cached entry matching the target of `inv` in
+  /// direction `dir` under θ = `theta` (the pattern's bindings), such that
+  /// the invariant's conditions hold. `scratch` has room for a copy of θ
+  /// or the target's arguments. Adds probe costs to `*search_ms`.
+  std::optional<CacheEntry> ProbeTarget(
+      const CompiledInvariant& inv, const CompiledInvariant::Direction& dir,
+      const Value* const* theta, const Value** scratch, double* search_ms,
+      bool allow_stale) const;
 
   /// Stale-fallback probe of the degradation ladder: any entry — stale or
   /// incomplete — that subsumes `call`, by exact key first, then through
   /// the invariants.
-  std::optional<CacheEntry> FindStaleFallback(const DomainCall& call,
-                                              double* search_ms);
+  std::optional<CacheEntry> FindStaleFallback(const CallKey& call,
+                                              double* search_ms) const;
 
   /// Serves answers straight from an owned entry snapshot (moves them out).
   CallOutput ServeFromCache(CacheEntry entry, double lead_ms,
                             bool complete) const;
 
   /// Runs the actual call through `actual`, caching on success.
-  Result<CallOutput> RunActual(const DomainCall& call,
-                               const ActualCallFn& actual);
+  Result<CallOutput> RunActual(DomainCall call, const ActualCallFn& actual);
 
   std::string name_;
   std::string target_domain_;
@@ -218,7 +222,10 @@ class CimDomain : public Domain {
   bool IsStale(const CacheEntry& entry) const;
 
   ResultCache cache_;
-  std::vector<lang::Invariant> invariants_;
+  std::vector<CompiledInvariant> invariants_;
+  /// The pointers one invariant search needs: θ, then either a copy of θ
+  /// per scanned entry or the arguments of a ground target.
+  size_t search_pointers_ = 0;
 
   // Live outcome counters (lock-light obs instruments; stats() snapshots
   // them, BindMetrics exposes them by reference).

@@ -38,10 +38,10 @@ ResultCache::ResultCache(size_t max_entries, size_t max_bytes,
 }
 
 ResultCache::Node* ResultCache::FindLocked(const Shard& shard,
-                                           const DomainCall& call,
+                                           const CallKey& call,
                                            size_t hash) {
-  return shard.index.Find(
-      hash, [&](const Node& node) { return node.entry.call == call; });
+  return shard.index.Find(hash,
+                          [&](const Node& node) { return call == node.call; });
 }
 
 void ResultCache::Put(DomainCall call, AnswerSet answers, bool complete,
@@ -64,7 +64,7 @@ void ResultCache::Put(DomainCall call, AnswerSet answers, bool complete,
     RemoveNodeLocked(shard, old);
   }
   Node* node = new Node;
-  node->entry.call = std::move(call);
+  node->call = std::move(call);
   node->entry.answers = std::move(answers);
   node->entry.complete = complete;
   node->entry.bytes = bytes;
@@ -79,7 +79,7 @@ void ResultCache::Put(DomainCall call, AnswerSet answers, bool complete,
   EvictIfNeededLocked(shard);
 }
 
-std::optional<CacheEntry> ResultCache::Get(const DomainCall& call) {
+std::optional<CacheEntry> ResultCache::Get(const CallKey& call) {
   const size_t hash = call.Hash();
   Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -93,7 +93,7 @@ std::optional<CacheEntry> ResultCache::Get(const DomainCall& call) {
   return node->entry;
 }
 
-std::optional<CacheEntry> ResultCache::Peek(const DomainCall& call) const {
+std::optional<CacheEntry> ResultCache::Peek(const CallKey& call) const {
   const size_t hash = call.Hash();
   const Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -102,7 +102,7 @@ std::optional<CacheEntry> ResultCache::Peek(const DomainCall& call) const {
   return node->entry;
 }
 
-void ResultCache::Remove(const DomainCall& call) {
+void ResultCache::Remove(const CallKey& call) {
   const size_t hash = call.Hash();
   Shard& shard = ShardFor(hash);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -143,19 +143,6 @@ void ResultCache::AdvanceSimClock(double delta_ms) {
   double cur = sim_clock_ms_.load(std::memory_order_relaxed);
   while (!sim_clock_ms_.compare_exchange_weak(cur, cur + delta_ms,
                                               std::memory_order_relaxed)) {
-  }
-}
-
-void ResultCache::ForEach(
-    const std::function<bool(const CacheEntry& entry)>& fn) const {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    bool keep_going = true;
-    shard->lru.ForEach([&](const Node& node) {
-      keep_going = fn(node.entry);
-      return keep_going;
-    });
-    if (!keep_going) return;
   }
 }
 

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -17,9 +16,10 @@
 
 namespace hermes::cim {
 
-/// One cached (domain call, answer set) pair — Section 4's cache element.
+/// What the cache holds for one domain call — Section 4's cache element
+/// without its key. Lookups return it by value; the call it answers stays
+/// in the cache.
 struct CacheEntry {
-  DomainCall call;
   AnswerSet answers;
   bool complete = true;  ///< False when only a partial set was retained.
   size_t bytes = 0;      ///< Approximate answer-set size.
@@ -56,9 +56,11 @@ struct ResultCacheStats {
 ///  - `Get`/`Peek` return the entry BY VALUE (a snapshot taken under the
 ///    shard lock). The previous pointer-returning API was only valid until
 ///    the next `Put`/`Remove`/`Clear`, a lifetime rule that is unenforceable
-///    once writers run concurrently with readers.
+///    once writers run concurrently with readers. They are keyed by a
+///    `CallKey`, so a probe builds no DomainCall.
 ///  - `ForEach` locks one shard at a time (shard 0 upward, most- to
-///    least-recently-used within a shard). It observes no cross-shard
+///    least-recently-used within a shard) and hands `fn` references into
+///    the shard, valid only during that call. It observes no cross-shard
 ///    atomic snapshot, and `fn` must not call back into the cache.
 ///
 /// Bounds semantics: entry and byte budgets are divided evenly across
@@ -88,22 +90,33 @@ class ResultCache {
 
   /// Exact lookup; bumps recency. Returns a copy of the entry (taken under
   /// the shard lock), or nullopt on miss.
-  std::optional<CacheEntry> Get(const DomainCall& call);
+  std::optional<CacheEntry> Get(const CallKey& call);
 
   /// Exact lookup without touching recency or stats (used by invariant
   /// scans so they don't distort exact-hit statistics).
-  std::optional<CacheEntry> Peek(const DomainCall& call) const;
+  std::optional<CacheEntry> Peek(const CallKey& call) const;
 
   /// Removes the entry for `call` if present.
-  void Remove(const DomainCall& call);
+  void Remove(const CallKey& call);
 
   void Clear();
 
-  /// Iterates entries shard by shard; `fn` returning false stops the scan.
-  /// Does not affect recency. `fn` runs under the shard's lock and must not
-  /// call back into the cache.
-  void ForEach(
-      const std::function<bool(const CacheEntry& entry)>& fn) const;
+  /// Calls `fn(const DomainCall& call, const CacheEntry& entry)` for each
+  /// entry, shard by shard; `fn` returning false stops the scan. Does not
+  /// affect recency. `fn` runs under the shard's lock, must not call back
+  /// into the cache, and must not keep its references past its return.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const auto& shard : shards_) {
+      std::lock_guard<std::mutex> lock(shard->mu);
+      bool keep_going = true;
+      shard->lru.ForEach([&](const Node& node) {
+        keep_going = fn(node.call, node.entry);
+        return keep_going;
+      });
+      if (!keep_going) return;
+    }
+  }
 
   /// Advances the cache-wide simulated clock entries are aged against.
   /// The CIM adds each actual call's simulated service time, so "age" is
@@ -136,6 +149,7 @@ class ResultCache {
   /// allocations per entry and re-hashed the key on every touch; here the
   /// hash is computed once per operation and cached in the hash node.
   struct Node {
+    DomainCall call;
     CacheEntry entry;
     IntrusiveMapNode hash_node;
     IntrusiveListNode lru_node;
@@ -161,7 +175,7 @@ class ResultCache {
   }
   /// Exact-match node for `call` (whose Hash() is `hash`), or nullptr.
   /// Caller holds the shard lock.
-  static Node* FindLocked(const Shard& shard, const DomainCall& call,
+  static Node* FindLocked(const Shard& shard, const CallKey& call,
                           size_t hash);
   /// Unlinks and frees `node`; caller holds the shard lock.
   void RemoveNodeLocked(Shard& shard, Node* node);

@@ -26,14 +26,27 @@ lang::DomainCallSpec DomainCall::ToSpec() const {
   return spec;
 }
 
-size_t DomainCall::Hash() const {
-  size_t seed = std::hash<std::string>()(domain);
-  seed ^= std::hash<std::string>()(function) + 0x9e3779b97f4a7c15ULL +
+size_t DomainCall::Hash() const { return CallKey(*this).Hash(); }
+
+size_t CallKey::Hash() const {
+  size_t seed = std::hash<std::string_view>()(domain);
+  seed ^= std::hash<std::string_view>()(function) + 0x9e3779b97f4a7c15ULL +
           (seed << 6) + (seed >> 2);
-  for (const Value& v : args) {
-    seed ^= v.Hash() + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
+  for (size_t i = 0; i < arity; ++i) {
+    seed ^= arg(i).Hash() + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
   }
   return seed;
+}
+
+bool CallKey::operator==(const DomainCall& call) const {
+  if (domain != call.domain || function != call.function ||
+      arity != call.args.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < arity; ++i) {
+    if (arg(i) != call.args[i]) return false;
+  }
+  return true;
 }
 
 std::string DomainCall::ToString() const {

@@ -2,6 +2,7 @@
 #define HERMES_DOMAIN_CALL_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "common/value.h"
@@ -33,6 +34,37 @@ struct DomainCall {
 
   /// `domain:function(arg, ...)` rendering, usable as a cache key.
   std::string ToString() const;
+};
+
+/// A ground call read in place: the parts of `domain:function(args)` live
+/// elsewhere, so a lookup keyed by it builds no DomainCall. Argument i is
+/// `args[i]`, or `*arg_ptrs[i]` when the arguments are gathered from
+/// several places. A key hashes and compares like the DomainCall it names,
+/// and views its parts: it must not outlive them.
+struct CallKey {
+  std::string_view domain;
+  std::string_view function;
+  size_t arity = 0;
+  const Value* args = nullptr;
+  const Value* const* arg_ptrs = nullptr;
+
+  CallKey(const DomainCall& call)  // NOLINT(google-explicit-constructor)
+      : CallKey(call.domain, call.function, call.args) {}
+  CallKey(std::string_view domain, std::string_view function,
+          const ValueList& args)
+      : domain(domain),
+        function(function),
+        arity(args.size()),
+        args(args.data()) {}
+  CallKey(std::string_view domain, std::string_view function,
+          const Value* const* arg_ptrs, size_t arity)
+      : domain(domain), function(function), arity(arity), arg_ptrs(arg_ptrs) {}
+
+  const Value& arg(size_t i) const {
+    return arg_ptrs != nullptr ? *arg_ptrs[i] : args[i];
+  }
+  size_t Hash() const;
+  bool operator==(const DomainCall& call) const;
 };
 
 /// Hash functor for unordered containers keyed by DomainCall.
