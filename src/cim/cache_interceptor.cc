@@ -6,14 +6,14 @@ namespace hermes::cim {
 
 namespace {
 
-const char* OutcomeName(CimOutcome outcome) {
+obs::CacheLookup LookupOf(CimOutcome outcome) {
   switch (outcome) {
-    case CimOutcome::kExactHit: return "exact-hit";
-    case CimOutcome::kEqualityHit: return "equality-hit";
-    case CimOutcome::kPartialHit: return "partial-hit";
-    case CimOutcome::kMiss: return "miss";
+    case CimOutcome::kExactHit: return obs::CacheLookup::kExactHit;
+    case CimOutcome::kEqualityHit: return obs::CacheLookup::kEqualityHit;
+    case CimOutcome::kPartialHit: return obs::CacheLookup::kPartialHit;
+    case CimOutcome::kMiss: return obs::CacheLookup::kMiss;
   }
-  return "unknown";
+  return obs::CacheLookup::kMiss;
 }
 
 }  // namespace
@@ -30,9 +30,6 @@ Result<CallOutput> CacheInterceptor::Intercept(CallContext& ctx,
   // CIM's shared counters, which would misattribute concurrent queries'
   // hits and misses to each other.
   CimOutcome outcome = CimOutcome::kMiss;
-  const double t_open = ctx.now_ms;
-  const uint32_t lookup =
-      ctx.Emit(obs::FlightEventKind::kCacheLookupBegin, t_open);
   Result<CallOutput> out = cim_->RunWith(
       call,
       [&ctx, &next](const DomainCall& actual) { return next(ctx, actual); },
@@ -72,23 +69,9 @@ Result<CallOutput> CacheInterceptor::Intercept(CallContext& ctx,
       ctx.source_errors.push_back(std::move(err));
     }
   }
-  if (ctx.observed()) {
-    // The lookup's end event carries its outcome; a failed lookup's detail
-    // is "<outcome>:<cause>".
-    obs::FlightEvent end = obs::FlightEvent::End(
-        obs::FlightEventKind::kCacheLookupEnd, lookup, t_open);
-    end.set_domain(call.domain);
-    if (out.ok()) {
-      end.sim_ms = t_open + out->all_ms;
-      end.set_detail(OutcomeName(outcome));
-      end.aux = out->degraded ? 1 : 0;
-    } else {
-      end.set_failed(std::string(OutcomeName(outcome)) + ":" +
-                         std::string(ctx.failure_cause()),
-                     ctx.last_failure_site);
-    }
-    ctx.Emit(end);
-  }
+  // The call's end event carries the lookup: it emits no events of its own.
+  ctx.cache_lookup = LookupOf(outcome);
+  ctx.cache_degraded = out.ok() && out->degraded;
   return out;
 }
 

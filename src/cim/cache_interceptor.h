@@ -17,7 +17,9 @@ namespace hermes::cim {
 /// only sees calls the cache could not fully answer, and unavailability
 /// surfacing from below is masked with cached results per CimOptions.
 /// Cache hit/miss outcomes are attributed to the query via
-/// CallContext::metrics.
+/// CallContext::metrics. The layer emits no events: it leaves the lookup's
+/// outcome on the context (`cache_lookup`, `cache_degraded`), and the
+/// call's end event carries it.
 class CacheInterceptor : public CallInterceptor {
  public:
   explicit CacheInterceptor(std::shared_ptr<CimDomain> cim)

@@ -203,9 +203,11 @@ size_t Value::Hash() const {
     case 3:
       HashCombine(seed, std::hash<std::string>()(as_string()));
       break;
-    case 4:
-      for (const Value& v : as_list()) HashCombine(seed, v.Hash());
-      break;
+    case 4: {
+      ListHasher list;
+      for (const Value& v : as_list()) list.Add(v);
+      return list.hash();
+    }
     default:
       for (const auto& [name, v] : as_struct()) {
         HashCombine(seed, std::hash<std::string>()(name));
@@ -215,6 +217,8 @@ size_t Value::Hash() const {
   }
   return seed;
 }
+
+void ListHasher::Add(const Value& item) { HashCombine(seed_, item.Hash()); }
 
 std::string Value::ToString() const {
   switch (type()) {

@@ -146,6 +146,18 @@ struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
 };
 
+/// Value::Hash() of a list taken item by item, so a lookup keyed by a list
+/// need not build it: after Add(x) and Add(y), hash() equals
+/// Value::List({x, y}).Hash().
+class ListHasher {
+ public:
+  void Add(const Value& item);
+  size_t hash() const { return seed_; }
+
+ private:
+  size_t seed_ = 4;  ///< The type rank of a list.
+};
+
 /// Joins the ToString() of each element with ", ".
 std::string ValueListToString(const ValueList& values);
 

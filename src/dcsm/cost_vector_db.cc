@@ -15,10 +15,23 @@ void CostVectorDatabase::FreeGroups() {
   groups_.Clear();
 }
 
+lang::DomainCallSpec PatternView::ToSpec() const {
+  lang::DomainCallSpec spec;
+  spec.domain = domain;
+  spec.function = function;
+  spec.args.reserve(arity);
+  for (size_t i = 0; i < arity; ++i) {
+    const Value* c = constant(i);
+    spec.args.push_back(c != nullptr ? lang::Term::Const(*c)
+                                     : lang::Term::Bound());
+  }
+  return spec;
+}
+
 CostVectorDatabase::Group* CostVectorDatabase::FindGroup(
-    const CallGroupKey& key, size_t hash) const {
-  return groups_.Find(hash,
-                      [&](const Group& group) { return group.key == key; });
+    const CallGroupRef& ref, size_t hash) const {
+  return groups_.Find(
+      hash, [&](const Group& group) { return group.key.ref() == ref; });
 }
 
 void CostVectorDatabase::Record(CostRecord record) {
@@ -26,7 +39,7 @@ void CostVectorDatabase::Record(CostRecord record) {
   CallGroupKey key{record.call.domain, record.call.function,
                    record.call.args.size()};
   const size_t hash = key.Hash();
-  Group* group = FindGroup(key, hash);
+  Group* group = FindGroup(key.ref(), hash);
   if (group == nullptr) {
     group = new Group;
     group->key = std::move(key);
@@ -45,8 +58,8 @@ void CostVectorDatabase::RecordExecution(const DomainCall& call,
 }
 
 const std::vector<CostRecord>* CostVectorDatabase::GetGroup(
-    const CallGroupKey& key) const {
-  const Group* group = FindGroup(key, key.Hash());
+    const CallGroupRef& ref) const {
+  const Group* group = FindGroup(ref, ref.Hash());
   return group == nullptr ? nullptr : &group->records;
 }
 
@@ -64,13 +77,17 @@ Result<Aggregate> CostVectorDatabase::Estimate(
   if (records == nullptr) {
     return Status::NotFound("no statistics for " + key.ToString());
   }
-  return EstimateGroup(*records, pattern, kAllArgs, recency_halflife);
+  std::optional<Aggregate> agg = EstimateGroup(
+      *records, PatternView(pattern), kAllArgs, recency_halflife);
+  if (!agg.has_value()) {
+    return Status::NotFound("no statistics matching " + pattern.ToString());
+  }
+  return *agg;
 }
 
-Result<Aggregate> CostVectorDatabase::EstimateGroup(
-    const std::vector<CostRecord>& records,
-    const lang::DomainCallSpec& pattern, ArgMask const_mask,
-    double recency_halflife) const {
+std::optional<Aggregate> CostVectorDatabase::EstimateGroup(
+    const std::vector<CostRecord>& records, const PatternView& pattern,
+    ArgMask const_mask, double recency_halflife) const {
   Aggregate agg;
   double w_tf = 0, w_ta = 0, w_card = 0;
   double sum_tf = 0, sum_ta = 0, sum_card = 0;
@@ -79,10 +96,10 @@ Result<Aggregate> CostVectorDatabase::EstimateGroup(
   for (const CostRecord& record : records) {
     ++agg.rows_scanned;
     bool matches = true;
-    for (size_t i = 0; i < pattern.args.size(); ++i) {
+    for (size_t i = 0; i < pattern.arity; ++i) {
       if (i < 64 && (const_mask & (ArgMask{1} << i)) == 0) continue;
-      const lang::Term& t = pattern.args[i];
-      if (t.is_constant() && t.constant != record.call.args[i]) {
+      const Value* c = pattern.constant(i);
+      if (c != nullptr && *c != record.call.args[i]) {
         matches = false;
         break;
       }
@@ -108,9 +125,7 @@ Result<Aggregate> CostVectorDatabase::EstimateGroup(
     }
   }
 
-  if (agg.matched == 0) {
-    return Status::NotFound("no statistics matching " + pattern.ToString());
-  }
+  if (agg.matched == 0) return std::nullopt;
   if (w_tf > 0) {
     agg.cost.t_first_ms = sum_tf / w_tf;
     agg.has_t_first = true;

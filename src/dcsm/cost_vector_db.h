@@ -2,7 +2,9 @@
 #define HERMES_DCSM_COST_VECTOR_DB_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -14,6 +16,32 @@
 
 namespace hermes::dcsm {
 
+/// A call group read in place, for lookups that build no CallGroupKey. It
+/// hashes and orders like the key it names, and views its parts: it must
+/// not outlive them.
+struct CallGroupRef {
+  std::string_view domain;
+  std::string_view function;
+  size_t arity = 0;
+
+  /// Hash over all three components, for hashed group indexes.
+  size_t Hash() const {
+    size_t h = std::hash<std::string_view>{}(domain);
+    h ^= std::hash<std::string_view>{}(function) + 0x9e3779b97f4a7c15ULL +
+         (h << 6) + (h >> 2);
+    h ^= arity + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    return h;
+  }
+  bool operator<(const CallGroupRef& other) const {
+    return std::tie(domain, function, arity) <
+           std::tie(other.domain, other.function, other.arity);
+  }
+  bool operator==(const CallGroupRef& other) const {
+    return domain == other.domain && function == other.function &&
+           arity == other.arity;
+  }
+};
+
 /// Identifies one statistics table: all records of calls to a given
 /// domain function at a given arity.
 struct CallGroupKey {
@@ -21,25 +49,69 @@ struct CallGroupKey {
   std::string function;
   size_t arity = 0;
 
+  CallGroupRef ref() const { return {domain, function, arity}; }
   bool operator<(const CallGroupKey& other) const {
-    return std::tie(domain, function, arity) <
-           std::tie(other.domain, other.function, other.arity);
+    return ref() < other.ref();
   }
   bool operator==(const CallGroupKey& other) const {
-    return domain == other.domain && function == other.function &&
-           arity == other.arity;
+    return ref() == other.ref();
   }
-  /// Hash over all three components, for hashed group indexes.
-  size_t Hash() const {
-    size_t h = std::hash<std::string>{}(domain);
-    h ^= std::hash<std::string>{}(function) + 0x9e3779b97f4a7c15ULL +
-         (h << 6) + (h >> 2);
-    h ^= arity + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    return h;
+  /// Heterogeneous order, so a map keyed by CallGroupKey is probed by ref.
+  friend bool operator<(const CallGroupKey& key, const CallGroupRef& ref) {
+    return key.ref() < ref;
   }
+  friend bool operator<(const CallGroupRef& ref, const CallGroupKey& key) {
+    return ref < key.ref();
+  }
+  size_t Hash() const { return ref().Hash(); }
   std::string ToString() const {
     return domain + ":" + function + "/" + std::to_string(arity);
   }
+};
+
+/// A call pattern read in place: `domain:function(args)` with each
+/// argument a constant or `$b`. Its parts live elsewhere — a call site's
+/// own spec, a ground call, the estimator's bindings — so an estimate
+/// through a view copies nothing. It must not outlive them.
+struct PatternView {
+  std::string_view domain;
+  std::string_view function;
+  size_t arity = 0;
+
+  /// A spec's pattern. Any argument that is not a constant reads as `$b`:
+  /// a call site's variables are bound by the time the call runs.
+  explicit PatternView(const lang::DomainCallSpec& spec)
+      : domain(spec.domain),
+        function(spec.function),
+        arity(spec.args.size()),
+        terms_(spec.args.data()) {}
+  /// A ground call's pattern: every argument is a constant.
+  explicit PatternView(const DomainCall& call)
+      : domain(call.domain),
+        function(call.function),
+        arity(call.args.size()),
+        values_(call.args.data()) {}
+  /// Argument i is the constant `*args[i]`, or `$b` where `args[i]` is null.
+  PatternView(std::string_view domain, std::string_view function,
+              const Value* const* args, size_t arity)
+      : domain(domain), function(function), arity(arity), ptrs_(args) {}
+
+  /// Argument i's constant, or null where it reads as `$b`.
+  const Value* constant(size_t i) const {
+    if (terms_ != nullptr) {
+      return terms_[i].is_constant() ? &terms_[i].constant : nullptr;
+    }
+    return values_ != nullptr ? &values_[i] : ptrs_[i];
+  }
+  CallGroupRef group() const { return {domain, function, arity}; }
+
+  /// The pattern as a spec (constants copied, `$b` elsewhere).
+  lang::DomainCallSpec ToSpec() const;
+
+ private:
+  const lang::Term* terms_ = nullptr;
+  const Value* values_ = nullptr;
+  const Value* const* ptrs_ = nullptr;
 };
 
 /// Result of aggregating statistics records for a call pattern.
@@ -80,7 +152,10 @@ class CostVectorDatabase {
   void RecordExecution(const DomainCall& call, const CostVector& cost);
 
   /// All records for a call group, or nullptr when none exist.
-  const std::vector<CostRecord>* GetGroup(const CallGroupKey& key) const;
+  const std::vector<CostRecord>* GetGroup(const CallGroupRef& group) const;
+  const std::vector<CostRecord>* GetGroup(const CallGroupKey& key) const {
+    return GetGroup(key.ref());
+  }
 
   /// Aggregates (averages) records matching a call pattern whose arguments
   /// are constants or `$b`. Constants must equal the record's argument at
@@ -89,14 +164,14 @@ class CostVectorDatabase {
   Result<Aggregate> Estimate(const lang::DomainCallSpec& pattern,
                              double recency_halflife = 0.0) const;
 
-  /// Mask-based aggregation over an already-located group (see ArgMask).
-  /// `records` must be a vector previously returned by GetGroup for the
-  /// pattern's own group. Used by the estimator's relaxation loop: the
-  /// group is probed once and each lattice point is a mask, not a copy.
-  Result<Aggregate> EstimateGroup(const std::vector<CostRecord>& records,
-                                  const lang::DomainCallSpec& pattern,
-                                  ArgMask const_mask,
-                                  double recency_halflife = 0.0) const;
+  /// Mask-based aggregation over an already-located group (see ArgMask);
+  /// nullopt when no record matches. `records` must be a vector previously
+  /// returned by GetGroup for the pattern's own group. Used by the
+  /// estimator's relaxation loop: the group is probed once and each
+  /// lattice point is a mask, not a copy.
+  std::optional<Aggregate> EstimateGroup(
+      const std::vector<CostRecord>& records, const PatternView& pattern,
+      ArgMask const_mask, double recency_halflife = 0.0) const;
 
   /// All group keys, sorted.
   std::vector<CallGroupKey> Groups() const;
@@ -120,7 +195,7 @@ class CostVectorDatabase {
     IntrusiveMapNode hash_node;
   };
 
-  Group* FindGroup(const CallGroupKey& key, size_t hash) const;
+  Group* FindGroup(const CallGroupRef& group, size_t hash) const;
   void FreeGroups();
 
   IntrusiveHashMap<Group, &Group::hash_node> groups_;

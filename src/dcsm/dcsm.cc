@@ -4,19 +4,6 @@
 
 namespace hermes::dcsm {
 
-namespace {
-
-/// Positions holding constants in `pattern`.
-std::vector<size_t> ConstantPositions(const lang::DomainCallSpec& pattern) {
-  std::vector<size_t> out;
-  for (size_t i = 0; i < pattern.args.size(); ++i) {
-    if (pattern.args[i].is_constant()) out.push_back(i);
-  }
-  return out;
-}
-
-}  // namespace
-
 void Dcsm::RecordUnlocked(CostRecord record) {
   if (options_.auto_update_summaries) {
     CallGroupKey key{record.call.domain, record.call.function,
@@ -192,8 +179,7 @@ void Dcsm::BindMetrics(obs::MetricsRegistry& registry) {
       [this] { return static_cast<double>(TotalSummaryBytes()); });
 }
 
-bool Dcsm::TryEstimateMasked(const lang::DomainCallSpec& pattern,
-                             ArgMask const_mask,
+bool Dcsm::TryEstimateMasked(const PatternView& pattern, ArgMask const_mask,
                              const std::vector<SummaryTable>* tables,
                              const std::vector<CostRecord>* records,
                              CostEstimate* out, double* lookup_ms,
@@ -203,12 +189,7 @@ bool Dcsm::TryEstimateMasked(const lang::DomainCallSpec& pattern,
     for (const SummaryTable& table : *tables) {
       if (table.dims_mask() != const_mask) continue;
       *lookup_ms += params_.summary_lookup_ms;
-      ValueList dim_values;
-      dim_values.reserve(table.dims().size());
-      for (size_t d : table.dims()) {
-        dim_values.push_back(pattern.args[d].constant);
-      }
-      const SummaryRow* row = table.Lookup(dim_values);
+      const SummaryRow* row = table.Lookup(pattern);
       if (row != nullptr) {
         out->cost = row->Mean();
         out->source = "summary";
@@ -224,8 +205,8 @@ bool Dcsm::TryEstimateMasked(const lang::DomainCallSpec& pattern,
           (const_mask & ~table.dims_mask()) != 0) {
         continue;
       }
-      Result<Aggregate> agg = table.EstimateMasked(pattern, const_mask);
-      if (agg.ok()) {
+      std::optional<Aggregate> agg = table.EstimateMasked(pattern, const_mask);
+      if (agg.has_value()) {
         *lookup_ms += params_.per_summary_row_ms *
                       static_cast<double>(agg->rows_scanned);
         *rows_scanned += agg->rows_scanned;
@@ -241,9 +222,9 @@ bool Dcsm::TryEstimateMasked(const lang::DomainCallSpec& pattern,
   }
 
   if (records != nullptr) {
-    Result<Aggregate> agg = db_.EstimateGroup(*records, pattern, const_mask,
-                                              options_.recency_halflife);
-    if (agg.ok()) {
+    std::optional<Aggregate> agg = db_.EstimateGroup(
+        *records, pattern, const_mask, options_.recency_halflife);
+    if (agg.has_value()) {
       *lookup_ms +=
           params_.per_record_ms * static_cast<double>(agg->rows_scanned);
       *rows_scanned += agg->rows_scanned;
@@ -258,32 +239,36 @@ bool Dcsm::TryEstimateMasked(const lang::DomainCallSpec& pattern,
   return false;
 }
 
-bool Dcsm::RelaxAndEstimate(const lang::DomainCallSpec& pattern,
-                            CostEstimate* out, double* lookup_ms,
-                            size_t* rows_scanned) const {
+bool Dcsm::RelaxAndEstimate(const PatternView& pattern, CostEstimate* out,
+                            double* lookup_ms, size_t* rows_scanned) const {
   // One probe each for the pattern's summary tables and raw record group;
-  // the key (and thus both probes) is invariant under relaxation.
-  CallGroupKey key{pattern.domain, pattern.function, pattern.args.size()};
+  // the group (and thus both probes) is invariant under relaxation.
+  const CallGroupRef group = pattern.group();
   const std::vector<SummaryTable>* tables = nullptr;
   if (options_.use_summaries) {
-    auto it = summaries_.find(key);
+    auto it = summaries_.find(group);
     if (it != summaries_.end()) tables = &it->second;
   }
   const std::vector<CostRecord>* records =
-      options_.use_raw_database ? db_.GetGroup(key) : nullptr;
+      options_.use_raw_database ? db_.GetGroup(group) : nullptr;
   if (tables == nullptr && records == nullptr) return false;
 
-  std::vector<size_t> constants = ConstantPositions(pattern);
+  // The constant positions; the lattice below walks subsets of the first
+  // 16, which is all of them whenever it walks at all.
+  size_t constants[16] = {};
+  size_t n = 0;
   ArgMask full_mask = 0;
-  for (size_t p : constants) {
-    if (p < 64) full_mask |= ArgMask{1} << p;
+  for (size_t i = 0; i < pattern.arity; ++i) {
+    if (pattern.constant(i) == nullptr) continue;
+    if (i < 64) full_mask |= ArgMask{1} << i;
+    if (n < 16) constants[n] = i;
+    ++n;
   }
 
   // Relaxation lattice: subsets of the constant positions, most specific
   // first; within a size class, deterministic (mask) order. Calls with
   // absurdly many constant arguments fall straight through to the
   // fully-relaxed pattern rather than enumerating 2^n subsets.
-  const size_t n = constants.size();
   if (n > 16) {
     return TryEstimateMasked(pattern, full_mask, tables, records, out,
                              lookup_ms, rows_scanned) ||
@@ -309,26 +294,31 @@ bool Dcsm::RelaxAndEstimate(const lang::DomainCallSpec& pattern,
 }
 
 Result<CostEstimate> Dcsm::Cost(const lang::DomainCallSpec& pattern) const {
-  estimates_total_->Add(1);
-  std::shared_lock lock(mu_);
   for (const lang::Term& arg : pattern.args) {
     if (arg.is_variable()) {
+      estimates_total_->Add(1);
       return Status::InvalidArgument(
           "cost patterns may contain only constants and '$b': " +
           pattern.ToString());
     }
   }
+  return Cost(PatternView(pattern));
+}
+
+Result<CostEstimate> Dcsm::Cost(const PatternView& pattern) const {
+  estimates_total_->Add(1);
+  std::shared_lock lock(mu_);
 
   // Native cost models take precedence (Section 6: "the estimates for
   // calls to these domains will be directed to their respective domains").
   if (options_.use_native_models) {
     auto it = native_models_.find(pattern.domain);
     if (it != native_models_.end()) {
-      Result<CostVector> native = it->second->EstimateCost(pattern);
+      Result<CostVector> native = it->second->EstimateCost(pattern.ToSpec());
       if (native.ok()) {
         CostEstimate est;
         est.cost = *native;
-        est.source = "native:" + pattern.domain;
+        est.source = "native:" + it->first;
         est.lookup_ms = params_.summary_lookup_ms;
         return est;
       }
@@ -343,9 +333,9 @@ Result<CostEstimate> Dcsm::Cost(const lang::DomainCallSpec& pattern) const {
   // A CIM wrapper with no statistics of its own behaves, in the worst case
   // (a cache miss), like the underlying domain plus negligible overhead —
   // so fall back to the wrapped domain's statistics before giving up.
-  if (!found && pattern.domain.rfind("cim_", 0) == 0) {
-    lang::DomainCallSpec underlying = pattern;
-    underlying.domain = pattern.domain.substr(4);
+  if (!found && pattern.domain.starts_with("cim_")) {
+    PatternView underlying = pattern;
+    underlying.domain.remove_prefix(4);
     found = RelaxAndEstimate(underlying, &est, &lookup_ms, &rows_scanned);
     if (found) est.source += "+cim-fallback";
   }
@@ -355,7 +345,7 @@ Result<CostEstimate> Dcsm::Cost(const lang::DomainCallSpec& pattern) const {
   if (!found) {
     if (!options_.allow_default) {
       return Status::NotFound("no statistics available for " +
-                              pattern.ToString());
+                              pattern.ToSpec().ToString());
     }
     est.cost = options_.default_cost;
     est.source = "default";

@@ -132,7 +132,13 @@ class Dcsm {
   // ---- Estimation ----------------------------------------------------------
 
   /// The single `cost` function of Section 6: estimates the cost vector of
-  /// a call pattern (`$b` marks bound-but-unknown arguments).
+  /// a call pattern (`$b` marks bound-but-unknown arguments). The summary
+  /// tables, the raw group and a `cim_` domain's fallback to its wrapped
+  /// domain are all probed through the view, so only a native model's
+  /// answer copies the pattern.
+  Result<CostEstimate> Cost(const PatternView& pattern) const;
+  /// Cost() of a spec, whose arguments must be constants or `$b`: a
+  /// variable is InvalidArgument.
   Result<CostEstimate> Cost(const lang::DomainCallSpec& pattern) const;
 
   // ---- Introspection ---------------------------------------------------------
@@ -170,15 +176,14 @@ class Dcsm {
   /// class) as bitmasks — no relaxed spec copies. Returns true and fills
   /// `*out` on success; accumulates lookup cost either way. Caller holds
   /// `mu_` (shared).
-  bool RelaxAndEstimate(const lang::DomainCallSpec& pattern, CostEstimate* out,
+  bool RelaxAndEstimate(const PatternView& pattern, CostEstimate* out,
                         double* lookup_ms, size_t* rows_scanned) const;
 
   /// Tries to answer `pattern` restricted to the kept-constant positions in
   /// `const_mask` (see ArgMask), consulting the pre-located `tables` and
   /// `records` (either may be null). Returns true and fills `*out` on
   /// success; accumulates lookup cost either way.
-  bool TryEstimateMasked(const lang::DomainCallSpec& pattern,
-                         ArgMask const_mask,
+  bool TryEstimateMasked(const PatternView& pattern, ArgMask const_mask,
                          const std::vector<SummaryTable>* tables,
                          const std::vector<CostRecord>* records,
                          CostEstimate* out, double* lookup_ms,
@@ -188,8 +193,8 @@ class Dcsm {
   DcsmOptions options_;
   DcsmCostParams params_;
   CostVectorDatabase db_;
-  std::map<CallGroupKey, std::vector<SummaryTable>> summaries_;
-  std::map<std::string, std::shared_ptr<Domain>> native_models_;
+  std::map<CallGroupKey, std::vector<SummaryTable>, std::less<>> summaries_;
+  std::map<std::string, std::shared_ptr<Domain>, std::less<>> native_models_;
 
   // Live ingestion/estimation counters (outside mu_; obs counters are
   // internally lock-light, so Record*/Cost bump them without extra locking).

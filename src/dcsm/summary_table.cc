@@ -47,8 +47,38 @@ void SummaryTable::Fold(const CostRecord& record) {
   }
 }
 
+namespace {
+
+/// Dimension `d` of a row key read in place.
+const Value& DimValue(const PatternView& pattern, size_t d) {
+  static const Value kNull;
+  const Value* c = pattern.constant(d);
+  return c != nullptr ? *c : kNull;
+}
+
+}  // namespace
+
+size_t SummaryTable::RowHash::operator()(const DimsOf& key) const {
+  ListHasher hash;
+  for (size_t d : *key.dims) hash.Add(DimValue(*key.pattern, d));
+  return hash.hash();
+}
+
+bool SummaryTable::RowEq::operator()(const Value& a, const DimsOf& b) const {
+  if (!a.is_list() || a.as_list().size() != b.dims->size()) return false;
+  for (size_t k = 0; k < b.dims->size(); ++k) {
+    if (a.as_list()[k] != DimValue(*b.pattern, (*b.dims)[k])) return false;
+  }
+  return true;
+}
+
 const SummaryRow* SummaryTable::Lookup(const ValueList& dim_values) const {
   auto it = rows_.find(Value::List(dim_values));
+  return it == rows_.end() ? nullptr : &it->second;
+}
+
+const SummaryRow* SummaryTable::Lookup(const PatternView& pattern) const {
+  auto it = rows_.find(DimsOf{&dims_, &pattern});
   return it == rows_.end() ? nullptr : &it->second;
 }
 
@@ -72,11 +102,15 @@ Result<Aggregate> SummaryTable::EstimateForPattern(
     return Status::InvalidArgument("summary table " + key_.ToString() +
                                    " cannot answer " + pattern.ToString());
   }
-  return EstimateMasked(pattern, kAllArgs);
+  std::optional<Aggregate> agg = EstimateMasked(PatternView(pattern), kAllArgs);
+  if (!agg.has_value()) {
+    return Status::NotFound("no summary rows matching " + pattern.ToString());
+  }
+  return *agg;
 }
 
-Result<Aggregate> SummaryTable::EstimateMasked(
-    const lang::DomainCallSpec& pattern, ArgMask const_mask) const {
+std::optional<Aggregate> SummaryTable::EstimateMasked(
+    const PatternView& pattern, ArgMask const_mask) const {
   Aggregate agg;
   double sum_tf = 0, w_tf = 0, sum_ta = 0, w_ta = 0, sum_card = 0, w_card = 0;
   for (const auto& [row_key, row] : rows_) {
@@ -85,8 +119,8 @@ Result<Aggregate> SummaryTable::EstimateMasked(
     for (size_t k = 0; k < dims_.size(); ++k) {
       const size_t d = dims_[k];
       if (d < 64 && (const_mask & (ArgMask{1} << d)) == 0) continue;
-      const lang::Term& t = pattern.args[d];
-      if (t.is_constant() && t.constant != row.dims[k]) {
+      const Value* c = pattern.constant(d);
+      if (c != nullptr && *c != row.dims[k]) {
         matches = false;
         break;
       }
@@ -100,9 +134,7 @@ Result<Aggregate> SummaryTable::EstimateMasked(
     sum_card += row.sum_cardinality;
     w_card += row.weight_cardinality;
   }
-  if (agg.matched == 0) {
-    return Status::NotFound("no summary rows matching " + pattern.ToString());
-  }
+  if (agg.matched == 0) return std::nullopt;
   if (w_tf > 0) {
     agg.cost.t_first_ms = sum_tf / w_tf;
     agg.has_t_first = true;

@@ -1,6 +1,7 @@
 #ifndef HERMES_DCSM_SUMMARY_TABLE_H_
 #define HERMES_DCSM_SUMMARY_TABLE_H_
 
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -68,6 +69,9 @@ class SummaryTable {
   /// Exact lookup of the row whose dimension values equal `dim_values`
   /// (ordered as `dims()`); nullptr when absent.
   const SummaryRow* Lookup(const ValueList& dim_values) const;
+  /// Lookup() of `pattern`'s constants at the retained dimensions, read in
+  /// place (the estimator's exact probe).
+  const SummaryRow* Lookup(const PatternView& pattern) const;
 
   /// Aggregates over rows matching a call pattern. The pattern's constant
   /// positions must all be retained dimensions of this table (otherwise
@@ -76,13 +80,14 @@ class SummaryTable {
   Result<Aggregate> EstimateForPattern(
       const lang::DomainCallSpec& pattern) const;
 
-  /// Mask-based aggregation (see ArgMask in cost_vector_db.h): positions
-  /// outside `const_mask` act as `$b` even when the pattern holds a
-  /// constant there. The caller guarantees the effective constant set is a
-  /// subset of `dims()` (compare masks) and that the pattern's group
-  /// matches `key()`. Avoids the per-relaxation-step spec copy.
-  Result<Aggregate> EstimateMasked(const lang::DomainCallSpec& pattern,
-                                   ArgMask const_mask) const;
+  /// Mask-based aggregation (see ArgMask in cost_vector_db.h); nullopt
+  /// when no row matches. Positions outside `const_mask` act as `$b` even
+  /// when the pattern holds a constant there. The caller guarantees the
+  /// effective constant set is a subset of `dims()` (compare masks) and
+  /// that the pattern's group matches `key()`. Avoids the
+  /// per-relaxation-step spec copy.
+  std::optional<Aggregate> EstimateMasked(const PatternView& pattern,
+                                          ArgMask const_mask) const;
 
   /// True when the table's dimensions include every constant position of
   /// `pattern`, i.e. the table can answer for it.
@@ -91,17 +96,36 @@ class SummaryTable {
   size_t num_rows() const { return rows_.size(); }
   size_t ApproxBytes() const;
 
+  /// A row key read in place: `pattern`'s constants at `dims`, hashed and
+  /// compared like the Value::List of them (a `$b` reads as null).
+  struct DimsOf {
+    const std::vector<size_t>* dims;
+    const PatternView* pattern;
+  };
+  struct RowHash {
+    using is_transparent = void;
+    size_t operator()(const Value& key) const { return key.Hash(); }
+    size_t operator()(const DimsOf& key) const;
+  };
+  struct RowEq {
+    using is_transparent = void;
+    bool operator()(const Value& a, const Value& b) const { return a == b; }
+    bool operator()(const Value& a, const DimsOf& b) const;
+    bool operator()(const DimsOf& a, const Value& b) const {
+      return (*this)(b, a);
+    }
+  };
+  using RowMap = std::unordered_map<Value, SummaryRow, RowHash, RowEq>;
+
   /// Iterates rows in unspecified order.
-  const std::unordered_map<Value, SummaryRow, ValueHash>& rows() const {
-    return rows_;
-  }
+  const RowMap& rows() const { return rows_; }
 
  private:
   CallGroupKey key_;
   std::vector<size_t> dims_;  // sorted ascending
   ArgMask dims_mask_ = 0;     // bit d set for every d in dims_
   // Keyed by Value::List(dim values) for hashing.
-  std::unordered_map<Value, SummaryRow, ValueHash> rows_;
+  RowMap rows_;
 };
 
 }  // namespace hermes::dcsm

@@ -71,14 +71,14 @@ Status CallContext::ChargeCall() {
   return Status::OK();
 }
 
-uint32_t CallContext::Emit(obs::FlightEvent ev) {
+uint32_t CallContext::Emit(const obs::FlightEvent& ev) {
   if (sinks == nullptr) return 0;
-  ev.query_id = query_id;
-  ev.seq = ++event_seq;
-  if (ev.host_ns == 0) ev.host_ns = obs::HostNowNs();
-  if (sinks->tracer != nullptr) sinks->tracer->Append(ev);
-  if (sinks->ring != nullptr) sinks->ring->Emit(ev);
-  return ev.seq;
+  const obs::EventStamp stamp{
+      query_id, ++event_seq,
+      ev.host_ns != 0 ? ev.host_ns : obs::HostNowNs()};
+  if (sinks->tracer != nullptr) sinks->tracer->Append(ev, stamp);
+  if (sinks->ring != nullptr) sinks->ring->Emit(ev, stamp);
+  return stamp.seq;
 }
 
 PipelineDomain::PipelineDomain(

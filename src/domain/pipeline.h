@@ -166,6 +166,13 @@ struct CallContext {
   /// Simulated time the most recent failed attempt cost (the retry
   /// timeout); the resilience layer charges it into the retry schedule.
   double last_call_penalty_ms = 0.0;
+  /// The outcome of the current call's CIM lookup, and whether it served
+  /// cached answers for an unreachable source: left by the cache layer,
+  /// cleared by DomainCallOp before each call, and carried on the call's
+  /// end event. The outermost lookup finishes last, so its outcome is the
+  /// one that remains.
+  obs::CacheLookup cache_lookup = obs::CacheLookup::kNone;
+  bool cache_degraded = false;
   /// Sources this query lost (or served degraded), in failure order.
   std::vector<SourceError> source_errors;
 
@@ -218,12 +225,12 @@ struct CallContext {
   /// True when Emit() has somewhere to deliver events.
   bool observed() const { return sinks != nullptr; }
 
-  /// The one way a layer records anything about this query: stamps `ev`
-  /// with the query id, the next sequence number and (unless preset) the
-  /// host time, then appends it to every sink. Returns the stamped seq —
-  /// the `begin_seq` a span's end event quotes — or 0, emitting nothing,
-  /// when the context is not observed.
-  uint32_t Emit(obs::FlightEvent ev);
+  /// The one way a layer records anything about this query: copies `ev`
+  /// into every sink, stamping each copy with the query id, the next
+  /// sequence number and (unless preset) the host time. Returns the
+  /// stamped seq — the `begin_seq` a span's end event quotes — or 0,
+  /// emitting nothing, when the context is not observed.
+  uint32_t Emit(const obs::FlightEvent& ev);
   /// Emit() of a bare `kind` event at `sim_ms` — a span end when
   /// `begin_seq` names its opener — built only when observed.
   uint32_t Emit(obs::FlightEventKind kind, double sim_ms,

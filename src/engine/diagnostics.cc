@@ -136,18 +136,20 @@ double DiagnosticsCenter::TrailingP99Locked() const {
   return sorted[idx];
 }
 
-std::string DiagnosticsCenter::CaptureReasonLocked(
-    const DiagnosticsCaptureInput& input) {
+double DiagnosticsCenter::ObserveTaLocked(double t_all_ms) {
   // The watermark compares against queries *before* this one.
-  const bool armed = recent_ta_.size() >= options_.watermark_min_samples;
-  const double p99 = options_.watermark_factor > 0.0 && armed
+  const double p99 = recent_ta_.size() >= options_.watermark_min_samples
                          ? TrailingP99Locked()
                          : 0.0;
-  recent_ta_.push_back(input.t_all_ms);
+  recent_ta_.push_back(t_all_ms);
   while (recent_ta_.size() > options_.watermark_window) {
     recent_ta_.pop_front();
   }
+  return p99;
+}
 
+const char* DiagnosticsCenter::CaptureReason(
+    const DiagnosticsCaptureInput& input, double p99) const {
   if (options_.slow_threshold_sim_ms > 0.0 &&
       input.t_all_ms >= options_.slow_threshold_sim_ms) {
     return "slow-threshold";
@@ -251,10 +253,17 @@ void DiagnosticsCenter::CaptureBrownoutTransition(int from_level, int to_level,
 
 std::string DiagnosticsCenter::MaybeCapture(
     const DiagnosticsCaptureInput& input) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string reason = CaptureReasonLocked(input);
+  // Only the watermark keeps state across queries; without it the policy
+  // is a function of this query and the options alone.
+  double p99 = 0.0;
+  if (options_.watermark_factor > 0.0) {
+    std::lock_guard<std::mutex> lock(mu_);
+    p99 = ObserveTaLocked(input.t_all_ms);
+  }
+  std::string reason = CaptureReason(input, p99);
   if (reason.empty()) return reason;
 
+  std::lock_guard<std::mutex> lock(mu_);
   DebugBundle bundle;
   bundle.query_id = input.query_id;
   bundle.reason = reason;
@@ -264,7 +273,7 @@ std::string DiagnosticsCenter::MaybeCapture(
   // The trace is a view of the same slice as events.json; a query that
   // outran its ring shows only the resident suffix in both.
   obs::Tracer trace;
-  trace.set_query_text(input.query_text);
+  trace.set_query_text(bundle.query_text);
   if (recorder_ != nullptr) {
     bundle.events = recorder_->SnapshotQuery(input.query_id);
     for (const obs::FlightEvent& ev : bundle.events) trace.Append(ev);

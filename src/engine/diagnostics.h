@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -102,7 +103,7 @@ struct DebugBundle {
 /// borrow from the Query() call frame and are only used synchronously.
 struct DiagnosticsCaptureInput {
   uint64_t query_id = 0;
-  std::string query_text;
+  std::string_view query_text;
   double t_all_ms = 0.0;
   std::string completeness = "complete";
   bool degraded = false;
@@ -127,6 +128,7 @@ class DiagnosticsCenter {
 
   /// Feeds one finished query through the capture policy. Returns the
   /// capture reason, or an empty string when the query was unremarkable.
+  /// Without a watermark an unremarkable query takes no lock.
   std::string MaybeCapture(const DiagnosticsCaptureInput& input);
 
   /// Captures a bundle on a brownout-ladder transition (`from_level` →
@@ -147,9 +149,14 @@ class DiagnosticsCenter {
   const DiagnosticsOptions& options() const { return options_; }
 
  private:
-  /// Policy decision only; "" = no capture. Also folds `t_all_ms` into the
-  /// watermark window. Caller holds mu_.
-  std::string CaptureReasonLocked(const DiagnosticsCaptureInput& input);
+  /// Policy decision only; "" = no capture. `p99` is the trailing
+  /// watermark before this query, 0 while unarmed.
+  const char* CaptureReason(const DiagnosticsCaptureInput& input,
+                            double p99) const;
+  /// Folds `t_all_ms` into the watermark window and returns the trailing
+  /// p99 of the queries before it (0 while the window is not yet armed).
+  /// Caller holds mu_.
+  double ObserveTaLocked(double t_all_ms);
   /// Trailing p99 of the watermark window. Caller holds mu_.
   double TrailingP99Locked() const;
   /// Writes the bundle's files under options_.bundle_dir; sets bundle.dir.
@@ -165,7 +172,7 @@ class DiagnosticsCenter {
   const std::shared_ptr<obs::MetricsRegistry> registry_;
 
   mutable std::mutex mu_;
-  std::deque<double> recent_ta_;      ///< Watermark window.
+  std::deque<double> recent_ta_;      ///< Watermark window, when armed.
   std::deque<DebugBundle> bundles_;   ///< Newest-last, bounded.
   std::deque<std::string> slow_log_;  ///< Structured records, bounded.
   uint64_t captures_ = 0;              ///< Total captures (incl. dropped).

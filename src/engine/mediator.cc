@@ -120,7 +120,7 @@ Status Mediator::RegisterRemoteDomain(const std::string& name,
   governor->set_brownout(brownout_);
   dcsm::Dcsm* dcsm = &dcsm_;
   governor->set_baseline([dcsm](const DomainCall& call) {
-    Result<dcsm::CostEstimate> est = dcsm->Cost(call.ToSpec());
+    Result<dcsm::CostEstimate> est = dcsm->Cost(dcsm::PatternView(call));
     if (!est.ok() || est->source == "default") return 0.0;
     return est->cost.t_all_ms;
   });
@@ -397,14 +397,22 @@ Status Mediator::AddInvariants(const std::string& text) {
   if (plan_cache_ != nullptr) plan_cache_->Clear();
   HERMES_ASSIGN_OR_RETURN(std::vector<lang::Invariant> invariants,
                           lang::Parser::ParseInvariants(text));
-  for (lang::Invariant& inv : invariants) {
-    auto it = cims_.find(inv.lhs.domain);
-    if (it == cims_.end()) {
+  // A CIM caches the calls of one domain, so it can only ever serve an
+  // invariant whose two sides both name it.
+  for (const lang::Invariant& inv : invariants) {
+    if (inv.lhs.domain != inv.rhs.domain) {
+      return Status::InvalidArgument(
+          "invariant relates domains '" + inv.lhs.domain + "' and '" +
+          inv.rhs.domain + "'; a CIM serves one domain: " + inv.ToString());
+    }
+    if (cims_.count(inv.lhs.domain) == 0) {
       return Status::InvalidArgument(
           "invariant targets domain '" + inv.lhs.domain +
           "' which has no CIM; call EnableCaching first: " + inv.ToString());
     }
-    it->second->AddInvariant(std::move(inv));
+  }
+  for (lang::Invariant& inv : invariants) {
+    cims_.at(inv.lhs.domain)->AddInvariant(std::move(inv));
   }
   return Status::OK();
 }

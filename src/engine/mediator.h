@@ -235,8 +235,10 @@ class Mediator {
                        size_t cache_max_entries = 0,
                        size_t cache_max_bytes = 0, size_t cache_shards = 0);
 
-  /// Parses invariants and installs each into the CIM of its lhs domain
-  /// (EnableCaching must have been called for that domain).
+  /// Parses invariants and installs each into the CIM of its domain
+  /// (EnableCaching must have been called for that domain). Both sides of
+  /// an invariant must name the same domain; otherwise, or when a domain
+  /// has no CIM, nothing is installed and InvalidArgument is returned.
   Status AddInvariants(const std::string& text);
 
   /// Registers the domain's native cost model with the DCSM (the domain

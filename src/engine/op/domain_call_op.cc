@@ -15,15 +15,12 @@ namespace hermes::engine::op {
 DomainCallOp::DomainCallOp(const lang::Atom* goal, const dcsm::Dcsm* dcsm)
     : goal_(goal) {
   if (dcsm == nullptr) return;
-  lang::DomainCallSpec pattern;
-  pattern.domain = goal->call.domain;
-  pattern.function = goal->call.function;
   CallEstimate& stamp = estimate_.emplace();
   for (const lang::Term& arg : goal->call.args) {
-    pattern.args.push_back(arg.is_constant() ? arg : lang::Term::Bound());
     stamp.adornment += arg.is_constant() ? 'c' : 'b';
   }
-  Result<dcsm::CostEstimate> est = dcsm->Cost(pattern);
+  // The goal's own spec is the pattern: its variables read as `$b`.
+  Result<dcsm::CostEstimate> est = dcsm->Cost(dcsm::PatternView(goal->call));
   if (est.ok()) stamp.answer = std::move(est).value();
 }
 
@@ -69,6 +66,8 @@ Status DomainCallOp::RunCall(ExecContext& cx, double t_issue) {
   // sibling goals do not nest under it (only the layers the call itself
   // traverses — cache lookup, network hop — become children).
   uint32_t span = 0;
+  cx.ctx->cache_lookup = obs::CacheLookup::kNone;
+  cx.ctx->cache_degraded = false;
   if (cx.ctx->observed()) {
     span = cx.ctx->Emit(
         obs::FlightEvent::At(obs::FlightEventKind::kCallIssued, t_open)
@@ -82,22 +81,25 @@ Status DomainCallOp::RunCall(ExecContext& cx, double t_issue) {
   retries_seen_ += cx.ctx->metrics.retries - retries_before;
   degraded_seen_ += cx.ctx->metrics.degraded_calls - degraded_before;
   if (cx.ctx->observed()) {
+    // The end event carries the call's CIM lookup, from which the tracer
+    // derives the cache-lookup span.
+    obs::FlightEvent ev;
     if (run.ok()) {
-      obs::FlightEvent ev = obs::FlightEvent::End(
-          obs::FlightEventKind::kCallCompleted, span, t_open + run->all_ms);
+      ev = obs::FlightEvent::End(obs::FlightEventKind::kCallCompleted, span,
+                                 t_open + run->all_ms);
       ev.set_domain(call.domain).set_detail(call.function);
       ev.value = run->all_ms;
       ev.aux = run->answers.size();
-      cx.ctx->Emit(ev);
     } else {
-      obs::FlightEvent ev = obs::FlightEvent::End(
-          obs::FlightEventKind::kCallFailed, span,
-          t_open + cx.ctx->last_call_penalty_ms);
+      ev = obs::FlightEvent::End(obs::FlightEventKind::kCallFailed, span,
+                                 t_open + cx.ctx->last_call_penalty_ms);
       ev.set_domain(call.domain);
       ev.set_failed(cx.ctx->failure_cause(), cx.ctx->last_failure_site);
       ev.value = cx.ctx->last_call_penalty_ms;
-      cx.ctx->Emit(ev);
     }
+    ev.cache = cx.ctx->cache_lookup;
+    ev.degraded = cx.ctx->cache_degraded;
+    cx.ctx->Emit(ev);
   }
   if (run.ok()) {
     const CostVector observed(run->first_ms, run->all_ms,

@@ -11,8 +11,9 @@
 namespace hermes::engine::op {
 
 /// One call site's DCSM estimate, stamped once when its DomainCallOp is
-/// built. The pattern keeps constant arguments and turns variables — ground
-/// by the time the call runs — into `$b`. EXPLAIN, the replan divergence
+/// built. The pattern is the goal's own spec read through a view, which
+/// keeps constant arguments and reads variables — ground by the time the
+/// call runs — as `$b`. EXPLAIN, the replan divergence
 /// trigger, the drift tracker and the slow-query log all read this answer.
 struct CallEstimate {
   std::string adornment;  ///< 'c' per constant argument, 'b' per variable.
@@ -22,7 +23,8 @@ struct CallEstimate {
 /// Executes one `in(Output, domain:function(args))` goal: the registry
 /// routes the call into the target domain's own interceptor stack (cache,
 /// resilience, overload, network). The op is the one observer of the
-/// finished call: it emits the call span, feeds the replan trigger and the
+/// finished call: it emits the call span, whose end event carries the
+/// outcome of the call's CIM lookup, feeds the replan trigger and the
 /// drift tracker, and records the call's cost sample for the DCSM.
 ///
 /// The call itself runs at Open time — that is when the walker issued it —

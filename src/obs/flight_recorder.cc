@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 
 #include "common/strings.h"
 
@@ -53,6 +54,17 @@ const char* FlightEventKindName(FlightEventKind kind) {
   return "unknown";
 }
 
+const char* CacheLookupName(CacheLookup lookup) {
+  switch (lookup) {
+    case CacheLookup::kNone: return "";
+    case CacheLookup::kExactHit: return "exact-hit";
+    case CacheLookup::kEqualityHit: return "equality-hit";
+    case CacheLookup::kPartialHit: return "partial-hit";
+    case CacheLookup::kMiss: return "miss";
+  }
+  return "unknown";
+}
+
 std::string FlightEvent::ToString() const {
   std::string out = "[q" + std::to_string(query_id) + " #" +
                     std::to_string(seq) + " t=" + FormatNumber(sim_ms) +
@@ -64,6 +76,10 @@ std::string FlightEvent::ToString() const {
   if (aux != 0) out += " aux=" + std::to_string(aux);
   if (begin_seq != 0) out += " begin=#" + std::to_string(begin_seq);
   if (failed) out += " failed";
+  if (cache != CacheLookup::kNone) {
+    out += std::string(" cache=") + CacheLookupName(cache);
+  }
+  if (degraded) out += " degraded";
   return out;
 }
 
@@ -83,6 +99,10 @@ std::string FlightEvent::ToJson() const {
   }
   if (begin_seq != 0) out += ",\"begin_seq\":" + std::to_string(begin_seq);
   if (failed) out += ",\"failed\":true";
+  if (cache != CacheLookup::kNone) {
+    out += std::string(",\"cache\":\"") + CacheLookupName(cache) + "\"";
+  }
+  if (degraded) out += ",\"degraded\":true";
   if (host_ns != 0) out += ",\"host_ns\":" + std::to_string(host_ns);
   out += "}";
   return out;
@@ -111,20 +131,27 @@ FlightRecorder::Ring* FlightRecorder::LocalRing() {
 }
 
 void FlightRecorder::Emit(const FlightEvent& ev) {
+  Emit(ev, EventStamp{ev.query_id, ev.seq, ev.host_ns});
+}
+
+void FlightRecorder::Emit(const FlightEvent& ev, const EventStamp& stamp) {
   Ring* ring = LocalRing();
-  {
-    // The writer is the only thread that ever takes this mutex outside a
-    // snapshot, so the lock is uncontended on the hot path.
-    std::lock_guard<std::mutex> lock(ring->mu);
-    ring->slots[ring->next] = ev;
-    if (++ring->next == capacity_) ring->next = 0;
-    ++ring->total;
-    if (ring->size < capacity_) {
-      ++ring->size;
-    } else {
-      ++ring->dropped;
-    }
+  // The writer is the only thread that ever takes this mutex outside a
+  // snapshot, so the lock is uncontended on the hot path.
+  std::lock_guard<std::mutex> lock(ring->mu);
+  FlightEvent& slot = ring->slots[ring->next];
+  slot = ev;
+  stamp.Apply(slot);
+  if (++ring->next == capacity_) ring->next = 0;
+  ++ring->total;
+  if (ring->size < capacity_) {
+    ++ring->size;
+  } else {
+    ++ring->dropped;
   }
+  assert(ring->next < capacity_);
+  assert(ring->size <= capacity_);
+  assert(ring->total == ring->size + ring->dropped);
 }
 
 uint64_t FlightRecorder::Sum(uint64_t Ring::*field) const {

@@ -22,7 +22,6 @@ namespace hermes::obs {
   X(Optimize, "optimize", "optimize", "optimizer")              \
   X(Rule, "rule", "rule:", "rule")                              \
   X(Op, "op", "op:", "operator")                                \
-  X(CacheLookup, "cache_lookup", "cache-lookup", "cache")       \
   X(NetworkHop, "network_hop", "network-hop", "net")            \
   X(RetryWait, "retry_wait", "retry-wait", "resilience")        \
   X(Failover, "failover", "failover", "resilience")             \
@@ -44,6 +43,10 @@ namespace hermes::obs {
 /// result (the cache outcome, the retry cause and backoff, `win` or
 /// `cancelled`). Begin events of these spans leave `detail` empty, since
 /// it would extend the span's name.
+///
+/// A call through a CIM emits no events of its own lookup: the call's end
+/// event carries the lookup's outcome (`FlightEvent::cache`), and
+/// obs::Tracer derives the `cache-lookup` span from it at export.
 enum class FlightEventKind : uint8_t {
   kQueryStart = 0,
   kQueryEnd,
@@ -65,6 +68,19 @@ enum class FlightEventKind : uint8_t {
 };
 
 const char* FlightEventKindName(FlightEventKind kind);
+
+/// The outcome of the CIM lookup a domain call went through, carried on
+/// the call's end event; kNone for a call that reached no CIM.
+enum class CacheLookup : uint8_t {
+  kNone = 0,
+  kExactHit,
+  kEqualityHit,
+  kPartialHit,
+  kMiss,
+};
+
+/// "exact-hit", "equality-hit", "partial-hit" or "miss"; "" for kNone.
+const char* CacheLookupName(CacheLookup lookup);
 
 /// Host steady-clock nanoseconds, the time base of FlightEvent::host_ns.
 inline uint64_t HostNowNs() {
@@ -96,6 +112,11 @@ struct FlightEvent {
   /// Span-end kinds: the span failed; `detail` holds the cause and `site`
   /// where it happened (the full Status text stays with the caller).
   bool failed = false;
+  /// Call-end kinds: the outcome of the call's CIM lookup, and whether the
+  /// lookup served cached answers for an unreachable source. Both sit in
+  /// what was padding, so the event keeps its size.
+  CacheLookup cache = CacheLookup::kNone;
+  bool degraded = false;
   double sim_ms = 0.0;    ///< Simulated clock at emission.
   double value = 0.0;     ///< Kind-specific magnitude (ms, bytes, fanout).
   uint64_t aux = 0;       ///< Kind-specific count (attempt, rows).
@@ -141,7 +162,8 @@ struct FlightEvent {
   bool operator==(const FlightEvent& other) const {
     return query_id == other.query_id && seq == other.seq &&
            begin_seq == other.begin_seq && kind == other.kind &&
-           failed == other.failed && sim_ms == other.sim_ms &&
+           failed == other.failed && cache == other.cache &&
+           degraded == other.degraded && sim_ms == other.sim_ms &&
            value == other.value && aux == other.aux &&
            std::memcmp(site, other.site, kSiteChars) == 0 &&
            std::memcmp(domain, other.domain, kDomainChars) == 0 &&
@@ -159,6 +181,23 @@ struct FlightEvent {
     if (n != 0) std::memcpy(dst, s.data(), n);  // s.data() may be null
     dst[n] = '\0';
     return *this;
+  }
+};
+
+static_assert(sizeof(FlightEvent) == 136,
+              "FlightEvent's fields fill its padding; a new one must not "
+              "grow every ring slot");
+
+/// What CallContext::Emit stamps on an event as each sink copies it.
+struct EventStamp {
+  uint64_t query_id = 0;
+  uint32_t seq = 0;
+  uint64_t host_ns = 0;
+
+  void Apply(FlightEvent& ev) const {
+    ev.query_id = query_id;
+    ev.seq = seq;
+    ev.host_ns = host_ns;
   }
 };
 
@@ -182,6 +221,8 @@ class FlightRecorder {
   /// Appends `ev` to the calling thread's ring, evicting the oldest event
   /// when the ring is full.
   void Emit(const FlightEvent& ev);
+  /// Emit() of `ev` stamped with `stamp` as it is copied into the ring.
+  void Emit(const FlightEvent& ev, const EventStamp& stamp);
 
   /// All events for `query_id` across every ring, ordered by `seq`. A
   /// query executes on one thread, so its events live in one ring in

@@ -77,21 +77,9 @@ bool OpenSpan(const FlightEvent& ev, const std::string& query_text,
 /// the arena high-water event inside it (negative when none was seen).
 void AddEndArgs(const FlightEvent& ev, double arena_bytes, Span* span) {
   auto& args = span->args;
-  std::string detail = ev.detail_str();
-  if (ev.kind == Kind::kCacheLookupEnd) {
-    // A lookup's end carries its outcome, followed by ":<cause>" when the
-    // lookup failed.
-    const size_t colon = detail.find(':');
-    if (!ev.failed || colon != std::string::npos) {
-      if (!detail.empty()) {
-        args.emplace_back("outcome", detail.substr(0, colon));
-      }
-      detail = colon == std::string::npos ? "" : detail.substr(colon + 1);
-    }
-  }
   if (ev.failed) {
     span->failed = true;
-    if (!detail.empty()) args.emplace_back("error", detail);
+    if (ev.detail[0] != '\0') args.emplace_back("error", ev.detail_str());
     if (ev.site[0] != '\0') args.emplace_back("site", ev.site_str());
     return;
   }
@@ -113,9 +101,6 @@ void AddEndArgs(const FlightEvent& ev, double arena_bytes, Span* span) {
     case Kind::kCallCompleted:
       args.emplace_back("answers", std::to_string(ev.aux));
       break;
-    case Kind::kCacheLookupEnd:
-      if (ev.aux != 0) args.emplace_back("degraded", "true");
-      break;
     case Kind::kNetworkHopEnd:
       args.emplace_back("bytes", std::to_string(ev.aux));
       break;
@@ -124,20 +109,68 @@ void AddEndArgs(const FlightEvent& ev, double arena_bytes, Span* span) {
   }
 }
 
+/// The cache-lookup span of a call whose end event `call_end` carries its
+/// CIM outcome: the lookup's outcome, degraded flag and failure.
+void AddLookupArgs(const FlightEvent& call_end, Span* span) {
+  span->args.emplace_back("outcome", CacheLookupName(call_end.cache));
+  if (call_end.failed) {
+    AddEndArgs(call_end, -1.0, span);
+  } else if (call_end.degraded) {
+    span->args.emplace_back("degraded", "true");
+  }
+}
+
 }  // namespace
 
 std::vector<Span> Tracer::spans() const {
   std::vector<Span> spans;
-  std::vector<uint32_t> begin_seqs;  ///< Per span, its begin event's seq.
-  std::vector<size_t> open;          ///< Open span indices, innermost last.
+  // Per span, its begin event's seq. A derived cache-lookup span repeats
+  // its call's, right after it.
+  std::vector<uint32_t> begin_seqs;
+  std::vector<size_t> open;  ///< Open span indices, innermost last.
   uint64_t epoch_ns = UINT64_MAX;
+  // The calls whose end event carries a CIM outcome, by begin seq: each
+  // gets a cache-lookup span with the call's bounds, which parents
+  // whatever the lookup did below it (a miss's network hop).
+  std::vector<uint32_t> looked_up;
   for (const FlightEvent& ev : events_) {
     epoch_ns = std::min(epoch_ns, ev.host_ns);
+    if (ev.cache != CacheLookup::kNone) looked_up.push_back(ev.begin_seq);
   }
+  std::sort(looked_up.begin(), looked_up.end());
   auto wall_us = [epoch_ns](const FlightEvent& ev) {
     return static_cast<double>(ev.host_ns - epoch_ns) / 1000.0;
   };
   double arena_bytes = -1.0;
+
+  // Closes (or, when already closed, only extends) span `index` at `ev`.
+  auto close = [&](size_t index, const FlightEvent& ev, bool lookup) {
+    Span& span = spans[index];
+    span.sim_end_ms = std::max({span.sim_end_ms, ev.sim_ms, span.sim_begin_ms});
+    span.wall_end_us = wall_us(ev);
+    if (span.closed) return;
+    if (lookup) {
+      AddLookupArgs(ev, &span);
+    } else {
+      AddEndArgs(ev, arena_bytes, &span);
+    }
+    span.closed = true;
+    open.erase(std::find(open.begin(), open.end(), index));
+    if (span.parent != 0) {
+      Span& parent = spans[span.parent - 1];
+      parent.sim_end_ms = std::max(parent.sim_end_ms, span.sim_end_ms);
+    }
+  };
+  // Opens the span `ev` begins (filled in by OpenSpan or the caller).
+  auto push = [&](const FlightEvent& ev, Span span) {
+    span.id = spans.size() + 1;
+    span.parent = open.empty() ? 0 : spans[open.back()].id;
+    span.sim_begin_ms = span.sim_end_ms = ev.sim_ms;
+    span.wall_begin_us = span.wall_end_us = wall_us(ev);
+    open.push_back(spans.size());
+    begin_seqs.push_back(ev.seq);
+    spans.push_back(std::move(span));
+  };
 
   for (const FlightEvent& ev : events_) {
     if (ev.kind == Kind::kArenaHighWater) arena_bytes = ev.value;
@@ -148,30 +181,23 @@ std::vector<Span> Tracer::spans() const {
                                  ev.begin_seq);
       if (it == begin_seqs.end() || *it != ev.begin_seq) continue;
       const size_t index = static_cast<size_t>(it - begin_seqs.begin());
-      Span& span = spans[index];
-      span.sim_end_ms =
-          std::max({span.sim_end_ms, ev.sim_ms, span.sim_begin_ms});
-      span.wall_end_us = wall_us(ev);
-      // Ending a closed span only extends it.
-      if (span.closed) continue;
-      AddEndArgs(ev, arena_bytes, &span);
-      span.closed = true;
-      open.erase(std::find(open.begin(), open.end(), index));
-      if (span.parent != 0) {
-        Span& parent = spans[span.parent - 1];
-        parent.sim_end_ms = std::max(parent.sim_end_ms, span.sim_end_ms);
+      if (index + 1 < begin_seqs.size() &&
+          begin_seqs[index + 1] == ev.begin_seq) {
+        close(index + 1, ev, /*lookup=*/true);
       }
+      close(index, ev, /*lookup=*/false);
       continue;
     }
     Span span;
     if (!OpenSpan(ev, query_text_, &span)) continue;
-    span.id = spans.size() + 1;
-    span.parent = open.empty() ? 0 : spans[open.back()].id;
-    span.sim_begin_ms = span.sim_end_ms = ev.sim_ms;
-    span.wall_begin_us = span.wall_end_us = wall_us(ev);
-    open.push_back(spans.size());
-    begin_seqs.push_back(ev.seq);
-    spans.push_back(std::move(span));
+    push(ev, std::move(span));
+    if (ev.kind == Kind::kCallIssued &&
+        std::binary_search(looked_up.begin(), looked_up.end(), ev.seq)) {
+      Span lookup;
+      lookup.name = "cache-lookup";
+      lookup.category = "cache";
+      push(ev, std::move(lookup));
+    }
   }
   return spans;
 }

@@ -35,8 +35,11 @@ struct Span {
 /// them on demand. A begin event opens a span under the innermost open
 /// one; its end event closes it, extending the recorded end so a parent
 /// never ends before its children (failed calls report a shorter envelope
-/// than the penalties their children charged). A debug bundle renders its
-/// trace from a flight-recorder slice through the same derivation.
+/// than the penalties their children charged). A call whose end event
+/// carries a CIM outcome also gets a `cache-lookup` child span with the
+/// call's bounds, inside which the call's network hop nests. A debug
+/// bundle renders its trace from a flight-recorder slice through the same
+/// derivation.
 ///
 /// NOT thread-safe: one tracer belongs to one query, which executes on one
 /// thread (concurrent queries each carry their own tracer).
@@ -54,6 +57,10 @@ class Tracer {
 
   /// Appends one event of this query, in emission order.
   void Append(const FlightEvent& ev) { events_.push_back(ev); }
+  /// Append() of `ev` stamped with `stamp` as it is copied in.
+  void Append(const FlightEvent& ev, const EventStamp& stamp) {
+    stamp.Apply(events_.emplace_back(ev));
+  }
 
   const std::vector<FlightEvent>& events() const { return events_; }
   bool empty() const { return events_.empty(); }

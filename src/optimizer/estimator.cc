@@ -76,19 +76,18 @@ bool SameValue(const Value& a, const Value& b) {
   }
 }
 
-/// Is `pattern` the pattern of `call` with constant arguments `args`
-/// (null for `$b`)?
-bool SamePattern(const lang::DomainCallSpec& pattern,
-                 const lang::DomainCallSpec& call, const Value* const* args) {
-  if (pattern.args.size() != call.args.size() ||
-      pattern.function != call.function || pattern.domain != call.domain) {
+/// Is the pattern of `a` with constant arguments `a_args` (null for `$b`)
+/// that of `b` with `b_args`?
+bool SamePattern(const lang::DomainCallSpec& a, const Value* const* a_args,
+                 const lang::DomainCallSpec& b, const Value* const* b_args) {
+  if (a.args.size() != b.args.size() || a.function != b.function ||
+      a.domain != b.domain) {
     return false;
   }
-  for (size_t a = 0; a < pattern.args.size(); ++a) {
-    const lang::Term& t = pattern.args[a];
-    if (args[a] == nullptr ? !t.is_bound_pattern()
-                           : !t.is_constant() || !SameValue(t.constant,
-                                                            *args[a])) {
+  for (size_t i = 0; i < a.args.size(); ++i) {
+    if (a_args[i] == nullptr || b_args[i] == nullptr
+            ? a_args[i] != b_args[i]
+            : !SameValue(*a_args[i], *b_args[i])) {
       return false;
     }
   }
@@ -101,18 +100,15 @@ const Result<dcsm::CostEstimate>& PatternMemo::Cost(
     const dcsm::Dcsm& dcsm, const lang::DomainCallSpec& call,
     const Value* const* args) {
   for (const Entry& entry : entries_) {
-    if (SamePattern(entry.pattern, call, args)) return entry.answer;
+    if (SamePattern(*entry.call, entry.args.data(), call, args)) {
+      return entry.answer;
+    }
   }
-  lang::DomainCallSpec pattern;
-  pattern.domain = call.domain;
-  pattern.function = call.function;
-  pattern.args.reserve(call.args.size());
-  for (size_t a = 0; a < call.args.size(); ++a) {
-    pattern.args.push_back(args[a] != nullptr ? lang::Term::Const(*args[a])
-                                              : lang::Term::Bound());
-  }
-  Result<dcsm::CostEstimate> answer = dcsm.Cost(pattern);
-  entries_.push_back({std::move(pattern), std::move(answer)});
+  const size_t arity = call.args.size();
+  Result<dcsm::CostEstimate> answer =
+      dcsm.Cost(dcsm::PatternView(call.domain, call.function, args, arity));
+  entries_.push_back({&call, std::vector<const Value*>(args, args + arity),
+                      std::move(answer)});
   return entries_.back().answer;
 }
 

@@ -42,15 +42,17 @@ class PatternMemo {
  public:
   /// The DCSM's answer for the pattern of `call` whose argument i is the
   /// constant `*args[i]`, or `$b` where `args[i]` is null. Asks `dcsm` on
-  /// a pattern's first sight only. The reference stays valid until the
-  /// memo is destroyed.
+  /// a pattern's first sight only, through a view. The constants must
+  /// outlive the memo (they point into the plan's own atoms); the
+  /// reference stays valid until the memo is destroyed.
   const Result<dcsm::CostEstimate>& Cost(const dcsm::Dcsm& dcsm,
                                          const lang::DomainCallSpec& call,
                                          const Value* const* args);
 
  private:
   struct Entry {
-    lang::DomainCallSpec pattern;
+    const lang::DomainCallSpec* call;
+    std::vector<const Value*> args;  ///< Null for `$b`.
     Result<dcsm::CostEstimate> answer;
   };
   std::vector<Entry> entries_;

@@ -155,6 +155,9 @@ TEST(PipelineDomainTest, CacheSplitsStackIntoSeenAndActualCalls) {
   EXPECT_EQ(ctx.metrics.cache_misses, 2u);
 }
 
+// The cache layer emits no events: it leaves each lookup's outcome on the
+// context, where the caller's call span picks it up (DomainCallOp puts it
+// on the call's end event and the tracer derives the cache-lookup span).
 TEST(PipelineDomainTest, TraceLayerSeesCacheHits) {
   auto echo = std::make_shared<EchoDomain>("echo");
   auto cim = std::make_shared<cim::CimDomain>("cim_echo", "echo", echo);
@@ -165,25 +168,16 @@ TEST(PipelineDomainTest, TraceLayerSeesCacheHits) {
   obs::EventSinks sinks{&tracer};
   CallContext ctx;
   ctx.sinks = &sinks;
-  ASSERT_TRUE(domain.Run(ctx, Id(1)).ok());
+  Result<CallOutput> miss = domain.Run(ctx, Id(1));
+  ASSERT_TRUE(miss.ok());
+  EXPECT_EQ(ctx.cache_lookup, obs::CacheLookup::kMiss);
   ctx.now_ms = 50.0;
   Result<CallOutput> hit = domain.Run(ctx, Id(1));
   ASSERT_TRUE(hit.ok());
-
-  // The hit is traced, with cache-hit latency.
-  std::vector<obs::Span> lookups = tracer.spans();
-  ASSERT_EQ(lookups.size(), 2u);
-  EXPECT_EQ(lookups[1].name, "cache-lookup");
-  EXPECT_EQ(lookups[1].sim_begin_ms, 50.0);
-  EXPECT_EQ(lookups[1].sim_end_ms, 50.0 + hit->all_ms);
-  EXPECT_LT(lookups[1].sim_end_ms - lookups[1].sim_begin_ms,
-            lookups[0].sim_end_ms - lookups[0].sim_begin_ms);
-  EXPECT_EQ(lookups[0].args[0].second, "miss");
-  EXPECT_EQ(lookups[1].args[0].second, "exact-hit");
-  // Without a sink nothing is recorded.
-  ctx.sinks = nullptr;
-  ASSERT_TRUE(domain.Run(ctx, Id(1)).ok());
-  EXPECT_EQ(tracer.spans().size(), 2u);
+  EXPECT_EQ(ctx.cache_lookup, obs::CacheLookup::kExactHit);
+  EXPECT_FALSE(ctx.cache_degraded);
+  EXPECT_LT(hit->all_ms, miss->all_ms);  // cache-hit latency
+  EXPECT_TRUE(tracer.events().empty());
 }
 
 TEST(PipelineDomainTest, ContextlessRunUsesScratchContext) {

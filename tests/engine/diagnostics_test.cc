@@ -157,9 +157,9 @@ uint64_t LookupsPerHit(Mediator& med, int64_t first, int64_t last,
 }
 
 // With diagnostics on, each call of a warm query3 CIM hit records exactly
-// four events: its call span's two and, inside it, the cache-lookup span's
-// two, whose end carries the hit's outcome.
-TEST(Diagnostics, WarmCimHitRecordsFourEventsPerCall) {
+// two events, its call span's, and the end event carries the hit's
+// outcome; the cache-lookup span is derived from it at export.
+TEST(Diagnostics, WarmCimHitRecordsTwoEventsPerCall) {
   std::unique_ptr<Mediator> med = RopeMediator();
   ASSERT_TRUE(med->EnableDiagnostics({}).ok());
   QueryOptions hit;
@@ -174,20 +174,21 @@ TEST(Diagnostics, WarmCimHitRecordsFourEventsPerCall) {
   std::vector<obs::FlightEvent> events =
       med->flight_recorder()->SnapshotQuery(res->query_id);
   uint64_t calls = 0;
+  size_t call_events = 0;
   for (size_t i = 0; i < events.size(); ++i) {
+    if (events[i].kind == obs::FlightEventKind::kCallCompleted) ++call_events;
     if (events[i].kind != obs::FlightEventKind::kCallIssued) continue;
     ++calls;
-    ASSERT_LT(i + 3, events.size());
-    EXPECT_EQ(events[i + 1].kind, obs::FlightEventKind::kCacheLookupBegin);
-    const obs::FlightEvent& lookup_end = events[i + 2];
-    EXPECT_EQ(lookup_end.kind, obs::FlightEventKind::kCacheLookupEnd);
-    EXPECT_EQ(lookup_end.begin_seq, events[i + 1].seq);
-    EXPECT_NE(lookup_end.detail_str().find("hit"), std::string::npos)
-        << lookup_end.ToString();
-    EXPECT_EQ(events[i + 3].kind, obs::FlightEventKind::kCallCompleted);
-    EXPECT_EQ(events[i + 3].begin_seq, events[i].seq);
+    ++call_events;
+    ASSERT_LT(i + 1, events.size());
+    const obs::FlightEvent& end = events[i + 1];
+    EXPECT_EQ(end.kind, obs::FlightEventKind::kCallCompleted);
+    EXPECT_EQ(end.begin_seq, events[i].seq);
+    EXPECT_EQ(end.cache, obs::CacheLookup::kExactHit) << end.ToString();
+    EXPECT_FALSE(end.degraded);
   }
   EXPECT_EQ(calls, res->execution.domain_calls);
+  EXPECT_EQ(call_events, 2 * calls);
 }
 
 // Each call site is estimated once, as its op is compiled, and only when

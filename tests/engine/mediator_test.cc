@@ -158,6 +158,25 @@ TEST(MediatorTest, InvariantForUncachedDomainRejected) {
   EXPECT_FALSE(med.AddInvariants("=> ghost:f(X) = ghost:g(X).").ok());
 }
 
+// A CIM caches one domain's calls, so an invariant relating two domains
+// could never be served from it; it is rejected naming both, and nothing
+// of the text is installed.
+TEST(MediatorTest, CrossDomainInvariantRejected) {
+  Mediator med;
+  ASSERT_TRUE(testbed::SetupRopeScenario(&med, FastSites()).ok());
+  const size_t video = med.cim("video")->num_invariants();
+  const size_t relation = med.cim("relation")->num_invariants();
+  Status st = med.AddInvariants(
+      "=> video:frames_to_objects(V, F, 9) = video:frames_to_objects(V, F, 9)."
+      "=> video:frames_to_objects(V, F, L) = "
+      "relation:frames_to_objects(V, F, L).");
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
+  EXPECT_NE(st.message().find("'video'"), std::string::npos) << st;
+  EXPECT_NE(st.message().find("'relation'"), std::string::npos) << st;
+  EXPECT_EQ(med.cim("video")->num_invariants(), video);
+  EXPECT_EQ(med.cim("relation")->num_invariants(), relation);
+}
+
 TEST(MediatorTest, ParseErrorsSurfaceFromQuery) {
   Mediator med;
   ASSERT_TRUE(testbed::SetupRopeScenario(&med, FastSites()).ok());

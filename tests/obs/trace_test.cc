@@ -81,14 +81,138 @@ TEST(Tracer, EndSpanIsIdempotentAndOnlyExtends) {
 TEST(Tracer, MarkFailedRecordsError) {
   Tracer tracer;
   Traced t(&tracer);
-  uint32_t id = t.ctx.Emit(FlightEvent::At(Kind::kCacheLookupBegin, 0.0));
-  t.ctx.Emit(FlightEvent::End(Kind::kCacheLookupEnd, id, 1.0)
+  uint32_t id = t.ctx.Emit(Call("d", "f", 0.0));
+  t.ctx.Emit(FlightEvent::End(Kind::kCallFailed, id, 1.0)
                  .set_failed("site down"));
   std::vector<Span> spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 1u);  // no outcome, no cache-lookup span
   EXPECT_TRUE(spans[0].failed);
   ASSERT_EQ(spans[0].args.size(), 1u);
   EXPECT_EQ(spans[0].args[0].first, "error");
   EXPECT_EQ(spans[0].args[0].second, "site down");
+}
+
+/// The end event of the call opened by `call`, carrying its CIM outcome.
+FlightEvent CallEnd(uint32_t call, double sim_ms, CacheLookup outcome) {
+  FlightEvent ev = FlightEvent::End(Kind::kCallCompleted, call, sim_ms);
+  ev.cache = outcome;
+  return ev;
+}
+
+using Args = std::vector<std::pair<std::string, std::string>>;
+
+// A CIM call emits only its call span's two events; the tracer derives the
+// lookup span inside it, with the call's bounds on both clocks.
+TEST(Tracer, DerivedLookupOfAnExactHitTakesItsCallsBounds) {
+  Tracer tracer;
+  Traced t(&tracer);
+  FlightEvent issued = Call("cim_video", "fto", 50.0);
+  issued.host_ns = 1000;
+  uint32_t call = t.ctx.Emit(issued);
+  FlightEvent end = CallEnd(call, 50.35, CacheLookup::kExactHit);
+  end.aux = 3;
+  end.host_ns = 4000;
+  t.ctx.Emit(end);
+
+  std::vector<Span> spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "call:cim_video:fto");
+  EXPECT_EQ(spans[0].args, (Args{{"answers", "3"}}));
+  const Span& lookup = spans[1];
+  EXPECT_EQ(lookup.name, "cache-lookup");
+  EXPECT_EQ(lookup.category, "cache");
+  EXPECT_EQ(lookup.parent, spans[0].id);
+  EXPECT_TRUE(lookup.closed);
+  EXPECT_FALSE(lookup.failed);
+  EXPECT_EQ(lookup.sim_begin_ms, spans[0].sim_begin_ms);
+  EXPECT_EQ(lookup.sim_end_ms, spans[0].sim_end_ms);
+  EXPECT_DOUBLE_EQ(lookup.sim_end_ms, 50.35);
+  EXPECT_EQ(lookup.wall_begin_us, spans[0].wall_begin_us);
+  EXPECT_EQ(lookup.wall_end_us, spans[0].wall_end_us);
+  EXPECT_DOUBLE_EQ(lookup.wall_end_us - lookup.wall_begin_us, 3.0);
+  EXPECT_EQ(lookup.args, (Args{{"outcome", "exact-hit"}}));
+}
+
+// A miss goes on to the source: the network hop below the cache layer
+// nests in the derived lookup span, not beside it.
+TEST(Tracer, DerivedLookupOfAMissParentsTheNetworkHop) {
+  Tracer tracer;
+  Traced t(&tracer);
+  uint32_t root = t.ctx.Emit(FlightEvent::At(Kind::kQueryStart, 0.0));
+  uint32_t call = t.ctx.Emit(Call("cim_video", "fto", 10.0));
+  uint32_t hop = t.ctx.Emit(
+      FlightEvent::At(Kind::kNetworkHopBegin, 10.0).set_site("umd"));
+  FlightEvent hop_end = FlightEvent::End(Kind::kNetworkHopEnd, hop, 40.0);
+  hop_end.aux = 56;
+  t.ctx.Emit(hop_end);
+  t.ctx.Emit(CallEnd(call, 50.0, CacheLookup::kMiss));
+  uint32_t next = t.ctx.Emit(Call("text", "search", 50.0));
+  t.ctx.Emit(FlightEvent::End(Kind::kCallCompleted, next, 60.0));
+  t.ctx.Emit(FlightEvent::End(Kind::kQueryEnd, root, 60.0));
+
+  std::vector<Span> spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 5u);
+  EXPECT_EQ(spans[2].name, "cache-lookup");
+  EXPECT_EQ(spans[2].parent, spans[1].id);
+  EXPECT_EQ(spans[2].args, (Args{{"outcome", "miss"}}));
+  EXPECT_DOUBLE_EQ(spans[2].sim_begin_ms, 10.0);
+  EXPECT_DOUBLE_EQ(spans[2].sim_end_ms, 50.0);
+  EXPECT_EQ(spans[3].name, "network-hop");
+  EXPECT_EQ(spans[3].parent, spans[2].id);
+  EXPECT_EQ(spans[3].args, (Args{{"site", "umd"}, {"bytes", "56"}}));
+  // The next call opens beside the first, under the query, with no lookup.
+  EXPECT_EQ(spans[4].name, "call:text:search");
+  EXPECT_EQ(spans[4].parent, spans[0].id);
+}
+
+// A lookup that failed — the source was lost and nothing cached stood in —
+// keeps its outcome beside the call's cause and site.
+TEST(Tracer, DerivedLookupOfAFailedCallCarriesOutcomeAndError) {
+  Tracer tracer;
+  Traced t(&tracer);
+  uint32_t call = t.ctx.Emit(Call("cim_video", "fto", 0.0));
+  uint32_t hop = t.ctx.Emit(FlightEvent::At(Kind::kNetworkHopBegin, 0.0));
+  t.ctx.Emit(FlightEvent::End(Kind::kNetworkHopEnd, hop, 120.0)
+                 .set_failed("outage", "umd"));
+  FlightEvent end = FlightEvent::End(Kind::kCallFailed, call, 5.0);
+  end.set_failed("outage", "umd");
+  end.cache = CacheLookup::kMiss;
+  t.ctx.Emit(end);
+
+  std::vector<Span> spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_TRUE(spans[0].failed);
+  EXPECT_EQ(spans[0].args, (Args{{"error", "outage"}, {"site", "umd"}}));
+  const Span& lookup = spans[1];
+  EXPECT_EQ(lookup.name, "cache-lookup");
+  EXPECT_TRUE(lookup.failed);
+  EXPECT_EQ(lookup.args, (Args{{"outcome", "miss"},
+                               {"error", "outage"},
+                               {"site", "umd"}}));
+  // Both cover the penalty the hop charged past the call's short envelope.
+  EXPECT_DOUBLE_EQ(lookup.sim_end_ms, 120.0);
+  EXPECT_DOUBLE_EQ(spans[0].sim_end_ms, 120.0);
+  EXPECT_EQ(spans[2].parent, lookup.id);
+}
+
+// Cached answers that stood in for an unreachable source mark the lookup
+// degraded; the call itself still completes.
+TEST(Tracer, DerivedLookupOfADegradedServeIsMarkedDegraded) {
+  Tracer tracer;
+  Traced t(&tracer);
+  uint32_t call = t.ctx.Emit(Call("cim_video", "fto", 0.0));
+  FlightEvent end = CallEnd(call, 2.0, CacheLookup::kPartialHit);
+  end.degraded = true;
+  end.aux = 4;
+  t.ctx.Emit(end);
+
+  std::vector<Span> spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_FALSE(spans[0].failed);
+  EXPECT_EQ(spans[0].args, (Args{{"answers", "4"}}));
+  EXPECT_FALSE(spans[1].failed);
+  EXPECT_EQ(spans[1].args,
+            (Args{{"outcome", "partial-hit"}, {"degraded", "true"}}));
 }
 
 TEST(Tracer, ChromeJsonShape) {

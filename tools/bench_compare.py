@@ -13,6 +13,11 @@ their medians. A delta is marked `~` when the contender's median lies
 inside the baseline's interquartile range: a shift that small is not
 told apart from the baseline's own run-to-run spread.
 
+When a side holds both BM_ExecuteCacheHitQueryDiagnostics and
+BM_ExecuteCacheHitQuery, a line after the table gives that side's ratio of
+their medians: what always-on diagnostics cost on the CIM hit path
+(informational, never gated).
+
 Matching is by full benchmark name (including /threads:N suffixes); names
 present in only one file are listed as new/removed (with their one-sided
 measurement) but not compared, and entries without a usable measurement —
@@ -78,6 +83,21 @@ def format_metric(reps):
     return f"{median:.4g} {unit}"
 
 
+DIAGNOSTICS_ON = "BM_ExecuteCacheHitQueryDiagnostics"
+DIAGNOSTICS_OFF = "BM_ExecuteCacheHitQuery"
+
+
+def diagnostics_ratio(side):
+    """Median of the diagnostics-on hit over the plain hit (above 1 is the
+    overhead), or None when the side lacks either."""
+    if DIAGNOSTICS_ON not in side or DIAGNOSTICS_OFF not in side:
+        return None
+    on, off = summarize(side[DIAGNOSTICS_ON]), summarize(side[DIAGNOSTICS_OFF])
+    if on is None or off is None or on[3] != off[3] or 0 in (on[0], off[0]):
+        return None
+    return off[0] / on[0] if on[4] else on[0] / off[0]
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("baseline")
@@ -135,6 +155,14 @@ def main():
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     lines.append("(medians over repetitions; ~ marks a contender median "
                  "inside the baseline's interquartile range)")
+    ratios = [(label, diagnostics_ratio(side))
+              for label, side in (("baseline", base), ("contender", cont))]
+    if any(ratio is not None for _, ratio in ratios):
+        lines.append(f"diagnostics overhead, {DIAGNOSTICS_ON} / "
+                     f"{DIAGNOSTICS_OFF} medians: " +
+                     ", ".join(f"{label} " +
+                               ("-" if ratio is None else f"{ratio:.3f}")
+                               for label, ratio in ratios))
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)
     if args.out:
