@@ -128,10 +128,19 @@ class Shell {
           (unsigned long long)s.exact_hits, (unsigned long long)s.equality_hits,
           (unsigned long long)s.partial_hits, (unsigned long long)s.misses);
     }
-    const net::NetworkStats& n = med_.network().stats();
+    // Network totals: each remote link's own counters, summed.
+    uint64_t calls = 0, failures = 0, bytes = 0;
+    double charge = 0.0;
+    for (const std::string& name : med_.RemoteDomains()) {
+      const net::NetworkInterceptor* link = med_.remote_link(name);
+      calls += link->calls().Value();
+      failures += link->failures().Value();
+      bytes += link->bytes().Value();
+      charge += link->charge().Value();
+    }
     std::printf("network: %llu calls, %llu failures, %llu bytes, $%.2f\n",
-                (unsigned long long)n.calls, (unsigned long long)n.failures,
-                (unsigned long long)n.bytes_transferred, n.total_charge);
+                (unsigned long long)calls, (unsigned long long)failures,
+                (unsigned long long)bytes, charge);
   }
 
   void LoadDemo() {
@@ -177,12 +186,12 @@ class Shell {
                 exec.answers.size(), exec.complete ? "" : " (partial)",
                 exec.t_first_ms, exec.t_all_ms,
                 res->plan_description.c_str());
-    if (res->traffic.remote_calls > 0) {
+    if (res->metrics.remote_calls > 0) {
       std::printf("  net: %llu calls, %llu bytes",
-                  (unsigned long long)res->traffic.remote_calls,
-                  (unsigned long long)res->traffic.bytes);
-      if (res->traffic.charge > 0) {
-        std::printf(", $%.2f", res->traffic.charge);
+                  (unsigned long long)res->metrics.remote_calls,
+                  (unsigned long long)res->metrics.bytes_transferred);
+      if (res->metrics.network_charge > 0) {
+        std::printf(", $%.2f", res->metrics.network_charge);
       }
     }
     std::printf("\n");

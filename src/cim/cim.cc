@@ -35,17 +35,6 @@ CimStats CimDomain::stats() const {
   return snapshot;
 }
 
-void CimDomain::ResetStats() {
-  stats_.exact_hits->Reset();
-  stats_.equality_hits->Reset();
-  stats_.partial_hits->Reset();
-  stats_.misses->Reset();
-  stats_.actual_calls->Reset();
-  stats_.unavailable_masked->Reset();
-  stats_.unavailable_failed->Reset();
-  stats_.stale_serves->Reset();
-}
-
 void CimDomain::BindMetrics(obs::MetricsRegistry& registry) {
   obs::Labels labels = {{"domain", target_domain_}};
   registry.Register("hermes_cim_exact_hits_total",
@@ -223,7 +212,9 @@ Result<CallOutput> CimDomain::RunWith(const DomainCall& raw_call,
     if (entry.has_value() && IsStale(*entry)) {
       if (prefer_stale && entry->complete) {
         // Brownout: a stale complete entry stands in without touching the
-        // source at all — that is exactly the load the ladder sheds.
+        // source at all — that is exactly the load the ladder sheds. It is
+        // the exact hit the call reports, and a stale serve.
+        stats_.exact_hits->Add(1);
         stats_.stale_serves->Add(1);
         if (outcome != nullptr) *outcome = CimOutcome::kExactHit;
         CallOutput out =
@@ -276,7 +267,9 @@ Result<CallOutput> CimDomain::RunWith(const DomainCall& raw_call,
     // the cached subset, then merge with duplicate elimination.
     Result<CallOutput> full = RunActual(renamed(), actual);
     if (!full.ok()) {
-      if (full.status().IsUnavailable() && options_.mask_unavailability) {
+      // An outage is masked by the cached subset: a partial answer beats
+      // failing the call.
+      if (full.status().IsUnavailable()) {
         stats_.unavailable_masked->Add(1);
         CallOutput masked = ServeFromCache(std::move(partial), lead_ms,
                                            /*complete=*/false);

@@ -43,9 +43,6 @@ struct CimOptions {
   /// merge (all-answers mode). When false the partial answers are returned
   /// as an incomplete set (interactive mode).
   bool complete_partial_hits = true;
-  /// Serve stale cached partial/equality results when the source is
-  /// temporarily unavailable instead of failing.
-  bool mask_unavailability = true;
   /// Degradation-ladder fallback (see DESIGN.md "Failure model &
   /// resilience"): when the actual call fails Unavailable on a cache MISS,
   /// serve any cache entry that subsumes the call — stale and incomplete
@@ -164,7 +161,6 @@ class CimDomain : public Domain {
   /// A coherent-enough snapshot of the outcome counters (each counter is
   /// individually exact; the set is not read atomically as a whole).
   CimStats stats() const;
-  void ResetStats();
 
   /// Registers the outcome counters (and the inner cache's series) with
   /// `registry`, labeled {domain=<target domain>}.

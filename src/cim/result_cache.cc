@@ -174,14 +174,6 @@ ResultCacheStats ResultCache::stats() const {
   return merged;
 }
 
-void ResultCache::ResetStats() {
-  hits_->Reset();
-  misses_->Reset();
-  insertions_->Reset();
-  evictions_->Reset();
-  oversize_rejects_->Reset();
-}
-
 void ResultCache::BindMetrics(obs::MetricsRegistry& registry,
                               const std::string& domain) {
   obs::Labels labels = {{"domain", domain}};

@@ -133,7 +133,6 @@ class ResultCache {
   size_t num_shards() const { return shards_.size(); }
   /// The live counters merged into one snapshot.
   ResultCacheStats stats() const;
-  void ResetStats();
 
   /// Registers the hit/miss/insertion/eviction counters plus live
   /// entry-count and byte-occupancy callback gauges with `registry`,

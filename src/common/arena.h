@@ -2,6 +2,7 @@
 #define HERMES_COMMON_ARENA_H_
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -43,6 +44,8 @@ class Arena {
     }
     cursor_ = p + size;
     bytes_used_ += size;
+    assert(cursor_ <= limit_);
+    assert(bytes_used_ <= bytes_reserved_);
     return reinterpret_cast<void*>(p);
   }
 

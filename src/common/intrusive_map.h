@@ -1,6 +1,7 @@
 #ifndef HERMES_COMMON_INTRUSIVE_MAP_H_
 #define HERMES_COMMON_INTRUSIVE_MAP_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -163,8 +164,13 @@ class IntrusiveHashMap {
   /// Unlinks `item` (which must be present). Does not free it.
   void Remove(T* item) {
     IntrusiveMapNode* n = &(item->*Node);
+    assert(buckets_ != nullptr);
     IntrusiveMapNode** slot = &buckets_[Bucket(n->hash)];
-    while (*slot != n) slot = &(*slot)->next;
+    while (*slot != n) {
+      // An absent item would walk off the end of its chain.
+      assert(*slot != nullptr);
+      slot = &(*slot)->next;
+    }
     *slot = n->next;
     n->next = nullptr;
     --size_;
@@ -206,6 +212,7 @@ class IntrusiveHashMap {
     auto old = std::move(buckets_);
     buckets_ = std::move(fresh);
     num_buckets_ = new_buckets;
+    [[maybe_unused]] size_t relinked = 0;
     for (size_t i = 0; i < old_count; ++i) {
       for (IntrusiveMapNode* n = old[i]; n != nullptr;) {
         IntrusiveMapNode* next = n->next;
@@ -213,8 +220,10 @@ class IntrusiveHashMap {
         n->next = buckets_[b];
         buckets_[b] = n;
         n = next;
+        ++relinked;
       }
     }
+    assert(relinked == size_);
   }
 
   std::unique_ptr<IntrusiveMapNode*[]> buckets_;

@@ -4,6 +4,26 @@
 
 namespace hermes::dcsm {
 
+namespace {
+
+/// The estimate of a pattern nothing is known about (unless
+/// DcsmOptions::allow_default is off).
+const CostVector kDefaultCost(250.0, 1000.0, 10.0);
+
+}  // namespace
+
+std::string EstimateSource::ToString(std::string_view domain) const {
+  std::string out;
+  switch (kind) {
+    case Kind::kDefault: out = "default"; break;
+    case Kind::kNative: out = "native:" + std::string(domain); break;
+    case Kind::kSummary: out = "summary"; break;
+    case Kind::kRaw: out = "raw"; break;
+  }
+  if (cim_fallback) out += "+cim-fallback";
+  return out;
+}
+
 void Dcsm::RecordUnlocked(CostRecord record) {
   if (options_.auto_update_summaries) {
     CallGroupKey key{record.call.domain, record.call.function,
@@ -192,7 +212,7 @@ bool Dcsm::TryEstimateMasked(const PatternView& pattern, ArgMask const_mask,
       const SummaryRow* row = table.Lookup(pattern);
       if (row != nullptr) {
         out->cost = row->Mean();
-        out->source = "summary";
+        out->source.kind = EstimateSource::Kind::kSummary;
         out->records_matched = row->l;
         return true;
       }
@@ -211,7 +231,7 @@ bool Dcsm::TryEstimateMasked(const PatternView& pattern, ArgMask const_mask,
                       static_cast<double>(agg->rows_scanned);
         *rows_scanned += agg->rows_scanned;
         out->cost = agg->cost;
-        out->source = "summary";
+        out->source.kind = EstimateSource::Kind::kSummary;
         out->records_matched = agg->matched;
         return true;
       }
@@ -229,7 +249,7 @@ bool Dcsm::TryEstimateMasked(const PatternView& pattern, ArgMask const_mask,
           params_.per_record_ms * static_cast<double>(agg->rows_scanned);
       *rows_scanned += agg->rows_scanned;
       out->cost = agg->cost;
-      out->source = "raw";
+      out->source.kind = EstimateSource::Kind::kRaw;
       out->records_matched = agg->matched;
       return true;
     }
@@ -311,17 +331,15 @@ Result<CostEstimate> Dcsm::Cost(const PatternView& pattern) const {
 
   // Native cost models take precedence (Section 6: "the estimates for
   // calls to these domains will be directed to their respective domains").
-  if (options_.use_native_models) {
-    auto it = native_models_.find(pattern.domain);
-    if (it != native_models_.end()) {
-      Result<CostVector> native = it->second->EstimateCost(pattern.ToSpec());
-      if (native.ok()) {
-        CostEstimate est;
-        est.cost = *native;
-        est.source = "native:" + it->first;
-        est.lookup_ms = params_.summary_lookup_ms;
-        return est;
-      }
+  auto it = native_models_.find(pattern.domain);
+  if (it != native_models_.end()) {
+    Result<CostVector> native = it->second->EstimateCost(pattern.ToSpec());
+    if (native.ok()) {
+      CostEstimate est;
+      est.cost = *native;
+      est.source.kind = EstimateSource::Kind::kNative;
+      est.lookup_ms = params_.summary_lookup_ms;
+      return est;
     }
   }
 
@@ -337,7 +355,7 @@ Result<CostEstimate> Dcsm::Cost(const PatternView& pattern) const {
     PatternView underlying = pattern;
     underlying.domain.remove_prefix(4);
     found = RelaxAndEstimate(underlying, &est, &lookup_ms, &rows_scanned);
-    if (found) est.source += "+cim-fallback";
+    est.source.cim_fallback = found;
   }
 
   est.lookup_ms = lookup_ms;
@@ -347,8 +365,8 @@ Result<CostEstimate> Dcsm::Cost(const PatternView& pattern) const {
       return Status::NotFound("no statistics available for " +
                               pattern.ToSpec().ToString());
     }
-    est.cost = options_.default_cost;
-    est.source = "default";
+    est.cost = kDefaultCost;
+    est.source = EstimateSource{};
   }
   return est;
 }

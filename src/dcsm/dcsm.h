@@ -6,6 +6,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dcsm/cost_vector_db.h"
@@ -18,16 +19,14 @@ namespace hermes::dcsm {
 
 /// Behavioural switches of the DCSM module.
 struct DcsmOptions {
-  bool use_native_models = true;  ///< Delegate to domains that ship one.
   bool use_summaries = true;      ///< Consult summary tables.
   bool use_raw_database = true;   ///< Fall back to the cost vector database.
   /// Recency half-life (in logical record ticks) for raw-database
   /// aggregation; 0 disables weighting. (The paper's "giving precedence to
   /// more recent statistics" direction.)
   double recency_halflife = 0.0;
-  /// Estimate returned when no statistics exist at all.
-  CostVector default_cost = CostVector(250.0, 1000.0, 10.0);
-  bool allow_default = true;  ///< False: unknown patterns are NotFound.
+  /// False: unknown patterns are NotFound instead of the default estimate.
+  bool allow_default = true;
   /// Incrementally fold newly recorded executions into any existing
   /// summary tables of their call group, keeping summaries equivalent to
   /// an offline rebuild. Off by default (the paper performs summarization
@@ -45,12 +44,24 @@ struct DcsmCostParams {
   double per_record_ms = 0.02;       ///< Scanning one raw statistics record.
 };
 
+/// Where a cost answer came from: a tag, rendered as text only where it
+/// is printed (EXPLAIN's `src=`, the diagnostics bundle rows).
+struct EstimateSource {
+  enum class Kind : uint8_t { kDefault, kNative, kSummary, kRaw };
+  Kind kind = Kind::kDefault;
+  /// A `cim_` pattern answered from its wrapped domain's statistics.
+  bool cim_fallback = false;
+
+  /// "native:<domain>", "summary", "raw" or "default", plus
+  /// "+cim-fallback" for a fallback answer. `domain` is the estimated
+  /// pattern's domain, the one a native model answers for.
+  std::string ToString(std::string_view domain) const;
+};
+
 /// One cost answer from the DCSM.
 struct CostEstimate {
   CostVector cost;
-  /// Where the estimate came from: "native:<domain>", "summary", "raw",
-  /// or "default". Missing metrics filled from defaults append "+default".
-  std::string source;
+  EstimateSource source;
   double lookup_ms = 0.0;    ///< Simulated time spent estimating.
   size_t rows_scanned = 0;   ///< Statistics rows examined.
   size_t records_matched = 0;

@@ -82,7 +82,7 @@ void DriftTracker::Observe(const std::string& call_domain,
                            const CostVector& observed, double sim_ms) {
   // An estimate fabricated wholly from defaults says nothing about the
   // model: error against a placeholder is noise, not drift.
-  if (estimate.source == "default") return;
+  if (estimate.source.kind == EstimateSource::Kind::kDefault) return;
   const CostVector& est = estimate.cost;
 
   const double err_tf = RelError(observed.t_first_ms, est.t_first_ms);

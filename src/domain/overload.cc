@@ -10,6 +10,9 @@ namespace hermes::overload {
 
 namespace {
 
+/// Observed all_ms above this multiple of the baseline is congestion.
+constexpr double kCongestionLatencyFactor = 3.0;
+
 /// Opens the span of an overload action (a load shed or a hedge) at
 /// `sim_ms`: its begin event names the site and domain and carries the
 /// action's `value` (shed limit, hedge trigger) and `aux` (window size,
@@ -302,16 +305,17 @@ Result<CallOutput> OverloadInterceptor::Intercept(CallContext& ctx,
 
   if (policy_.limiter.enabled) {
     st.in_flight_until_ms.push_back(t_open + out.all_ms);
-    // AIMD feed: congestion = observed latency past latency_factor × the
-    // DCSM baseline (falling back to this query's own trailing mean while
-    // the DCSM has no estimate for the call shape).
+    // AIMD feed: congestion = observed latency past
+    // kCongestionLatencyFactor × the DCSM baseline (falling back to this
+    // query's own trailing mean while the DCSM has no estimate for the call
+    // shape).
     double baseline = baseline_ ? baseline_(call) : 0.0;
     if (baseline <= 0.0 && !st.latency_window.empty()) {
       double sum = 0.0;
       for (double v : st.latency_window) sum += v;
       baseline = sum / static_cast<double>(st.latency_window.size());
     }
-    if (baseline > 0.0 && out.all_ms > policy_.limiter.latency_factor * baseline) {
+    if (baseline > 0.0 && out.all_ms > kCongestionLatencyFactor * baseline) {
       st.limit = std::max(policy_.limiter.min_limit,
                           st.limit * policy_.limiter.multiplicative_decrease);
     } else {

@@ -18,9 +18,8 @@ namespace hermes::overload {
 /// the site's window for its simulated duration; a call arriving when the
 /// window is at the limit is shed with kResourceExhausted. The limit grows
 /// additively on calls that complete near the DCSM baseline and shrinks
-/// multiplicatively on failures or latencies past `latency_factor` ×
-/// baseline — so a slow site backpressures its own callers instead of
-/// starving the pool.
+/// multiplicatively on failures or latencies past 3 × baseline — so a
+/// slow site backpressures its own callers instead of starving the pool.
 struct LimiterPolicy {
   bool enabled = false;
   double initial_limit = 8.0;
@@ -28,8 +27,6 @@ struct LimiterPolicy {
   double max_limit = 64.0;
   double additive_increase = 1.0;      ///< Limit growth per healthy call.
   double multiplicative_decrease = 0.5;  ///< Limit cut on a congestion signal.
-  /// Observed all_ms above `latency_factor` × baseline is congestion.
-  double latency_factor = 3.0;
 };
 
 /// Hedged requests: a call with a registered failover replica whose primary

@@ -9,7 +9,7 @@ namespace {
 
 // A new CallMetrics field that is missing from the field-list macros makes
 // this mirror struct smaller than the real one — failing to compile here
-// instead of being silently dropped by Merge and the registry fold.
+// instead of being silently dropped by Merge.
 struct CallMetricsMirror {
 #define HERMES_FIELD(f) uint64_t f;
   HERMES_CALL_METRICS_UINT64_FIELDS(HERMES_FIELD)
@@ -21,7 +21,7 @@ struct CallMetricsMirror {
 static_assert(sizeof(CallMetricsMirror) == sizeof(CallMetrics),
               "CallMetrics has a field that is not listed in "
               "HERMES_CALL_METRICS_UINT64_FIELDS / _DOUBLE_FIELDS; add it "
-              "there so Merge and the metrics fold cover it");
+              "there so Merge covers it");
 
 /// One physical line per record: embedded newlines in multi-line error
 /// messages are escaped so a log stays line-sortable by its leading t=

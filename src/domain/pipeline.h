@@ -26,11 +26,10 @@ class DriftTracker;
 }  // namespace dcsm
 
 /// The authoritative field lists of CallMetrics, split by type. Everything
-/// that iterates the struct's fields — Merge, the registry fold in the
-/// mediator, the coverage tests — expands these macros, so adding a field
-/// here is the ONLY step needed to keep them all in sync (and adding a
-/// field to the struct without adding it here trips the mirror
-/// static_assert in pipeline.cc).
+/// that iterates the struct's fields — Merge, the coverage tests — expands
+/// these macros, so adding a field here is the ONLY step needed to keep
+/// them all in sync (and adding a field to the struct without adding it
+/// here trips the mirror static_assert in pipeline.cc).
 #define HERMES_CALL_METRICS_UINT64_FIELDS(X) \
   X(domain_calls)                            \
   X(stats_records)                           \
@@ -58,8 +57,9 @@ class DriftTracker;
 /// network layer traffic and charges. The engine counts dispatched calls
 /// and recorded cost samples.
 /// Metrics are additive, so a caller can attribute exactly what one query
-/// consumed without diffing any global statistics (the old
-/// QueryTraffic-by-NetworkStats-delta bug).
+/// consumed without diffing any shared counter. The layer that counts a
+/// field here also counts it in its own labeled series (DESIGN.md §8);
+/// summed over queries, the two agree.
 ///
 /// Every field must be listed in HERMES_CALL_METRICS_*_FIELDS above.
 struct CallMetrics {

@@ -15,6 +15,11 @@ namespace hermes {
 
 namespace {
 
+/// Ta samples kept for the trailing watermark.
+constexpr size_t kWatermarkWindow = 256;
+/// In-memory slow-query records kept (oldest dropped first).
+constexpr size_t kSlowLogMaxRecords = 256;
+
 std::string EventsJson(const std::vector<obs::FlightEvent>& events) {
   std::string out = "{\"events\":[";
   for (size_t i = 0; i < events.size(); ++i) {
@@ -46,7 +51,7 @@ std::vector<SlowQueryRow> CollectRows(engine::op::PhysicalOp* root) {
       row.est_tf_ms = est.cost.t_first_ms;
       row.est_ta_ms = est.cost.t_all_ms;
       row.est_card = est.cost.cardinality;
-      row.est_source = est.source;
+      row.est_source = est.source.ToString(call->goal().call.domain);
     }
     rows.push_back(std::move(row));
   });
@@ -142,7 +147,7 @@ double DiagnosticsCenter::ObserveTaLocked(double t_all_ms) {
                          ? TrailingP99Locked()
                          : 0.0;
   recent_ta_.push_back(t_all_ms);
-  while (recent_ta_.size() > options_.watermark_window) {
+  while (recent_ta_.size() > kWatermarkWindow) {
     recent_ta_.pop_front();
   }
   return p99;
@@ -160,10 +165,8 @@ const char* DiagnosticsCenter::CaptureReason(
   if (input.breaker_tripped && options_.capture_on_breaker_open) {
     return "breaker-open";
   }
-  if (!input.replan_text.empty() && options_.capture_on_replan) {
-    return "replan";
-  }
-  if (input.degraded && options_.capture_on_degraded) return "degraded";
+  if (!input.replan_text.empty()) return "replan";
+  if (input.degraded) return "degraded";
   if (input.partial && options_.capture_on_partial) return "partial";
   return "";
 }
@@ -200,8 +203,7 @@ Status DiagnosticsCenter::Persist(DebugBundle& bundle, size_t index) const {
 
 void DiagnosticsCenter::AppendSlowRecordLocked(const std::string& record) {
   slow_log_.push_back(record);
-  while (options_.slow_log_max_records > 0 &&
-         slow_log_.size() > options_.slow_log_max_records) {
+  while (slow_log_.size() > kSlowLogMaxRecords) {
     slow_log_.pop_front();
   }
   if (options_.bundle_dir.empty()) return;

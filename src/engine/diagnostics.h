@@ -27,18 +27,15 @@ struct DiagnosticsOptions {
   /// Absolute slow-query threshold on Ta; 0 disables the absolute check.
   double slow_threshold_sim_ms = 0.0;
   /// Trailing-watermark capture: a query slower than `watermark_factor` ×
-  /// the trailing p99 of recent Ta values is captured. 0 disables.
+  /// the trailing p99 of the last 256 Ta values is captured. 0 disables.
   double watermark_factor = 0.0;
-  /// Ta samples kept for the trailing watermark.
-  size_t watermark_window = 256;
   /// Watermark is armed only once this many samples accumulated.
   size_t watermark_min_samples = 32;
-  bool capture_on_degraded = true;
+  /// Degraded queries and queries that re-optimized mid-flight (the
+  /// bundle's replan.txt records the trigger and the before/after suffix)
+  /// are always captured; partial and breaker-tripped ones by default.
   bool capture_on_partial = true;
   bool capture_on_breaker_open = true;
-  /// Capture queries that re-optimized mid-flight (the bundle's replan.txt
-  /// records the trigger and the before/after suffix).
-  bool capture_on_replan = true;
   /// Directory debug bundles are persisted under; empty keeps bundles
   /// in memory only.
   std::string bundle_dir;
@@ -50,9 +47,6 @@ struct DiagnosticsOptions {
   /// rotated aside to slow_queries.log.1 (replacing any previous rotation).
   /// 0 disables rotation (the log grows without bound).
   size_t slow_log_max_bytes = 256 * 1024;
-  /// Bound on in-memory slow-query records (oldest dropped first);
-  /// 0 = unbounded.
-  size_t slow_log_max_records = 256;
   /// DCSM drift EWMA tuning.
   dcsm::DriftOptions drift;
 };

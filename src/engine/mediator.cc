@@ -35,7 +35,6 @@ Mediator::Mediator() : Mediator(/*network_seed=*/1996) {}
 
 Mediator::Mediator(uint64_t network_seed)
     : network_(std::make_shared<net::NetworkSimulator>(network_seed)) {
-  network_->BindMetrics(*metrics_);
   dcsm_.BindMetrics(*metrics_);
   // Per-operator-kind execution instruments (hermes_exec_op_*), shared by
   // every query this mediator runs.
@@ -45,9 +44,6 @@ Mediator::Mediator(uint64_t network_seed)
   metrics_->Register("hermes_query_failures_total",
                      "Queries that returned an error", {},
                      query_failures_total_);
-  metrics_->Register("hermes_query_sim_ms",
-                     "Simulated end-to-end latency (Ta) per query", {},
-                     query_sim_ms_);
   metrics_->Register("hermes_query_tf_sim_ms",
                      "Simulated time to the first answer (Tf) per query", {},
                      query_tf_sim_ms_);
@@ -67,13 +63,6 @@ Mediator::Mediator(uint64_t network_seed)
       "Relative error |predicted - actual| / actual of the executed plan's "
       "DCSM cost prediction",
       {}, estimate_rel_error_);
-#define HERMES_FIELD(f)                                                \
-  metrics_->Register("hermes_query_" #f "_total",                      \
-                     "CallMetrics field '" #f "' folded across queries", {}, \
-                     fold_.f);
-  HERMES_CALL_METRICS_UINT64_FIELDS(HERMES_FIELD)
-  HERMES_CALL_METRICS_DOUBLE_FIELDS(HERMES_FIELD)
-#undef HERMES_FIELD
 }
 
 Status Mediator::CheckNotServing(const char* operation) const {
@@ -121,7 +110,9 @@ Status Mediator::RegisterRemoteDomain(const std::string& name,
   dcsm::Dcsm* dcsm = &dcsm_;
   governor->set_baseline([dcsm](const DomainCall& call) {
     Result<dcsm::CostEstimate> est = dcsm->Cost(dcsm::PatternView(call));
-    if (!est.ok() || est->source == "default") return 0.0;
+    if (!est.ok() || est->source.kind == dcsm::EstimateSource::Kind::kDefault) {
+      return 0.0;
+    }
     return est->cost.t_all_ms;
   });
   std::string pipeline_name = inner->name() + "@" + link->site().name;
@@ -464,6 +455,13 @@ net::NetworkInterceptor* Mediator::remote_link(const std::string& name) {
       pipeline->FindLayer("network"));
 }
 
+std::vector<std::string> Mediator::RemoteDomains() const {
+  std::vector<std::string> out;
+  out.reserve(links_.size());
+  for (const auto& [name, link] : links_) out.push_back(name);
+  return out;
+}
+
 std::vector<std::string> Mediator::CachedDomains() const {
   std::vector<std::string> out;
   out.reserve(cims_.size());
@@ -710,14 +708,6 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
   }
   if (!executed.ok()) {
     query_failures_total_->Add(1);
-    // Failed queries still fold their per-layer counters into the registry
-    // series: the calls they executed (and the failures that killed them)
-    // happened, and e.g. remote_failures must keep matching the network
-    // simulator's global failure count.
-#define HERMES_FIELD(f) fold_.f->Add(ctx.metrics.f);
-    HERMES_CALL_METRICS_UINT64_FIELDS(HERMES_FIELD)
-    HERMES_CALL_METRICS_DOUBLE_FIELDS(HERMES_FIELD)
-#undef HERMES_FIELD
     if (ctx.observed()) {
       // The derived span still ends no earlier than its children.
       ctx.Emit(obs::FlightEvent::End(obs::FlightEventKind::kQueryEnd,
@@ -766,21 +756,10 @@ Result<QueryResult> Mediator::Query(const std::string& query_text,
   result.metrics = ctx.metrics;
   result.tf_sim_ms = result.execution.t_first_ms;
   result.ta_sim_ms = result.execution.t_all_ms;
-  result.traffic.remote_calls = ctx.metrics.remote_calls;
-  result.traffic.failures = ctx.metrics.remote_failures;
-  result.traffic.bytes = ctx.metrics.bytes_transferred;
-  result.traffic.charge = ctx.metrics.network_charge;
 
-  // Fold this query's per-layer counters into the process-level registry
-  // series (the macro covers every CallMetrics field by construction).
   queries_total_->Add(1);
-  query_sim_ms_->Observe(result.execution.t_all_ms);
   query_tf_sim_ms_->Observe(result.execution.t_first_ms);
   query_ta_sim_ms_->Observe(result.execution.t_all_ms);
-#define HERMES_FIELD(f) fold_.f->Add(ctx.metrics.f);
-  HERMES_CALL_METRICS_UINT64_FIELDS(HERMES_FIELD)
-  HERMES_CALL_METRICS_DOUBLE_FIELDS(HERMES_FIELD)
-#undef HERMES_FIELD
   if (result.predicted_valid && result.execution.t_all_ms > 0.0) {
     estimate_rel_error_->Observe(
         std::abs(result.predicted.t_all_ms - result.execution.t_all_ms) /

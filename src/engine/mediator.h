@@ -47,13 +47,12 @@ const char* QueryPriorityName(QueryPriority p);
 struct AdmissionOptions {
   bool enabled = false;
   /// Shed a query at submission when its remaining deadline budget is
-  /// below the queue-wait watermark (the `watermark_quantile` of the
+  /// below the queue-wait watermark (the p90 of the
   /// hermes_pool_queue_wait_ms histogram, once `watermark_min_samples`
   /// waits were observed). Deadlines are simulated ms; the watermark is
   /// host ms scaled by Mediator::service_pacing() — with pacing 0 the
   /// check is skipped (simulated time never accrues queue wait).
   bool deadline_aware = true;
-  double watermark_quantile = 0.90;
   uint64_t watermark_min_samples = 32;
   /// CoDel-style queue-delay shedding at dequeue: once the sojourn time of
   /// dequeued queries stays above `codel_target_ms` for a full
@@ -126,16 +125,6 @@ enum class QueryCompleteness {
 /// Stable lowercase name ("complete", "degraded", "partial").
 const char* QueryCompletenessName(QueryCompleteness c);
 
-/// Network traffic attributable to one query. Derived from the query's
-/// CallContext metrics (the network layer attributes per-query), never by
-/// diffing the shared simulator's global statistics.
-struct QueryTraffic {
-  uint64_t remote_calls = 0;
-  uint64_t failures = 0;       ///< Calls lost to unavailable sites.
-  uint64_t bytes = 0;
-  double charge = 0.0;         ///< Financial access fees accrued.
-};
-
 /// The answers plus optimizer/engine diagnostics of one query.
 struct QueryResult {
   engine::QueryExecution execution;
@@ -148,9 +137,9 @@ struct QueryResult {
   CostVector predicted;             ///< DCSM's prediction for that plan.
   bool predicted_valid = false;
   double optimize_ms = 0.0;         ///< Simulated optimizer time.
-  QueryTraffic traffic;             ///< Remote calls/bytes/charges used.
-  /// Per-layer counters of this query's call path (trace/stats/cache/
-  /// network), accumulated through its CallContext.
+  /// Per-layer counters of this query's call path (stats/cache/
+  /// resilience/overload/network: remote calls, bytes, charges...),
+  /// accumulated through its CallContext.
   CallMetrics metrics;
   uint64_t query_id = 0;            ///< Id the query executed under.
   /// EXPLAIN of the executed operator tree (QueryOptions::explain).
@@ -187,11 +176,11 @@ struct QueryResult {
 /// domain], EnableCaching installs [cache → resilience → overload → network
 /// → domain] under "cim_<name>". At query time each DomainCallOp sends its
 /// call through the registry into that stack with the query's CallContext,
-/// which is where QueryResult::traffic/metrics come from.
+/// which is where QueryResult::metrics comes from.
 ///
 /// Concurrency model (see DESIGN.md): `Query`/`Plan` are safe to call from
 /// many threads at once — every query runs on a private CallContext, and
-/// the shared hot structures (result cache, DCSM, network statistics) are
+/// the shared hot structures (result cache, DCSM, layer counters) are
 /// internally synchronized. Wiring methods (Register*, EnableCaching,
 /// AddInvariants, UseNativeCostModel, LoadProgram*, ClearProgram) are
 /// writers on the same lock and additionally REJECTED with
@@ -437,8 +426,6 @@ class Mediator {
   /// registered here at wiring time; expose with metrics().Expose(...).
   obs::MetricsRegistry& metrics() { return *metrics_; }
   std::shared_ptr<obs::MetricsRegistry> metrics_ptr() { return metrics_; }
-  net::NetworkSimulator& network() { return *network_; }
-  std::shared_ptr<net::NetworkSimulator> network_ptr() { return network_; }
   DomainRegistry& registry() { return registry_; }
   /// The CIM wrapper of `name`, or nullptr when caching is not enabled.
   cim::CimDomain* cim(const std::string& name);
@@ -446,6 +433,11 @@ class Mediator {
   /// registration name, e.g. "video"), or nullptr when the domain is local.
   /// Failure-injection scenarios use it to take a site down mid-run.
   net::NetworkInterceptor* remote_link(const std::string& name);
+  /// Names of domains registered behind a remote link, one per link: sum
+  /// the links' own counters over these for network totals (a "cim_"
+  /// wrapper shares its domain's link, so registry names would count it
+  /// twice).
+  std::vector<std::string> RemoteDomains() const;
   /// Names of domains with CIM wrappers.
   std::vector<std::string> CachedDomains() const;
 
@@ -484,21 +476,6 @@ class Mediator {
   /// The (site, domain) pairs `plan` depends on, for cache invalidation.
   std::vector<optimizer::PlanCacheDep> CollectPlanDeps(
       const optimizer::CandidatePlan& plan) const;
-
-  /// Per-query CallMetrics folded into process-level registry counters.
-  /// Generated from the CallMetrics field-list macros, so a field added
-  /// there is folded here automatically (and a field missing from the
-  /// macros fails pipeline.cc's mirror static_assert).
-  struct MetricsFold {
-#define HERMES_FIELD(f) \
-  std::shared_ptr<obs::Counter> f = std::make_shared<obs::Counter>();
-    HERMES_CALL_METRICS_UINT64_FIELDS(HERMES_FIELD)
-#undef HERMES_FIELD
-#define HERMES_FIELD(f) \
-  std::shared_ptr<obs::FloatCounter> f = std::make_shared<obs::FloatCounter>();
-    HERMES_CALL_METRICS_DOUBLE_FIELDS(HERMES_FIELD)
-#undef HERMES_FIELD
-  };
 
   /// Wiring lock: queries hold it shared for their whole run, wiring
   /// mutations hold it exclusively — so a (rejected-path) mutation can
@@ -541,17 +518,14 @@ class Mediator {
 
   // Observability: the per-mediator registry plus the query-level
   // instruments the Query() path maintains itself (layer-owned instruments
-  // register here via the components' BindMetrics at wiring time).
+  // register here via the components' BindMetrics at wiring time; the
+  // call-path counters live in those layers, not here).
   std::shared_ptr<obs::MetricsRegistry> metrics_ =
       std::make_shared<obs::MetricsRegistry>();
-  MetricsFold fold_;
   std::shared_ptr<obs::Counter> queries_total_ =
       std::make_shared<obs::Counter>();
   std::shared_ptr<obs::Counter> query_failures_total_ =
       std::make_shared<obs::Counter>();
-  std::shared_ptr<obs::Histogram> query_sim_ms_ =
-      std::make_shared<obs::Histogram>(
-          obs::Histogram::ExponentialBounds(1.0, 2.0, 20));
   std::shared_ptr<obs::Histogram> query_tf_sim_ms_ =
       std::make_shared<obs::Histogram>(
           obs::Histogram::ExponentialBounds(1.0, 2.0, 20));

@@ -308,7 +308,7 @@ void DomainCallOp::Explain(ExplainPrinter& printer) {
           " est=[Tf=" + ExplainPrinter::FormatNum(est.cost.t_first_ms) +
           " Ta=" + ExplainPrinter::FormatNum(est.cost.t_all_ms) +
           " card=" + ExplainPrinter::FormatNum(est.cost.cardinality) +
-          " src=" + est.source + "]";
+          " src=" + est.source.ToString(goal.call.domain) + "]";
     }
   }
 

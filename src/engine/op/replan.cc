@@ -122,7 +122,7 @@ void ReplanManager::ObserveCall(const lang::Atom* goal, double all_ms,
 bool ReplanManager::BreakerTrigger(const ExecContext& cx, size_t from,
                                    std::string* trigger, std::string* site,
                                    std::string* domain) const {
-  if (!options_.on_breaker_open || site_of_ == nullptr) return false;
+  if (site_of_ == nullptr) return false;
   for (size_t p = from; p < positions_.size(); ++p) {
     const Position& pos = positions_[p];
     if (pos.atom == nullptr) continue;

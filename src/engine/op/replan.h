@@ -17,13 +17,12 @@
 namespace hermes::engine::op {
 
 /// Knobs of mid-query re-optimization. Every default keeps the feature
-/// inert; the mediator enables it per query.
+/// inert; the mediator enables it per query. Once enabled, a suffix goal
+/// whose site has an open circuit breaker in this query's CallContext
+/// (per-query state — deterministic under any thread count) always
+/// triggers a re-plan.
 struct ReplanOptions {
   bool enabled = false;
-  /// Re-plan when a suffix goal's site has an open circuit breaker in this
-  /// query's CallContext (per-query state — deterministic under any thread
-  /// count).
-  bool on_breaker_open = true;
   /// Re-plan when an executed call's observed latency or cardinality
   /// diverges from its compile-time estimate by more than this factor
   /// (observed > N·est or observed < est/N). 0 disables the divergence

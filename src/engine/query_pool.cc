@@ -10,6 +10,9 @@ namespace {
 
 constexpr size_t kNumPriorities = 3;
 
+/// The queue-wait quantile deadline-aware admission sheds against.
+constexpr double kWatermarkQuantile = 0.90;
+
 size_t PriorityIndex(QueryPriority p) {
   size_t idx = static_cast<size_t>(p);
   return idx < kNumPriorities ? idx : kNumPriorities - 1;
@@ -112,8 +115,7 @@ Status QueryPool::Enqueue(Task task, std::future<Result<QueryResult>>* out) {
         pacing > 0.0) {
       obs::HistogramSnapshot waits = queue_wait_ms_->Snapshot();
       if (waits.count >= admission_.watermark_min_samples) {
-        const double watermark_ms =
-            waits.Quantile(admission_.watermark_quantile);
+        const double watermark_ms = waits.Quantile(kWatermarkQuantile);
         const double budget_ms = task.options.deadline_ms * pacing;
         if (budget_ms < watermark_ms) {
           shed_deadline_->Add(1);
@@ -122,8 +124,7 @@ Status QueryPool::Enqueue(Task task, std::future<Result<QueryResult>>* out) {
               "deadline budget " + std::to_string(budget_ms) +
               "ms below queue-wait watermark " +
               std::to_string(watermark_ms) + "ms (p" +
-              std::to_string(
-                  static_cast<int>(admission_.watermark_quantile * 100)) +
+              std::to_string(static_cast<int>(kWatermarkQuantile * 100)) +
               " of " + std::to_string(waits.count) + " waits); " +
               QueueContextLocked());
         }

@@ -26,7 +26,6 @@ NetworkSimulator::Transfer NetworkSimulator::PlanWith(const SiteParams& site,
 
 NetworkSimulator::Transfer NetworkSimulator::PlanCall(const SiteParams& site,
                                                       size_t call_hash) {
-  calls_->Add(1);
   // fetch_add(1) + 1 reproduces the historical pre-increment values, so
   // single-threaded draw sequences stay bit-identical to the old code.
   uint64_t seq = sequence_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -38,7 +37,6 @@ NetworkSimulator::Transfer NetworkSimulator::PlanCall(const SiteParams& site,
 NetworkSimulator::Transfer NetworkSimulator::PlanCall(const SiteParams& site,
                                                       size_t call_hash,
                                                       Rng& stream) {
-  calls_->Add(1);
   // Per-query stream: fold the call hash and site into the draw via a
   // sub-stream so distinct calls within the query jitter independently,
   // while the sequence within one (call, site) pair follows the caller's
@@ -49,48 +47,9 @@ NetworkSimulator::Transfer NetworkSimulator::PlanCall(const SiteParams& site,
   return PlanWith(site, rng);
 }
 
-double NetworkSimulator::RecordTransfer(const SiteParams& site, size_t bytes,
-                                        double network_ms) {
-  bytes_->Add(bytes);
-  network_ms_->Add(network_ms);
-  double charge = site.charge_per_call +
-                  site.charge_per_kb * (static_cast<double>(bytes) / 1024.0);
-  charge_->Add(charge);
-  return charge;
-}
-
-void NetworkSimulator::RecordFailure() { failures_->Add(1); }
-
-NetworkStats NetworkSimulator::stats() const {
-  NetworkStats snapshot;
-  snapshot.calls = calls_->Value();
-  snapshot.failures = failures_->Value();
-  snapshot.bytes_transferred = bytes_->Value();
-  snapshot.total_charge = charge_->Value();
-  snapshot.total_network_ms = network_ms_->Value();
-  return snapshot;
-}
-
-void NetworkSimulator::ResetStats() {
-  calls_->Reset();
-  failures_->Reset();
-  bytes_->Reset();
-  charge_->Reset();
-  network_ms_->Reset();
-}
-
-void NetworkSimulator::BindMetrics(obs::MetricsRegistry& registry) {
-  registry.Register("hermes_net_calls_total",
-                    "Remote calls attempted across all sites",
-                    {}, calls_);
-  registry.Register("hermes_net_failures_total",
-                    "Remote calls lost to site unavailability", {}, failures_);
-  registry.Register("hermes_net_bytes_total",
-                    "Answer bytes shipped over simulated links", {}, bytes_);
-  registry.Register("hermes_net_charge_total",
-                    "Financial access fees accrued (simulated)", {}, charge_);
-  registry.Register("hermes_net_sim_ms_total",
-                    "Simulated network milliseconds consumed", {}, network_ms_);
+double NetworkSimulator::Charge(const SiteParams& site, size_t bytes) {
+  return site.charge_per_call +
+         site.charge_per_kb * (static_cast<double>(bytes) / 1024.0);
 }
 
 }  // namespace hermes::net

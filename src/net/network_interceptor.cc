@@ -101,8 +101,6 @@ Result<CallOutput> NetworkInterceptor::Intercept(CallContext& ctx,
     ctx.Emit(ev.set_detail(detail));
   };
   if (!transfer.available) {
-    last_penalty_ms_.store(transfer.penalty_ms, std::memory_order_relaxed);
-    network_->RecordFailure();
     ++ctx.metrics.remote_failures;
     site_failures_->Add(1);
     ctx.last_failure_site = site_.name;
@@ -117,7 +115,6 @@ Result<CallOutput> NetworkInterceptor::Intercept(CallContext& ctx,
     msg += " for " + call.ToString();
     return Status::Unavailable(std::move(msg));
   }
-  last_penalty_ms_.store(0.0, std::memory_order_relaxed);
 
   Result<CallOutput> inner = next(ctx, call);
   if (!inner.ok()) {
@@ -130,7 +127,7 @@ Result<CallOutput> NetworkInterceptor::Intercept(CallContext& ctx,
   CallOutput out = ComposeRemoteLatency(transfer, std::move(inner_out));
 
   double network_ms = out.all_ms;
-  double charge = network_->RecordTransfer(site_, total_bytes, network_ms);
+  double charge = NetworkSimulator::Charge(site_, total_bytes);
   ctx.metrics.bytes_transferred += total_bytes;
   ctx.metrics.network_charge += charge;
   ctx.metrics.network_ms += network_ms;

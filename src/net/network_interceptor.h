@@ -1,7 +1,6 @@
 #ifndef HERMES_NET_NETWORK_INTERCEPTOR_H_
 #define HERMES_NET_NETWORK_INTERCEPTOR_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 
@@ -15,9 +14,9 @@ namespace hermes::net {
 
 /// The network layer of the call pipeline: plans each call's transfer over
 /// a simulated wide-area link, composes the latency profile onto the inner
-/// result, and attributes traffic (calls, bytes, charges, failures) to the
-/// query via CallContext::metrics — in addition to the simulator's global
-/// aggregate statistics.
+/// result, and counts its traffic (calls, failures, bytes, charges,
+/// simulated network time) twice: for the query in CallContext::metrics,
+/// and for the link in its own counters, exposed as hermes_site_* series.
 ///
 /// When the site is (probabilistically) unavailable the call fails with
 /// Status::Unavailable after charging the retry timeout, which a cache
@@ -55,11 +54,14 @@ class NetworkInterceptor : public CallInterceptor {
     return faults_;
   }
 
-  /// Simulated time the last call (by any thread) lost to an unavailable
-  /// site (0 when the last call succeeded).
-  double last_unavailable_penalty_ms() const {
-    return last_penalty_ms_.load(std::memory_order_relaxed);
-  }
+  /// This link's own counters: every call made through it, with or
+  /// without a query context. BindMetrics exposes them.
+  const obs::Counter& calls() const { return *site_calls_; }
+  const obs::Counter& failures() const { return *site_failures_; }
+  const obs::Counter& bytes() const { return *site_bytes_; }
+  const obs::FloatCounter& charge() const { return *site_charge_; }
+  /// Simulated network time of each successful call.
+  const obs::Histogram& hop_sim_ms() const { return *hop_sim_ms_; }
 
   /// Registers this link's per-site counters and hop-latency histogram
   /// with `registry`, labeled {site=<site name>, domain=<domain>} (the
@@ -72,9 +74,8 @@ class NetworkInterceptor : public CallInterceptor {
   SiteParams site_;
   std::shared_ptr<NetworkSimulator> network_;
   std::shared_ptr<const FaultInjector> faults_;
-  std::atomic<double> last_penalty_ms_{0.0};
 
-  // Per-site slice of the traffic, mirrored into the registry on bind.
+  // This link's traffic, exposed through the registry on bind.
   std::shared_ptr<obs::Counter> site_calls_ = std::make_shared<obs::Counter>();
   std::shared_ptr<obs::Counter> site_failures_ =
       std::make_shared<obs::Counter>();

@@ -105,14 +105,6 @@ HistogramSnapshot Histogram::Snapshot() const {
   return snap;
 }
 
-void Histogram::Reset() {
-  for (const auto& shard : shards_) {
-    for (auto& c : shard->counts) c.store(0, std::memory_order_relaxed);
-    shard->sum.store(0.0, std::memory_order_relaxed);
-    shard->count.store(0, std::memory_order_relaxed);
-  }
-}
-
 // ---- Registry ---------------------------------------------------------------
 
 namespace {
@@ -181,101 +173,85 @@ double ScalarValue(const Metric& metric) {
   return 0.0;
 }
 
+/// Hash of a series identity (name and labels), for the registry's index.
+size_t IdentityHash(const std::string& name, const Labels& labels) {
+  std::hash<std::string> hash;
+  size_t h = hash(name);
+  for (const auto& [k, v] : labels) {
+    h = h * 31 + hash(k);
+    h = h * 31 + hash(v);
+  }
+  return h;
+}
+
 }  // namespace
 
 MetricsRegistry::Entry* MetricsRegistry::FindLocked(const std::string& name,
                                                     const Labels& labels) {
-  for (Entry& entry : entries_) {
+  auto [begin, end] = index_.equal_range(IdentityHash(name, labels));
+  for (auto it = begin; it != end; ++it) {
+    Entry& entry = entries_[it->second];
     if (entry.name == name && entry.labels == labels) return &entry;
   }
   return nullptr;
+}
+
+void MetricsRegistry::PutLocked(Entry* existing, const std::string& name,
+                                const std::string& help, const Labels& labels,
+                                std::shared_ptr<Metric> metric) {
+  if (existing != nullptr) {
+    existing->help = help;
+    existing->metric = std::move(metric);
+    return;
+  }
+  index_.emplace(IdentityHash(name, labels), entries_.size());
+  entries_.push_back(Entry{name, help, labels, std::move(metric)});
 }
 
 void MetricsRegistry::Register(const std::string& name, const std::string& help,
                                const Labels& labels,
                                std::shared_ptr<Metric> metric) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (Entry* existing = FindLocked(name, labels)) {
-    existing->help = help;
-    existing->metric = std::move(metric);
-    return;
+  PutLocked(FindLocked(name, labels), name, help, labels, std::move(metric));
+}
+
+template <typename T, typename... Args>
+std::shared_ptr<T> MetricsRegistry::GetOrAdd(const std::string& name,
+                                             const std::string& help,
+                                             const Labels& labels,
+                                             Args&&... args) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Entry* existing = FindLocked(name, labels);
+  if (existing != nullptr) {
+    if (auto typed = std::dynamic_pointer_cast<T>(existing->metric)) {
+      return typed;
+    }
   }
-  entries_.push_back(Entry{name, help, labels, std::move(metric)});
+  auto metric = std::make_shared<T>(std::forward<Args>(args)...);
+  PutLocked(existing, name, help, labels, metric);
+  return metric;
 }
 
 std::shared_ptr<Counter> MetricsRegistry::GetOrAddCounter(
     const std::string& name, const std::string& help, const Labels& labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (Entry* existing = FindLocked(name, labels)) {
-    if (auto typed = std::dynamic_pointer_cast<Counter>(existing->metric)) {
-      return typed;
-    }
-  }
-  auto metric = std::make_shared<Counter>();
-  if (Entry* existing = FindLocked(name, labels)) {
-    existing->help = help;
-    existing->metric = metric;
-  } else {
-    entries_.push_back(Entry{name, help, labels, metric});
-  }
-  return metric;
+  return GetOrAdd<Counter>(name, help, labels);
 }
 
 std::shared_ptr<FloatCounter> MetricsRegistry::GetOrAddFloatCounter(
     const std::string& name, const std::string& help, const Labels& labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (Entry* existing = FindLocked(name, labels)) {
-    if (auto typed =
-            std::dynamic_pointer_cast<FloatCounter>(existing->metric)) {
-      return typed;
-    }
-  }
-  auto metric = std::make_shared<FloatCounter>();
-  if (Entry* existing = FindLocked(name, labels)) {
-    existing->help = help;
-    existing->metric = metric;
-  } else {
-    entries_.push_back(Entry{name, help, labels, metric});
-  }
-  return metric;
+  return GetOrAdd<FloatCounter>(name, help, labels);
 }
 
 std::shared_ptr<Gauge> MetricsRegistry::GetOrAddGauge(const std::string& name,
                                                       const std::string& help,
                                                       const Labels& labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (Entry* existing = FindLocked(name, labels)) {
-    if (auto typed = std::dynamic_pointer_cast<Gauge>(existing->metric)) {
-      return typed;
-    }
-  }
-  auto metric = std::make_shared<Gauge>();
-  if (Entry* existing = FindLocked(name, labels)) {
-    existing->help = help;
-    existing->metric = metric;
-  } else {
-    entries_.push_back(Entry{name, help, labels, metric});
-  }
-  return metric;
+  return GetOrAdd<Gauge>(name, help, labels);
 }
 
 std::shared_ptr<Histogram> MetricsRegistry::GetOrAddHistogram(
     const std::string& name, const std::string& help,
     std::vector<double> bounds, const Labels& labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (Entry* existing = FindLocked(name, labels)) {
-    if (auto typed = std::dynamic_pointer_cast<Histogram>(existing->metric)) {
-      return typed;
-    }
-  }
-  auto metric = std::make_shared<Histogram>(std::move(bounds));
-  if (Entry* existing = FindLocked(name, labels)) {
-    existing->help = help;
-    existing->metric = metric;
-  } else {
-    entries_.push_back(Entry{name, help, labels, metric});
-  }
-  return metric;
+  return GetOrAdd<Histogram>(name, help, labels, std::move(bounds));
 }
 
 void MetricsRegistry::RegisterCallbackGauge(const std::string& name,
@@ -289,11 +265,6 @@ void MetricsRegistry::RegisterCallbackGauge(const std::string& name,
 size_t MetricsRegistry::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
-}
-
-MetricsRegistry& MetricsRegistry::Global() {
-  static MetricsRegistry* global = new MetricsRegistry();
-  return *global;
 }
 
 std::string MetricsRegistry::Expose(ExpositionFormat format) const {

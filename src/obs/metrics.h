@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,8 +39,8 @@ class Metric {
 };
 
 /// Monotonic integer counter. Lock-light: per-shard relaxed atomics, merged
-/// on read. `Reset` exists for the legacy `ResetStats` APIs the experiment
-/// drivers use between phases; a live Prometheus scrape would never call it.
+/// on read. It only rises: a reader that wants one phase's count takes the
+/// difference of two reads.
 class Counter : public Metric {
  public:
   static constexpr size_t kShards = 16;
@@ -54,9 +55,6 @@ class Counter : public Metric {
     uint64_t total = 0;
     for (const Shard& s : shards_) total += s.v.load(std::memory_order_relaxed);
     return total;
-  }
-  void Reset() {
-    for (Shard& s : shards_) s.v.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -80,9 +78,6 @@ class FloatCounter : public Metric {
     double total = 0.0;
     for (const Shard& s : shards_) total += s.v.load(std::memory_order_relaxed);
     return total;
-  }
-  void Reset() {
-    for (Shard& s : shards_) s.v.store(0.0, std::memory_order_relaxed);
   }
 
  private:
@@ -157,7 +152,6 @@ class Histogram : public Metric {
   void Observe(double value);
   HistogramSnapshot Snapshot() const;
   const std::vector<double>& bounds() const { return bounds_; }
-  void Reset();
 
  private:
   struct Shard {
@@ -227,9 +221,6 @@ class MetricsRegistry {
 
   size_t size() const;
 
-  /// The process-wide default registry.
-  static MetricsRegistry& Global();
-
  private:
   struct Entry {
     std::string name;
@@ -238,11 +229,27 @@ class MetricsRegistry {
     std::shared_ptr<Metric> metric;
   };
 
+  /// The series (name, labels) as a T, made from `args` (and replacing a
+  /// series of another kind) when it is not one yet.
+  template <typename T, typename... Args>
+  std::shared_ptr<T> GetOrAdd(const std::string& name, const std::string& help,
+                              const Labels& labels, Args&&... args);
+
   /// Existing entry with this identity, or nullptr. Caller holds mu_.
   Entry* FindLocked(const std::string& name, const Labels& labels);
 
+  /// Replaces `existing`'s help and metric, or appends a new entry when
+  /// `existing` is null. Caller holds mu_.
+  void PutLocked(Entry* existing, const std::string& name,
+                 const std::string& help, const Labels& labels,
+                 std::shared_ptr<Metric> metric);
+
   mutable std::mutex mu_;
+  /// Registration order, which the exposition keeps within a family.
   std::vector<Entry> entries_;
+  /// Positions in entries_ by the hash of their (name, labels); FindLocked
+  /// compares the entries of one hash.
+  std::unordered_multimap<size_t, size_t> index_;
 };
 
 }  // namespace hermes::obs

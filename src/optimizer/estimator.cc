@@ -11,6 +11,13 @@ namespace hermes::optimizer {
 
 namespace {
 
+constexpr double kEqSelectivity = 0.10;   ///< Fraction surviving `X = const`.
+constexpr double kNeqSelectivity = 0.90;  ///< Fraction surviving `X != const`.
+/// in(X, ...) with X already bound.
+constexpr double kMembershipSelectivity = 0.5;
+/// Simulated charge per predicate-statistics row scanned.
+constexpr double kPerPredicateStatRowMs = 0.02;
+
 /// Static binding knowledge about one variable or term during estimation
 /// (Section 5/6's adornments): free, bound to an unknown value (`$b`), or
 /// bound to a known constant. A constant is not copied: it points into the
@@ -265,7 +272,7 @@ Result<CostVector> RuleCostEstimator::EstimatePredicate(Walk* walk,
     }
     if (observed.ok() && observed->has_t_first) {
       t_first = observed->cost.t_first_ms;
-      walk->estimation_ms += params_.per_predicate_stat_row_ms *
+      walk->estimation_ms += kPerPredicateStatRowMs *
                              static_cast<double>(observed->rows_scanned);
     }
   }
@@ -313,7 +320,7 @@ Result<CostVector> RuleCostEstimator::EstimateBodyInternal(Walk* walk,
         if (Describe(goal.output, slot[0], env).is_bound()) {
           // Membership check: at most one continuation per call.
           goal_cost.cardinality = std::min(
-              1.0, goal_cost.cardinality * params_.membership_selectivity);
+              1.0, goal_cost.cardinality * kMembershipSelectivity);
         } else if (goal.output.is_variable()) {
           env[slot[0]].MarkBound();
         }
@@ -333,10 +340,10 @@ Result<CostVector> RuleCostEstimator::EstimateBodyInternal(Walk* walk,
         } else if (lhs.is_bound() && rhs.is_bound()) {
           switch (goal.op) {
             case lang::RelOp::kEq:
-              selectivity = params_.eq_selectivity;
+              selectivity = kEqSelectivity;
               break;
             case lang::RelOp::kNeq:
-              selectivity = params_.neq_selectivity;
+              selectivity = kNeqSelectivity;
               break;
             default:
               selectivity = params_.range_selectivity;

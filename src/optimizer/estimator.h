@@ -13,10 +13,7 @@ namespace hermes::optimizer {
 
 /// Tuning knobs of the rule cost estimator.
 struct EstimatorParams {
-  double eq_selectivity = 0.10;     ///< Fraction surviving `X = const`.
   double range_selectivity = 0.33;  ///< Fraction surviving a range filter.
-  double neq_selectivity = 0.90;    ///< Fraction surviving `X != const`.
-  double membership_selectivity = 0.5;  ///< in(X, ...) with X already bound.
   /// Per-tuple comparison CPU time; single-sourced with the executor so
   /// estimates and execution charge the same simulated cost.
   double comparison_cost_ms = kDefaultComparisonCostMs;
@@ -30,7 +27,6 @@ struct EstimatorParams {
   /// overridden — T_a and cardinality keep the compositional formula so
   /// plan orderings remain distinguishable.
   bool use_predicate_first_answer_stats = false;
-  double per_predicate_stat_row_ms = 0.02;  ///< Simulated lookup charge.
 };
 
 /// The DCSM's answers by exact call pattern: domain, function, and each

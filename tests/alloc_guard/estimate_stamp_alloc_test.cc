@@ -1,8 +1,8 @@
 // A DomainCallOp is stamped with its call site's DCSM estimate when it is
 // built. The DCSM reads the goal's own spec through a view (its variables
 // read as `$b`) and probes its summary tables, its raw group and a `cim_`
-// domain's fallback to the wrapped domain in place, so a stamp whose
-// answer fits in place allocates nothing.
+// domain's fallback to the wrapped domain in place, and tags where the
+// answer came from without building text, so a stamp allocates nothing.
 
 #include <gtest/gtest.h>
 
@@ -43,7 +43,7 @@ Stamp Build(const lang::Atom& goal, const dcsm::Dcsm& dcsm) {
   stamp.allocations = scope.count();
   EXPECT_TRUE(op.estimate().has_value() && op.estimate()->answer.has_value());
   if (op.estimate().has_value() && op.estimate()->answer.has_value()) {
-    stamp.source = op.estimate()->answer->source;
+    stamp.source = op.estimate()->answer->source.ToString(goal.call.domain);
   }
   return stamp;
 }
@@ -92,6 +92,31 @@ TEST(EstimateStampAlloc, StampFromASummaryAllocatesNothing) {
     EXPECT_EQ(stamp.source, "summary") << text;
     EXPECT_EQ(stamp.allocations, 0u) << text;
   }
+}
+
+TEST(EstimateStampAlloc, FallbackStampAllocatesNothing) {
+  // Statistics recorded only under the wrapped domain answer a cim_video
+  // stamp through the DCSM's fallback: first from the raw group, then from
+  // a summary of it.
+  dcsm::Dcsm fallback;
+  for (int64_t first = 0; first < 40; first += 4) {
+    fallback.RecordExecution(
+        DomainCall{"video",
+                   "frames_to_objects",
+                   {Value::Str("rope"), Value::Int(first),
+                    Value::Int(first + 40)}},
+        CostVector(900.0, 1200.0, 7.0));
+  }
+  const lang::Query query = Goal(kFrames);
+  const Stamp raw = Build(query.goals[0], fallback);
+  EXPECT_EQ(raw.source, "raw+cim-fallback");
+  EXPECT_EQ(raw.allocations, 0u);
+
+  ASSERT_TRUE(
+      fallback.BuildSummary({"video", "frames_to_objects", 3}, {0}).ok());
+  const Stamp summary = Build(query.goals[0], fallback);
+  EXPECT_EQ(summary.source, "summary+cim-fallback");
+  EXPECT_EQ(summary.allocations, 0u);
 }
 
 }  // namespace

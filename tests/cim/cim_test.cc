@@ -278,13 +278,5 @@ TEST(CimTest, BestPartialIsLargestCachedSubset) {
   EXPECT_EQ(out->answers[3], Value::Str("janet"));
 }
 
-TEST(CimTest, StatsResetWorks) {
-  CimFixture fx;
-  (void)fx.cim->Run(Range("rope", 4, 47));
-  fx.cim->ResetStats();
-  EXPECT_EQ(fx.cim->stats().misses, 0u);
-  EXPECT_EQ(fx.cim->stats().actual_calls, 0u);
-}
-
 }  // namespace
 }  // namespace hermes::cim

@@ -124,6 +124,31 @@ TEST(CimStalenessTest, StaleFallbackMasksAMissPathOutage) {
   EXPECT_EQ(cim.stats().stale_serves, 1u);
 }
 
+TEST(CimStalenessTest, BrownoutStaleServeCountsAsTheExactHitItReports) {
+  auto inner = std::make_shared<VersionedDomain>("v");
+  CimOptions options;
+  options.max_entry_age = 1;
+  CimDomain cim("cim_v", "v", inner, options);
+  (void)cim.Run(TheCall());                                // tick 1: cached @1
+  (void)cim.Run(DomainCall{"v", "now", {Value::Int(2)}});  // tick 2: ages @1
+  const CimStats before = cim.stats();
+  // Tick 3 under brownout: the stale complete entry stands in for the
+  // source, and the CIM counts the exact hit it reports.
+  CimOutcome outcome = CimOutcome::kMiss;
+  Result<CallOutput> out = cim.RunWith(
+      TheCall(),
+      [&inner](const DomainCall& call) { return inner->Run(call); },
+      &outcome, /*prefer_stale=*/true);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_TRUE(out->degraded);
+  EXPECT_EQ(out->answers[0], Value::Int(1));
+  EXPECT_EQ(outcome, CimOutcome::kExactHit);
+  EXPECT_EQ(inner->calls(), 2);
+  EXPECT_EQ(cim.stats().exact_hits - before.exact_hits, 1u);
+  EXPECT_EQ(cim.stats().stale_serves - before.stale_serves, 1u);
+  EXPECT_EQ(cim.stats().misses - before.misses, 0u);
+}
+
 TEST(CimStalenessTest, StaleFallbackIsOffByDefault) {
   auto inner = std::make_shared<OutageDomain>("v");
   CimOptions options;

@@ -34,7 +34,7 @@ TEST(DcsmTest, ExactRawEstimate) {
   Result<CostEstimate> est = dcsm.Cost(Pattern("d:f(1, 10, 2)"));
   ASSERT_TRUE(est.ok()) << est.status();
   EXPECT_DOUBLE_EQ(est->cost.t_all_ms, 6.0);
-  EXPECT_EQ(est->source, "raw");
+  EXPECT_EQ(est->source.kind, EstimateSource::Kind::kRaw);
 }
 
 TEST(DcsmTest, RelaxationDropsConstantsUntilMatch) {
@@ -60,7 +60,7 @@ TEST(DcsmTest, DefaultWhenNoStatistics) {
   Dcsm dcsm;
   Result<CostEstimate> est = dcsm.Cost(Pattern("ghost:none($b)"));
   ASSERT_TRUE(est.ok());
-  EXPECT_EQ(est->source, "default");
+  EXPECT_EQ(est->source.kind, EstimateSource::Kind::kDefault);
   DcsmOptions strict;
   strict.allow_default = false;
   Dcsm picky(strict);
@@ -73,7 +73,7 @@ TEST(DcsmTest, SummaryPreferredOverRawAndCheaper) {
   ASSERT_TRUE(dcsm.BuildLosslessSummaries().ok());
   Result<CostEstimate> est = dcsm.Cost(Pattern("d:f(1, 10, 2)"));
   ASSERT_TRUE(est.ok());
-  EXPECT_EQ(est->source, "summary");
+  EXPECT_EQ(est->source.kind, EstimateSource::Kind::kSummary);
   EXPECT_DOUBLE_EQ(est->cost.t_all_ms, 6.0);
 
   // The summary path must simulate less lookup time than raw aggregation.
@@ -93,7 +93,7 @@ TEST(DcsmTest, LossySummariesLoseConstantResolution) {
   Result<CostEstimate> est = dcsm.Cost(Pattern("d:f(1, 10, 2)"));
   ASSERT_TRUE(est.ok());
   EXPECT_DOUBLE_EQ(est->cost.t_all_ms, 11.5);
-  EXPECT_EQ(est->source, "summary");
+  EXPECT_EQ(est->source.kind, EstimateSource::Kind::kSummary);
 }
 
 TEST(DcsmTest, LosslessSummaryKeepsConstantResolution) {
@@ -165,7 +165,7 @@ TEST(DcsmTest, NativeModelTakesPrecedence) {
                        CostVector(1000, 99999, 42));
   Result<CostEstimate> est = dcsm.Cost(Pattern("relation:all('cast')"));
   ASSERT_TRUE(est.ok());
-  EXPECT_EQ(est->source, "native:relation");
+  EXPECT_EQ(est->source.ToString("relation"), "native:relation");
   EXPECT_DOUBLE_EQ(est->cost.cardinality, 9.0);
 }
 

@@ -16,7 +16,8 @@ namespace {
 
 /// A call site's estimate of Ta=10, card=4 from recorded statistics (drift
 /// skips default-only estimates).
-const CostEstimate kEstimate{CostVector(5.0, 10.0, 4.0), "raw"};
+const CostEstimate kEstimate{CostVector(5.0, 10.0, 4.0),
+                              {EstimateSource::Kind::kRaw}};
 
 struct HookLog {
   std::vector<std::string> fired;

@@ -122,7 +122,7 @@ TEST(OverloadTest, LimitShrinksMultiplicativelyOnFailure) {
 }
 
 TEST(OverloadTest, LatencyPastBaselineFactorIsCongestion) {
-  // Baseline 10ms, latency_factor 3: a 35ms call is a congestion signal
+  // Baseline 10ms, congestion factor 3: a 35ms call is a congestion signal
   // even though it succeeded.
   ScriptedSite site{{35.0}};
   OverloadInterceptor governor("umd");

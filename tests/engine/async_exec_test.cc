@@ -102,8 +102,8 @@ TEST(AsyncExecTest, IndependentCallsCostMaxNotSum) {
   EXPECT_LT(async->execution.t_all_ms, 0.5 * sync->execution.t_all_ms);
 
   // Both plans ship the same three calls; only the overlap differs.
-  EXPECT_EQ(sync->traffic.remote_calls, 3u);
-  EXPECT_EQ(async->traffic.remote_calls, 3u);
+  EXPECT_EQ(sync->metrics.remote_calls, 3u);
+  EXPECT_EQ(async->metrics.remote_calls, 3u);
 
   // QueryResult mirrors the paper's Tf/Ta measures.
   EXPECT_DOUBLE_EQ(async->tf_sim_ms, async->execution.t_first_ms);

@@ -67,20 +67,33 @@ TEST(DegradationTest, QueryOverDownSiteTerminatesWithUnavailable) {
       << res.status();
 }
 
-TEST(DegradationTest, FailedQueriesStillFoldMetricsIntoTheRegistry) {
+TEST(DegradationTest, FailedQueriesStillCountInTheLayerSeries) {
   Mediator med;
   ASSERT_TRUE(testbed::SetupRopeScenario(&med, DeadVideoSite()).ok());
+  const net::NetworkInterceptor* link = med.remote_link("video");
+  ASSERT_NE(link, nullptr);
   ASSERT_FALSE(
       med.Query(testbed::AppendixQuery(3, false, 4, 47), RawQuery()).ok());
-  // The failed query's per-layer counters reached the process registry via
-  // the CallMetrics X-macro fold, so the folded remote_failures matches the
-  // network simulator's own global failure count.
-  net::NetworkStats net = med.network().stats();
-  EXPECT_GT(net.failures, 0u);
+  // The failed query returned no metrics, yet the calls it lost happened:
+  // the link that observed them counted them in its own series.
+  const uint64_t lost_by_failed_query = link->failures().Value();
+  EXPECT_GT(lost_by_failed_query, 0u);
   std::string prom = med.metrics().ExposePrometheus();
-  EXPECT_EQ(MetricValue(prom, "hermes_query_remote_failures_total "),
-            static_cast<double>(net.failures));
+  EXPECT_EQ(MetricValue(prom, "hermes_site_failures_total{site=\"umd\","
+                              "domain=\"video\"} "),
+            static_cast<double>(lost_by_failed_query));
   EXPECT_EQ(MetricValue(prom, "hermes_query_failures_total "), 1.0);
+
+  // The same query with partial results completes, and the failures it
+  // reports are exactly what the link counted while it ran.
+  QueryOptions partial = RawQuery();
+  partial.partial_results = true;
+  Result<QueryResult> res =
+      med.Query(testbed::AppendixQuery(3, false, 4, 47), partial);
+  ASSERT_TRUE(res.ok()) << res.status();
+  EXPECT_GT(res->metrics.remote_failures, 0u);
+  EXPECT_EQ(res->metrics.remote_failures,
+            link->failures().Value() - lost_by_failed_query);
 }
 
 // ---- Partial results: losing a source is reported, not fatal ---------------

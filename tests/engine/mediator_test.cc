@@ -149,7 +149,7 @@ TEST(MediatorTest, NativeCostModelIsUsedWhenEnabled) {
   ASSERT_TRUE(pattern.ok());
   Result<dcsm::CostEstimate> est = med.dcsm().Cost(*pattern);
   ASSERT_TRUE(est.ok());
-  EXPECT_EQ(est->source, "native:relation");
+  EXPECT_EQ(est->source.ToString(pattern->domain), "native:relation");
 }
 
 TEST(MediatorTest, InvariantForUncachedDomainRejected) {
@@ -258,8 +258,13 @@ TEST(MediatorTest, NetworkStatsTrackTraffic) {
   raw.use_optimizer = false;
   raw.use_cim = false;
   (void)med.Query(testbed::AppendixQuery(1, true, 4, 47), raw);
-  EXPECT_GT(med.network().stats().calls, 0u);
-  EXPECT_GT(med.network().stats().bytes_transferred, 0u);
+  uint64_t calls = 0, bytes = 0;
+  for (const std::string& domain : med.RemoteDomains()) {
+    calls += med.remote_link(domain)->calls().Value();
+    bytes += med.remote_link(domain)->bytes().Value();
+  }
+  EXPECT_GT(calls, 0u);
+  EXPECT_GT(bytes, 0u);
 }
 
 TEST(MediatorTest, SectionTwoRouteToSuppliesScenario) {

@@ -104,9 +104,10 @@ TEST(TrafficAccountingTest, ChargesAccrueOnPricedLinks) {
   Result<QueryResult> paid =
       med.Query(testbed::AppendixQuery(1, true, 4, 47), direct);
   ASSERT_TRUE(paid.ok()) << paid.status();
-  EXPECT_GT(paid->traffic.remote_calls, 0u);
-  EXPECT_GT(paid->traffic.bytes, 0u);
-  EXPECT_GT(paid->traffic.charge, 0.0);  // Australia charges per call/KB
+  EXPECT_GT(paid->metrics.remote_calls, 0u);
+  EXPECT_GT(paid->metrics.bytes_transferred, 0u);
+  // Australia charges per call and per KB.
+  EXPECT_GT(paid->metrics.network_charge, 0.0);
 
   // The same query through the cache costs nothing further.
   QueryOptions via_cim;
@@ -115,8 +116,8 @@ TEST(TrafficAccountingTest, ChargesAccrueOnPricedLinks) {
   Result<QueryResult> cached =
       med.Query(testbed::AppendixQuery(1, true, 4, 47), via_cim);
   ASSERT_TRUE(cached.ok());
-  EXPECT_EQ(cached->traffic.charge, 0.0);
-  EXPECT_EQ(cached->traffic.bytes, 0u);
+  EXPECT_EQ(cached->metrics.network_charge, 0.0);
+  EXPECT_EQ(cached->metrics.bytes_transferred, 0u);
 }
 
 TEST(TrafficAccountingTest, FailuresCounted) {
@@ -132,7 +133,7 @@ TEST(TrafficAccountingTest, FailuresCounted) {
   Result<QueryResult> res =
       med.Query(testbed::AppendixQuery(1, true, 4, 47), direct);
   EXPECT_TRUE(res.status().IsUnavailable());
-  EXPECT_GT(med.network().stats().failures, 0u);
+  EXPECT_GT(med.remote_link("video")->failures().Value(), 0u);
 }
 
 }  // namespace

@@ -93,18 +93,35 @@ TEST(NetworkSimulatorTest, AvailabilityProducesFailures) {
 }
 
 TEST(NetworkSimulatorTest, StatsAccumulate) {
-  NetworkSimulator sim(1);
+  // The simulator only plans; each link counts its own traffic, charged at
+  // its site's tariff, and the query's context counts the same calls.
   SiteParams site = AustraliaSite();
-  (void)sim.PlanCall(site, 1);
-  double charge = sim.RecordTransfer(site, 2048, 100.0);
-  EXPECT_NEAR(charge, site.charge_per_call + 2 * site.charge_per_kb, 1e-9);
-  sim.RecordFailure();
-  EXPECT_EQ(sim.stats().calls, 1u);
-  EXPECT_EQ(sim.stats().failures, 1u);
-  EXPECT_EQ(sim.stats().bytes_transferred, 2048u);
-  EXPECT_NEAR(sim.stats().total_charge, charge, 1e-9);
-  sim.ResetStats();
-  EXPECT_EQ(sim.stats().calls, 0u);
+  site.jitter = 0.0;
+  EXPECT_NEAR(NetworkSimulator::Charge(site, 2048),
+              site.charge_per_call + 2 * site.charge_per_kb, 1e-9);
+  AnswerSet answers = {Value::Int(1), Value::Int(2)};
+  auto link = std::make_shared<NetworkInterceptor>(
+      site, std::make_shared<NetworkSimulator>(1));
+  PipelineDomain remote("stub@australia", {link},
+                        std::make_shared<StubDomain>("stub", answers, 1, 2));
+  CallContext ctx;
+  ASSERT_TRUE(remote.Run(ctx, DomainCall{"stub", "f", {}}).ok());
+  link->mutable_site().availability = 0.0;
+  EXPECT_TRUE(
+      remote.Run(ctx, DomainCall{"stub", "f", {}}).status().IsUnavailable());
+
+  const size_t bytes = AnswerSetByteSize(answers);
+  EXPECT_EQ(link->calls().Value(), 2u);
+  EXPECT_EQ(link->failures().Value(), 1u);
+  EXPECT_EQ(link->bytes().Value(), bytes);
+  EXPECT_NEAR(link->charge().Value(), NetworkSimulator::Charge(site, bytes),
+              1e-9);
+  EXPECT_EQ(link->hop_sim_ms().Snapshot().count, 1u);
+  EXPECT_EQ(ctx.metrics.remote_calls, link->calls().Value());
+  EXPECT_EQ(ctx.metrics.remote_failures, link->failures().Value());
+  EXPECT_EQ(ctx.metrics.bytes_transferred, link->bytes().Value());
+  EXPECT_DOUBLE_EQ(ctx.metrics.network_charge, link->charge().Value());
+  EXPECT_DOUBLE_EQ(ctx.metrics.network_ms, link->hop_sim_ms().Snapshot().sum);
 }
 
 /// A remote domain as the mediator wires one: `inner` behind a network

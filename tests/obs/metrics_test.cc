@@ -15,8 +15,6 @@ TEST(Counter, AddAndValue) {
   c.Add();
   c.Add(41);
   EXPECT_EQ(c.Value(), 42u);
-  c.Reset();
-  EXPECT_EQ(c.Value(), 0u);
 }
 
 TEST(FloatCounter, AddAndValue) {
@@ -24,8 +22,6 @@ TEST(FloatCounter, AddAndValue) {
   c.Add(1.5);
   c.Add(2.25);
   EXPECT_DOUBLE_EQ(c.Value(), 3.75);
-  c.Reset();
-  EXPECT_DOUBLE_EQ(c.Value(), 0.0);
 }
 
 TEST(Gauge, SetAndAdd) {
@@ -89,6 +85,40 @@ TEST(Registry, GetOrAddReusesSameSeries) {
                                     {{"site", "italy"}});
   EXPECT_NE(a.get(), c.get());
   EXPECT_EQ(registry.size(), 2u);
+}
+
+TEST(Registry, FindsEverySeriesAndExposesThemInRegistrationOrder) {
+  MetricsRegistry registry;
+  std::vector<std::shared_ptr<Counter>> counters;
+  for (int i = 0; i < 64; ++i) {
+    counters.push_back(registry.GetOrAddCounter(
+        "hermes_test_total", "help",
+        {{"site", "s" + std::to_string(63 - i)}, {"domain", "d"}}));
+    counters.back()->Add(i);
+  }
+  EXPECT_EQ(registry.size(), 64u);
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(registry
+                  .GetOrAddCounter(
+                      "hermes_test_total", "help",
+                      {{"site", "s" + std::to_string(63 - i)}, {"domain", "d"}})
+                  .get(),
+              counters[i].get());
+  }
+  EXPECT_EQ(registry.size(), 64u);
+  // Same labels in another order are another series.
+  EXPECT_NE(registry
+                .GetOrAddCounter("hermes_test_total", "help",
+                                 {{"domain", "d"}, {"site", "s0"}})
+                .get(),
+            counters[63].get());
+
+  std::string text = registry.ExposePrometheus();
+  size_t first = text.find("hermes_test_total{site=\"s63\",domain=\"d\"} 0");
+  size_t last = text.find("hermes_test_total{site=\"s0\",domain=\"d\"} 63");
+  ASSERT_NE(first, std::string::npos);
+  ASSERT_NE(last, std::string::npos);
+  EXPECT_LT(first, last);
 }
 
 TEST(Registry, RegisterReplacesExistingSeries) {

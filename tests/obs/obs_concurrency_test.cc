@@ -1,19 +1,23 @@
 // Concurrency contract of the observability layer — also part of the CI
-// thread-sanitizer workload. The core invariant: the registry's process-
-// level fold counters equal the sum of the per-query CallMetrics that the
-// same queries reported, at any thread count (nothing double-counted,
-// nothing dropped, no data races).
+// thread-sanitizer workload. The core invariant: each call-path fact is
+// counted once per query (CallMetrics) and once by the layer that observes
+// it (its labeled series), and summed over the queries the two agree at any
+// thread count (nothing double-counted, nothing dropped, no data races).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <future>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/mediator.h"
 #include "engine/query_pool.h"
+#include "net/faults/fault_plan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "testbed/scenario.h"
@@ -86,17 +90,40 @@ TEST(ObsConcurrency, HistogramMergeIsAssociative) {
   EXPECT_EQ(left.count, right.count);
 }
 
-// The tentpole invariant: after 8 worker threads serve a mixed workload,
-// every hermes_query_* fold counter in the mediator's registry equals the
-// sum of that field over the per-query CallMetrics the futures returned.
-TEST(ObsConcurrency, RegistryFoldEqualsSumOfPerQueryMetrics) {
+/// Sum of every sample of `family` in a Prometheus exposition, over all of
+/// its label sets: every link, layer instance or CIM that registered one.
+double FamilyTotal(const std::string& prom, const std::string& family) {
+  double total = 0.0;
+  std::istringstream lines(prom);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(family, 0) != 0 || line.size() <= family.size()) continue;
+    if (line[family.size()] != '{' && line[family.size()] != ' ') continue;
+    total += std::stod(line.substr(line.rfind(' ') + 1));
+  }
+  return total;
+}
+
+// The tentpole invariant: after 8 worker threads serve a mixed workload
+// over a flaky, retrying video link, each CallMetrics field summed over the
+// per-query results equals the series of the layer that counts it (DESIGN.md
+// §8), summed over its label sets. domain_calls is counted per query only.
+TEST(ObsConcurrency, LayerSeriesEqualSumOfPerQueryMetrics) {
   Mediator med;
+  resilience::ResiliencePolicy retrying;
+  retrying.retry.max_retries = 2;
+  med.set_default_resilience_policy(retrying);
   ASSERT_TRUE(testbed::SetupRopeScenario(&med, {}).ok());
   ASSERT_TRUE(med.LoadProgram(kObjectsRule).ok());
+  Result<net::FaultPlan> plan =
+      net::FaultPlan::Parse("seed 7\nflaky site=umd p=0.4\n");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_TRUE(med.SetFaultPlan(std::move(plan).value()).ok());
 
   QueryOptions as_written;
   as_written.use_optimizer = false;
+  as_written.partial_results = true;  // a lost source still reports metrics
 
+  const std::string before = med.metrics().ExposePrometheus();
   QueryPoolOptions pool_options;
   pool_options.num_threads = 8;
   std::unique_ptr<QueryPool> pool = med.Serve(pool_options);
@@ -116,45 +143,91 @@ TEST(ObsConcurrency, RegistryFoldEqualsSumOfPerQueryMetrics) {
     summed.Merge(res->metrics);
   }
   pool->Shutdown();
+  const std::string after = med.metrics().ExposePrometheus();
 
+  // The workload reached the layers this test is about.
+  EXPECT_GT(summed.cache_hits, 0u);
+  EXPECT_GT(summed.remote_calls, 0u);
+  EXPECT_GT(summed.remote_failures, 0u);
+  EXPECT_GT(summed.retries, 0u);
+
+  struct Field {
+    const char* name;
+    double summed;
+    std::vector<std::string> families;
+  };
+  const std::vector<Field> fields = {
+      {"stats_records", static_cast<double>(summed.stats_records),
+       {"hermes_dcsm_records_total"}},
+      {"cache_hits", static_cast<double>(summed.cache_hits),
+       {"hermes_cim_exact_hits_total", "hermes_cim_equality_hits_total",
+        "hermes_cim_partial_hits_total"}},
+      {"cache_misses", static_cast<double>(summed.cache_misses),
+       {"hermes_cim_misses_total"}},
+      {"remote_calls", static_cast<double>(summed.remote_calls),
+       {"hermes_site_calls_total"}},
+      {"remote_failures", static_cast<double>(summed.remote_failures),
+       {"hermes_site_failures_total"}},
+      {"bytes_transferred", static_cast<double>(summed.bytes_transferred),
+       {"hermes_site_bytes_total"}},
+      {"retries", static_cast<double>(summed.retries),
+       {"hermes_resilience_retries_total"}},
+      {"breaker_shed", static_cast<double>(summed.breaker_shed),
+       {"hermes_resilience_breaker_shed_total"}},
+      {"deadline_aborts", static_cast<double>(summed.deadline_aborts),
+       {"hermes_resilience_deadline_aborts_total"}},
+      {"degraded_calls", static_cast<double>(summed.degraded_calls),
+       {"hermes_resilience_stale_serves_total",
+        "hermes_cim_unavailable_masked_total"}},
+      {"failovers", static_cast<double>(summed.failovers),
+       {"hermes_resilience_failovers_total"}},
+      {"load_shed", static_cast<double>(summed.load_shed),
+       {"hermes_overload_shed_total"}},
+      {"hedges", static_cast<double>(summed.hedges),
+       {"hermes_hedge_issued_total"}},
+      {"hedge_wins", static_cast<double>(summed.hedge_wins),
+       {"hermes_hedge_wins_total"}},
+      {"network_charge", summed.network_charge, {"hermes_site_charge_total"}},
+      {"network_ms", summed.network_ms, {"hermes_site_hop_sim_ms_sum"}},
+      {"retry_backoff_ms", summed.retry_backoff_ms,
+       {"hermes_resilience_backoff_sim_ms_total"}},
+  };
+  // Every field either has a layer series above or is counted per query
+  // only, so a new CallMetrics field must be placed in one or the other.
+  std::set<std::string> placed = {"domain_calls"};
+  for (const Field& field : fields) {
+    double layer = 0.0;
+    for (const std::string& family : field.families) {
+      layer += FamilyTotal(after, family) - FamilyTotal(before, family);
+    }
+    // The exposition prints 10 significant digits.
+    EXPECT_NEAR(layer, field.summed, 1e-9 * std::max(1.0, field.summed))
+        << field.name;
+    placed.insert(field.name);
+  }
+  std::set<std::string> all;
+#define HERMES_FIELD(f) all.insert(#f);
+  HERMES_CALL_METRICS_UINT64_FIELDS(HERMES_FIELD)
+  HERMES_CALL_METRICS_DOUBLE_FIELDS(HERMES_FIELD)
+#undef HERMES_FIELD
+  EXPECT_EQ(placed, all);
+
+  // Query- and pool-level counters landed in the same registry.
   obs::MetricsRegistry& registry = med.metrics();
   EXPECT_EQ(registry.GetOrAddCounter("hermes_queries_total", "")->Value(),
             uint64_t{kQueries});
-#define HERMES_FIELD(f)                                                     \
-  EXPECT_EQ(                                                                \
-      registry.GetOrAddCounter("hermes_query_" #f "_total", "")->Value(),   \
-      summed.f)                                                             \
-      << #f;
-  HERMES_CALL_METRICS_UINT64_FIELDS(HERMES_FIELD)
-#undef HERMES_FIELD
-#define HERMES_FIELD(f)                                                      \
-  EXPECT_NEAR(                                                               \
-      registry.GetOrAddFloatCounter("hermes_query_" #f "_total", "")->Value(), \
-      summed.f, 1e-6)                                                        \
-      << #f;
-  HERMES_CALL_METRICS_DOUBLE_FIELDS(HERMES_FIELD)
-#undef HERMES_FIELD
-
-  // The layer-owned series agree with the layers' own snapshot structs.
-  EXPECT_EQ(registry.GetOrAddCounter("hermes_net_calls_total", "")->Value(),
-            med.network().stats().calls);
+  EXPECT_EQ(registry.GetOrAddCounter("hermes_pool_submitted_total", "")->Value(),
+            uint64_t{kQueries});
+  EXPECT_EQ(registry.GetOrAddCounter("hermes_pool_completed_total", "")->Value(),
+            uint64_t{kQueries});
+  // The layer-owned series are the layers' own counters.
   EXPECT_EQ(
       registry
           .GetOrAddCounter("hermes_cim_exact_hits_total", "",
                            {{"domain", "video"}})
           ->Value(),
       med.cim("video")->stats().exact_hits);
-
-  // Pool counters landed in the same registry.
-  EXPECT_EQ(registry.GetOrAddCounter("hermes_pool_submitted_total", "")->Value(),
-            uint64_t{kQueries});
-  EXPECT_EQ(registry.GetOrAddCounter("hermes_pool_completed_total", "")->Value(),
-            uint64_t{kQueries});
-
-  // And one exposition renders the whole catalogue without blowing up.
-  std::string prom = registry.ExposePrometheus();
-  EXPECT_NE(prom.find("hermes_query_domain_calls_total"), std::string::npos);
-  EXPECT_NE(prom.find("hermes_pool_queue_wait_ms_bucket"), std::string::npos);
+  EXPECT_NE(after.find("hermes_pool_queue_wait_ms_bucket"), std::string::npos);
 }
 
 // Operator-layer metrics under concurrency: 8 worker threads execute

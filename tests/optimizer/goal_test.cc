@@ -99,7 +99,7 @@ TEST(GoalTest, CimFallbackEstimateUsesUnderlyingStats) {
   ASSERT_TRUE(pattern.ok());
   Result<dcsm::CostEstimate> est = dcsm.Cost(*pattern);
   ASSERT_TRUE(est.ok());
-  EXPECT_NE(est->source.find("cim-fallback"), std::string::npos);
+  EXPECT_TRUE(est->source.cim_fallback);
   EXPECT_DOUBLE_EQ(est->cost.t_all_ms, 20.0);
 
   // Once the CIM path has its own statistics, they take precedence.
@@ -107,7 +107,7 @@ TEST(GoalTest, CimFallbackEstimateUsesUnderlyingStats) {
                        CostVector(0.1, 0.2, 1));
   Result<dcsm::CostEstimate> own = dcsm.Cost(*pattern);
   ASSERT_TRUE(own.ok());
-  EXPECT_EQ(own->source.find("cim-fallback"), std::string::npos);
+  EXPECT_FALSE(own->source.cim_fallback);
   EXPECT_DOUBLE_EQ(own->cost.t_all_ms, 0.2);
 }
 
@@ -120,7 +120,7 @@ TEST(GoalTest, CimFallbackRelaxesConstants) {
       lang::Parser::ParseCallPattern("cim_video:size('the_birds')");
   Result<dcsm::CostEstimate> est = dcsm.Cost(*pattern);
   ASSERT_TRUE(est.ok());
-  EXPECT_NE(est->source.find("cim-fallback"), std::string::npos);
+  EXPECT_TRUE(est->source.cim_fallback);
   EXPECT_DOUBLE_EQ(est->cost.t_all_ms, 20.0);
 }
 

@@ -16,7 +16,10 @@ told apart from the baseline's own run-to-run spread.
 When a side holds both BM_ExecuteCacheHitQueryDiagnostics and
 BM_ExecuteCacheHitQuery, a line after the table gives that side's ratio of
 their medians: what always-on diagnostics cost on the CIM hit path
-(informational, never gated).
+(informational, never gated). Beside each ratio it prints the range the
+two benchmarks' quartiles allow (q1 on / q3 off ... q3 on / q1 off), and
+`unresolved at 5%` when that range contains 1.05: the runs are then too
+spread to tell whether the overhead meets a 5% budget.
 
 Matching is by full benchmark name (including /threads:N suffixes); names
 present in only one file are listed as new/removed (with their one-sided
@@ -87,15 +90,39 @@ DIAGNOSTICS_ON = "BM_ExecuteCacheHitQueryDiagnostics"
 DIAGNOSTICS_OFF = "BM_ExecuteCacheHitQuery"
 
 
+OVERHEAD_BUDGET = 1.05
+
+
 def diagnostics_ratio(side):
-    """Median of the diagnostics-on hit over the plain hit (above 1 is the
-    overhead), or None when the side lacks either."""
+    """(median ratio, lowest, highest) of the diagnostics-on hit over the
+    plain hit (above 1 is the overhead), where lowest and highest are the
+    ratios the two benchmarks' quartiles allow; None when the side lacks
+    either benchmark."""
     if DIAGNOSTICS_ON not in side or DIAGNOSTICS_OFF not in side:
         return None
     on, off = summarize(side[DIAGNOSTICS_ON]), summarize(side[DIAGNOSTICS_OFF])
-    if on is None or off is None or on[3] != off[3] or 0 in (on[0], off[0]):
+    if on is None or off is None or on[3] != off[3]:
         return None
-    return off[0] / on[0] if on[4] else on[0] / off[0]
+    (on_med, on_q1, on_q3, _, higher_better) = on
+    (off_med, off_q1, off_q3, _, _) = off
+    if 0 in (on_med, on_q1, on_q3, off_med, off_q1, off_q3):
+        return None
+    if higher_better:
+        # Throughput: the overhead is off / on.
+        return off_med / on_med, off_q1 / on_q3, off_q3 / on_q1
+    return on_med / off_med, on_q1 / off_q3, on_q3 / off_q1
+
+
+def format_ratio(ratio):
+    """'1.270 (1.180-1.300)', marked unresolved when the range holds the
+    5% budget."""
+    if ratio is None:
+        return "-"
+    median, low, high = ratio
+    text = f"{median:.3f} ({low:.3f}-{high:.3f})"
+    if low <= OVERHEAD_BUDGET <= high:
+        text += " unresolved at 5%"
+    return text
 
 
 def main():
@@ -159,9 +186,8 @@ def main():
               for label, side in (("baseline", base), ("contender", cont))]
     if any(ratio is not None for _, ratio in ratios):
         lines.append(f"diagnostics overhead, {DIAGNOSTICS_ON} / "
-                     f"{DIAGNOSTICS_OFF} medians: " +
-                     ", ".join(f"{label} " +
-                               ("-" if ratio is None else f"{ratio:.3f}")
+                     f"{DIAGNOSTICS_OFF} medians (quartile range): " +
+                     ", ".join(f"{label} {format_ratio(ratio)}"
                                for label, ratio in ratios))
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)

@@ -103,8 +103,8 @@ int Run(int argc, char** argv) {
   // The twelve queries below are twelve distinct texts, so every plan-cache
   // lookup misses: the run exercises the miss path and exposes the
   // hermes_plan_cache_* families. A breaker opening mid-join re-plans the
-  // suffix — the capture_on_replan default then persists the decision
-  // (old/new suffix, trigger) into the bundle.
+  // suffix — the diagnostics always capture a replan, persisting the
+  // decision (old/new suffix, trigger) into the bundle.
   Status plan_cache = med.EnablePlanCache();
   if (!plan_cache.ok()) {
     std::fprintf(stderr, "plan cache setup failed: %s\n",

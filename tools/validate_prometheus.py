@@ -23,10 +23,8 @@ SAMPLE_RE = re.compile(
 
 DEFAULT_REQUIRED = [
     "hermes_queries_total",
-    "hermes_query_sim_ms",
     "hermes_query_tf_sim_ms",
     "hermes_query_ta_sim_ms",
-    "hermes_net_calls_total",
     "hermes_site_calls_total",
     "hermes_cache_hits_total",
     "hermes_cache_entry_age_sim_ms",
